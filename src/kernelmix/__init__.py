@@ -27,6 +27,7 @@ from .mmd import (
     mixing_weights,
     mmd_biased,
     mmd_score,
+    mmd_scores,
     mmd_unbiased_balanced,
 )
 from .rff import FeatureBank, build_feature_matrix, feature_map, kernel_approx, sample_frequencies
@@ -64,6 +65,7 @@ __all__ = [
     "mixture_gram",
     "mmd_biased",
     "mmd_score",
+    "mmd_scores",
     "mmd_unbiased_balanced",
     "predict",
     "sample_frequencies",

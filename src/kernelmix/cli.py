@@ -34,7 +34,7 @@ from .diagnostics import (
 )
 from .errors import ConfigError, DataError, ModelIntegrityError
 from .kernels import BaseKernel
-from .mmd import mixing_weights, mmd_score
+from .mmd import MixtureWeights, mixing_weights, mmd_scores
 from .rff import FeatureBank, build_feature_matrix
 from .select import compare_selection, log_grid
 from .svm import TrainConfig, decision_values, evaluate, load_model, save_model, train
@@ -126,11 +126,8 @@ def cmd_score(args) -> int:
     ds, _stats = _maybe_standardize(ds, args)
     split = split_by_label(ds)
     kernels = _bank_kernels(args)
-    weights = mixing_weights(kernels, split.positives, split.negatives, estimator=args.estimator)
-    scores = [
-        mmd_score(k, split.positives, split.negatives, estimator=args.estimator)
-        for k in kernels
-    ]
+    scores = mmd_scores(kernels, split.positives, split.negatives, estimator=args.estimator)
+    weights = MixtureWeights.from_scores([s.value for s in scores])
     rows = [
         {
             "family": k.family,
@@ -337,7 +334,7 @@ def cmd_diagnose(args) -> int:
         ds, _stats = _maybe_standardize(ds, args)
     kernels = _bank_kernels(args)
     split = split_by_label(ds)
-    weights = mixing_weights(kernels, split.positives, split.negatives)
+    weights = mixing_weights(kernels, split.positives, split.negatives, estimator=args.estimator)
     sweep = [int(v) for v in _parse_floats(args.draw_sweep)] if args.draw_sweep else [args.draws]
     seeds = list(range(args.trials))
 

@@ -42,6 +42,11 @@ class BaseKernel:
     def gamma(self) -> float:
         return 1.0 / (2.0 * self.rho**2)
 
+    @property
+    def metric(self) -> str:
+        """The distance the family is a function of (a scipy ``cdist`` metric)."""
+        return "euclidean" if self.family == "laplacian" else "sqeuclidean"
+
 
 def eval_kernel(kernel: BaseKernel, x: np.ndarray, y: np.ndarray) -> float:
     """Evaluate k(x, y) for a single pair of vectors."""
@@ -64,18 +69,33 @@ def kernel_matrix(kernel: BaseKernel, X: np.ndarray, Y: np.ndarray | None = None
     Y = X if Y is None else np.atleast_2d(np.asarray(Y, dtype=float))
     if X.shape[1] != Y.shape[1]:
         raise ConfigError(f"dimension mismatch {X.shape[1]} vs {Y.shape[1]}")
-    if kernel.family == "laplacian":
-        return np.exp(-cdist(X, Y, "euclidean") / kernel.rho)
-    return np.exp(-cdist(X, Y, "sqeuclidean") / (2.0 * kernel.rho**2))
+    return kernel_of_distance(kernel, cdist(X, Y, kernel.metric))
+
+
+#: exp(x) rounds to exactly 0.0 for every x below this, and numpy's exp is
+#: many times slower on such arguments than on ordinary ones.
+_EXP_IS_ZERO_BELOW = -745.2
+
+
+def kernel_of_distance(kernel: BaseKernel, dist: np.ndarray) -> np.ndarray:
+    """Kernel values from distances in the family's ``metric``.
+
+    Arguments whose exp underflows to 0.0 are written as 0.0 without calling
+    exp, which leaves every value bit-identical.
+    """
+    scale = kernel.rho if kernel.family == "laplacian" else 2.0 * kernel.rho**2
+    arg = dist / -scale
+    return np.exp(arg, out=np.zeros_like(arg), where=~(arg < _EXP_IS_ZERO_BELOW))
 
 
 def gram_matrix(kernel: BaseKernel, X: np.ndarray) -> np.ndarray:
-    """Symmetric Gram matrix; the upper triangle is computed once and mirrored."""
-    K = kernel_matrix(kernel, X)
-    upper = np.triu(K)
-    K = upper + np.triu(K, 1).T
-    np.fill_diagonal(K, 1.0)
-    return K
+    """Gram matrix of the rows of X.
+
+    ``cdist`` computes the distance of each pair with one loop in which
+    swapping the two rows only flips signs before squaring, so the result is
+    exactly symmetric with exact 1.0 on the diagonal (for finite X).
+    """
+    return kernel_matrix(kernel, X)
 
 
 def mixture_gram(kernels: list[BaseKernel], weights: np.ndarray, X: np.ndarray) -> np.ndarray:

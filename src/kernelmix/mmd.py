@@ -26,9 +26,10 @@ from typing import Callable
 
 import numpy as np
 from scipy import stats as sp_stats
+from scipy.spatial.distance import cdist, pdist
 
 from .errors import ConfigError, DataError
-from .kernels import BaseKernel, kernel_matrix
+from .kernels import BaseKernel, kernel_of_distance
 from .rng import stream
 
 ESTIMATORS = ("biased", "unbiased_balanced")
@@ -75,30 +76,105 @@ class MixtureWeights:
             raise ConfigError("weights must be nonnegative")
         object.__setattr__(self, "weights", w / w.sum())
 
+    @classmethod
+    def from_scores(cls, values) -> "MixtureWeights":
+        """Normalize per-kernel MMD values onto the simplex.
+
+        All-zero values (e.g. identical class samples) fall back to uniform
+        weights with the ``degenerate`` flag set.
+        """
+        values = np.asarray(values, dtype=float)
+        scores = tuple(values.tolist())
+        total = values.sum()
+        if total == 0.0:
+            m = values.shape[0]
+            return cls(weights=np.full(m, 1.0 / m), degenerate=True, scores=scores)
+        return cls(weights=values / total, degenerate=False, scores=scores)
+
     @property
     def m(self) -> int:
         return self.weights.shape[0]
 
 
-def mmd_biased(kernel: BaseKernel, pos: np.ndarray, neg: np.ndarray) -> MmdScore:
-    """Two within-class U-statistics minus the cross average (any class sizes)."""
+def mmd_scores(
+    kernels: list[BaseKernel],
+    pos: np.ndarray,
+    neg: np.ndarray,
+    estimator: str = "auto",
+    pairing_seed: int | None = None,
+) -> list[MmdScore]:
+    """Score every kernel from one shared pass of pairwise distances.
+
+    ``estimator="auto"`` takes the balanced U-statistic when n+ = n- and the
+    biased form otherwise. The squared distances are computed once (``pdist``
+    within each class, ``cdist`` across) and square-rooted once if any
+    kernel is Laplacian; each kernel then costs one exp-and-sum. For the
+    balanced estimator row i of ``pos`` pairs with row i of ``neg``;
+    ``pairing_seed`` shuffles the negative rows first when a random pairing
+    is wanted.
+    """
+    if not kernels:
+        raise ConfigError("need at least one base kernel")
     pos = np.atleast_2d(np.asarray(pos, dtype=float))
     neg = np.atleast_2d(np.asarray(neg, dtype=float))
     n_plus, n_minus = pos.shape[0], neg.shape[0]
-    if n_plus < 2 or n_minus < 2:
-        raise DataError("each class needs at least 2 samples")
-    Kpp = kernel_matrix(kernel, pos)
-    Knn = kernel_matrix(kernel, neg)
-    Kpn = kernel_matrix(kernel, pos, neg)
-    within_pos = (Kpp.sum() - np.trace(Kpp)) / (n_plus * (n_plus - 1))
-    within_neg = (Knn.sum() - np.trace(Knn)) / (n_minus * (n_minus - 1))
-    cross = 2.0 * Kpn.sum() / (n_plus * n_minus)
-    return MmdScore(
-        squared=float(within_pos + within_neg - cross),
-        estimator="biased",
-        n_plus=n_plus,
-        n_minus=n_minus,
-    )
+    if estimator == "auto":
+        estimator = "unbiased_balanced" if n_plus == n_minus else "biased"
+    if estimator not in ESTIMATORS:
+        raise ConfigError(f"unknown estimator {estimator!r}")
+    if pos.shape[1] != neg.shape[1]:
+        raise ConfigError(f"dimension mismatch {pos.shape[1]} vs {neg.shape[1]}")
+
+    if estimator == "biased":
+        if n_plus < 2 or n_minus < 2:
+            raise DataError("each class needs at least 2 samples")
+        # within-class pairs i < j, then every cross pair
+        blocks = (
+            pdist(pos, "sqeuclidean"),
+            pdist(neg, "sqeuclidean"),
+            cdist(pos, neg, "sqeuclidean"),
+        )
+    else:
+        if n_plus != n_minus:
+            raise DataError(
+                f"unbalanced classes ({n_plus} vs {n_minus}); use the biased estimator"
+            )
+        if n_plus < 2:
+            raise DataError("need at least 2 paired samples")
+        if pairing_seed is not None:
+            neg = neg[stream(pairing_seed).permutation(n_plus)]
+        # for each pair i < j of paired draws: (x_i,x_j), (y_i,y_j), (x_i,y_j), (x_j,y_i)
+        cross = cdist(pos, neg, "sqeuclidean")
+        upper = np.triu_indices(n_plus, 1)
+        blocks = (
+            pdist(pos, "sqeuclidean"),
+            pdist(neg, "sqeuclidean"),
+            cross[upper],
+            cross.T[upper],
+        )
+    distances = {"sqeuclidean": blocks}
+    if any(k.metric == "euclidean" for k in kernels):
+        distances["euclidean"] = tuple(np.sqrt(b) for b in blocks)
+
+    scores = []
+    for kernel in kernels:
+        K = [kernel_of_distance(kernel, b) for b in distances[kernel.metric]]
+        if estimator == "biased":
+            squared = (
+                2.0 * K[0].sum() / (n_plus * (n_plus - 1))
+                + 2.0 * K[1].sum() / (n_minus * (n_minus - 1))
+                - 2.0 * K[2].sum() / (n_plus * n_minus)
+            )
+        else:
+            # summed termwise, so identical classes cancel to exactly 0.0
+            squared = 2.0 * (K[0] + K[1] - K[2] - K[3]).sum() / (n_plus * (n_plus - 1))
+        scores.append(MmdScore(float(squared), estimator, n_plus, n_minus))
+    return scores
+
+
+def mmd_biased(kernel: BaseKernel, pos: np.ndarray, neg: np.ndarray) -> MmdScore:
+    """Two within-class U-statistics minus the cross average (any class sizes)."""
+    return mmd_scores([kernel], pos, neg, "biased")[0]
 
 
 def mmd_unbiased_balanced(
@@ -107,34 +183,8 @@ def mmd_unbiased_balanced(
     neg: np.ndarray,
     pairing_seed: int | None = None,
 ) -> MmdScore:
-    """Single U-statistic over paired draws; requires equal class sizes.
-
-    Row i of ``pos`` pairs with row i of ``neg``; ``pairing_seed`` shuffles
-    the negative rows first when a random pairing is wanted.
-    """
-    pos = np.atleast_2d(np.asarray(pos, dtype=float))
-    neg = np.atleast_2d(np.asarray(neg, dtype=float))
-    if pos.shape[0] != neg.shape[0]:
-        raise DataError(
-            f"unbalanced classes ({pos.shape[0]} vs {neg.shape[0]}); "
-            "use the biased estimator"
-        )
-    n0 = pos.shape[0]
-    if n0 < 2:
-        raise DataError("need at least 2 paired samples")
-    if pairing_seed is not None:
-        neg = neg[stream(pairing_seed).permutation(n0)]
-    Kxx = kernel_matrix(kernel, pos)
-    Kyy = kernel_matrix(kernel, neg)
-    Kxy = kernel_matrix(kernel, pos, neg)
-    H = Kxx + Kyy - Kxy - Kxy.T
-    squared = (H.sum() - np.trace(H)) / (n0 * (n0 - 1))
-    return MmdScore(
-        squared=float(squared),
-        estimator="unbiased_balanced",
-        n_plus=n0,
-        n_minus=n0,
-    )
+    """Single U-statistic over paired draws; requires equal class sizes."""
+    return mmd_scores([kernel], pos, neg, "unbiased_balanced", pairing_seed)[0]
 
 
 def mmd_score(
@@ -144,13 +194,7 @@ def mmd_score(
     estimator: str = "auto",
 ) -> MmdScore:
     """Route to the balanced U-statistic when n+ = n-, else the biased form."""
-    if estimator == "auto":
-        estimator = "unbiased_balanced" if len(pos) == len(neg) else "biased"
-    if estimator == "unbiased_balanced":
-        return mmd_unbiased_balanced(kernel, pos, neg)
-    if estimator == "biased":
-        return mmd_biased(kernel, pos, neg)
-    raise ConfigError(f"unknown estimator {estimator!r}")
+    return mmd_scores([kernel], pos, neg, estimator)[0]
 
 
 def mixing_weights(
@@ -159,28 +203,9 @@ def mixing_weights(
     neg: np.ndarray,
     estimator: str = "auto",
 ) -> MixtureWeights:
-    """Per-kernel MMD values normalized onto the simplex.
-
-    All-zero scores (e.g. identical class samples) fall back to uniform
-    weights with the ``degenerate`` flag set.
-    """
-    if not kernels:
-        raise ConfigError("need at least one base kernel")
-    scores = [mmd_score(k, pos, neg, estimator=estimator) for k in kernels]
-    values = np.array([s.value for s in scores])
-    total = values.sum()
-    if total == 0.0:
-        m = len(kernels)
-        return MixtureWeights(
-            weights=np.full(m, 1.0 / m),
-            degenerate=True,
-            scores=tuple(values.tolist()),
-        )
-    return MixtureWeights(
-        weights=values / total,
-        degenerate=False,
-        scores=tuple(values.tolist()),
-    )
+    """Per-kernel MMD values normalized onto the simplex."""
+    scores = mmd_scores(kernels, pos, neg, estimator)
+    return MixtureWeights.from_scores([s.value for s in scores])
 
 
 # -- population references for Gaussian measures ---------------------------

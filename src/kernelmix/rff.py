@@ -154,10 +154,11 @@ def build_feature_matrix(X: np.ndarray, bank: FeatureBank) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != bank.dim:
         raise ConfigError(f"data dim {X.shape[1]} does not match bank dim {bank.dim}")
-    blocks = []
-    for w, xi, b in zip(bank.weights.weights, bank.frequencies, bank.phases):
-        blocks.append(math.sqrt(w) * feature_block(X, xi, b))
-    return np.hstack(blocks)
+    Phi = np.empty((X.shape[0], bank.total_features))
+    D = bank.draws
+    for l, (w, xi, b) in enumerate(zip(bank.weights.weights, bank.frequencies, bank.phases)):
+        np.multiply(math.sqrt(w), feature_block(X, xi, b), out=Phi[:, l * D : (l + 1) * D])
+    return Phi
 
 
 def sample_mixture_frequencies(

@@ -17,7 +17,7 @@ import numpy as np
 from .data import LabeledDataset, kfold_split, split_by_label
 from .errors import ConfigError, DataError
 from .kernels import BaseKernel
-from .mmd import MixtureWeights, mixing_weights, mmd_score
+from .mmd import MixtureWeights, mmd_scores
 from .rff import FeatureBank, build_feature_matrix
 from .rng import stream
 from .svm import SvmModel, TrainConfig, evaluate, train
@@ -110,11 +110,9 @@ def mmd_bandwidth_select(
     split = split_by_label(ds)
     if split.n_plus < 2 or split.n_minus < 2:
         raise DataError("MMD selection needs at least 2 samples per class")
-    rows = []
-    for gamma in gammas:
-        kernel = BaseKernel.from_gamma("gaussian", gamma)
-        score = mmd_score(kernel, split.positives, split.negatives, estimator=estimator)
-        rows.append({"gamma": float(gamma), "mmd_score": score.value})
+    kernels = [BaseKernel.from_gamma("gaussian", g) for g in gammas]
+    scores = mmd_scores(kernels, split.positives, split.negatives, estimator=estimator)
+    rows = [{"gamma": float(g), "mmd_score": s.value} for g, s in zip(gammas, scores)]
     values = np.array([r["mmd_score"] for r in rows])
     degenerate = bool(values.max() == 0.0)
     best = int(np.argmax(values))  # first maximum = smallest gamma on ties
@@ -203,8 +201,7 @@ def compare_selection(
     mmd_model = _train_single_kernel(train_ds, mmd_gamma, draws, cfg, _child_seed(seed, 29))
 
     kernels = [BaseKernel.from_gamma("gaussian", g) for g in gammas]
-    split = split_by_label(train_ds)
-    weights = mixing_weights(kernels, split.positives, split.negatives)
+    weights = MixtureWeights.from_scores([r["mmd_score"] for r in mmd_rows])
     mix_bank = FeatureBank.generate(
         kernels, weights, draws, train_ds.dim, _child_seed(seed, 31)
     )

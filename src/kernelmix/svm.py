@@ -70,6 +70,24 @@ class SvmModel:
         return self.R / math.sqrt(self.beta.shape[0])
 
 
+def _margins(scores: np.ndarray, y: np.ndarray, offset: float, draws: int) -> np.ndarray:
+    """Hinge arguments 1 - y_i f(x_i), given ``scores = Phi @ beta``."""
+    return 1.0 - y * (scores / math.sqrt(draws) + offset)
+
+
+def _objective(
+    scores: np.ndarray,
+    y: np.ndarray,
+    beta: np.ndarray,
+    offset: float,
+    lam: float,
+    draws: int,
+) -> float:
+    """The objective at (beta, offset) given ``scores = Phi @ beta``."""
+    margins = _margins(scores, y, offset, draws)
+    return float(np.maximum(margins, 0.0).mean() + 0.5 * lam * beta @ beta)
+
+
 def hinge_objective(
     Phi: np.ndarray,
     y: np.ndarray,
@@ -78,8 +96,7 @@ def hinge_objective(
     lam: float,
     draws: int,
 ) -> float:
-    margins = 1.0 - y * (Phi @ beta / math.sqrt(draws) + offset)
-    return float(np.maximum(margins, 0.0).mean() + 0.5 * lam * beta @ beta)
+    return _objective(Phi @ beta, y, beta, offset, lam, draws)
 
 
 def hinge_subgradient(
@@ -89,20 +106,24 @@ def hinge_subgradient(
     offset: float,
     lam: float,
     draws: int,
+    scores: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float]:
     """Subgradient of the full objective at (beta, offset).
 
-    At points where every margin is away from the hinge kink this is the
-    gradient proper (checked against finite differences in the tests).
+    ``scores`` is ``Phi @ beta`` when the caller already has it. At points
+    where every margin is away from the hinge kink this is the gradient
+    proper (checked against finite differences in the tests).
     """
     n = Phi.shape[0]
-    margins = 1.0 - y * (Phi @ beta / math.sqrt(draws) + offset)
-    active = margins > 0.0
+    if scores is None:
+        scores = Phi @ beta
+    active = _margins(scores, y, offset, draws) > 0.0
     g_beta = lam * beta
     g_offset = 0.0
     if active.any():
-        ya = y[active]
-        g_beta = g_beta - (Phi[active].T @ ya) / (n * math.sqrt(draws))
+        # zeros in place of the inactive rows: no copy of the active part of Phi
+        ya = np.where(active, y, 0.0)
+        g_beta = g_beta - (ya @ Phi) / (n * math.sqrt(draws))
         g_offset = -float(ya.sum()) / n
     return g_beta, g_offset
 
@@ -140,28 +161,38 @@ def train(
         draws = bank.draws if bank is not None else Phi.shape[1]
 
     n, total = Phi.shape
+    full_batch = cfg.batch_size is None
     radius = cfg.R / math.sqrt(total)
     beta = np.zeros(total)
     offset = 0.0
     beta_avg = np.zeros(total)
     offset_avg = 0.0
+    # Full batch: Phi @ beta of the current iterate and, since the scores are
+    # linear in beta, their running average, which equals Phi @ beta_avg.
+    scores = np.zeros(n)
+    scores_avg = np.zeros(n)
     steps = 0
     feasibility: list[float] = []
     objective_history: list[float] = []
     rng = stream(cfg.seed, 3)
 
     for _epoch in range(cfg.epochs):
-        if cfg.batch_size is None:
-            batches = [np.arange(n)]
+        if full_batch:
+            batches = [None]
         else:
             order = rng.permutation(n)
             batches = [
                 order[i : i + cfg.batch_size] for i in range(0, n, cfg.batch_size)
             ]
         for batch in batches:
-            g_beta, g_offset = hinge_subgradient(
-                Phi[batch], y[batch], beta, offset, cfg.lam, draws
-            )
+            if full_batch:
+                g_beta, g_offset = hinge_subgradient(
+                    Phi, y, beta, offset, cfg.lam, draws, scores=scores
+                )
+            else:
+                g_beta, g_offset = hinge_subgradient(
+                    Phi[batch], y[batch], beta, offset, cfg.lam, draws
+                )
             steps += 1
             eta = cfg.step_size
             if cfg.schedule == "inv_sqrt":
@@ -173,9 +204,14 @@ def train(
                 feasibility.append(float(np.linalg.norm(beta)))
             beta_avg += (beta - beta_avg) / steps
             offset_avg += (offset - offset_avg) / steps
-        objective_history.append(
-            hinge_objective(Phi, y, beta_avg, offset_avg, cfg.lam, draws)
-        )
+            if full_batch:
+                scores = Phi @ beta
+                scores_avg += (scores - scores_avg) / steps
+        if full_batch:
+            objective = _objective(scores_avg, y, beta_avg, offset_avg, cfg.lam, draws)
+        else:
+            objective = hinge_objective(Phi, y, beta_avg, offset_avg, cfg.lam, draws)
+        objective_history.append(objective)
 
     meta = {
         "epochs": cfg.epochs,

@@ -117,3 +117,66 @@ def reference_gram_svm(K, y, lam, epochs=3000, step=0.5):
         om_avg += (omega - om_avg) / t
         b_avg += (b - b_avg) / t
     return om_avg, b_avg
+
+
+def reference_train(
+    Phi,
+    y,
+    R,
+    lam,
+    epochs,
+    step_size,
+    draws,
+    batch_size=None,
+    rng=None,
+    schedule="inv_sqrt",
+    fit_offset=True,
+):
+    """Projected subgradient training as first written, step by step.
+
+    Every step slices its batch out of Phi (full batch included), takes the
+    subgradient over the rows with a positive hinge margin, and every epoch
+    re-evaluates the objective at the averaged iterate. ``rng`` supplies the
+    per-epoch row order in mini-batch mode. Returns (beta_avg, offset,
+    objective history).
+    """
+    Phi = np.asarray(Phi, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n, total = Phi.shape
+    radius = R / math.sqrt(total)
+    root = math.sqrt(draws)
+    beta = np.zeros(total)
+    offset = 0.0
+    beta_avg = np.zeros(total)
+    offset_avg = 0.0
+    steps = 0
+    history = []
+    for _ in range(epochs):
+        if batch_size is None:
+            batches = [np.arange(n)]
+        else:
+            order = rng.permutation(n)
+            batches = [order[i : i + batch_size] for i in range(0, n, batch_size)]
+        for batch in batches:
+            P, yb = Phi[batch], y[batch]
+            margins = 1.0 - yb * (P @ beta / root + offset)
+            active = margins > 0.0
+            g_beta = lam * beta
+            g_offset = 0.0
+            if active.any():
+                ya = yb[active]
+                g_beta = g_beta - (P[active].T @ ya) / (len(batch) * root)
+                g_offset = -float(ya.sum()) / len(batch)
+            steps += 1
+            eta = step_size / math.sqrt(steps) if schedule == "inv_sqrt" else step_size
+            beta = beta - eta * g_beta
+            norm = float(np.linalg.norm(beta))
+            if norm > radius:
+                beta = beta * (radius / norm)
+            if fit_offset:
+                offset -= eta * g_offset
+            beta_avg += (beta - beta_avg) / steps
+            offset_avg += (offset - offset_avg) / steps
+        margins = 1.0 - y * (Phi @ beta_avg / root + offset_avg)
+        history.append(float(np.maximum(margins, 0.0).mean() + 0.5 * lam * beta_avg @ beta_avg))
+    return beta_avg, (offset_avg if fit_offset else 0.0), history

@@ -64,6 +64,25 @@ class TestScore:
         second = (tmp_path / "scores.json").read_bytes(), (tmp_path / "scores.csv").read_bytes()
         assert first == second
 
+    def test_scores_each_kernel_once(self, tmp_path, monkeypatch):
+        calls = []
+        score_all = cli.mmd_scores
+
+        def spy(kernels, *args, **kwargs):
+            calls.append(len(kernels))
+            return score_all(kernels, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "mmd_scores", spy)
+        data = write_dataset(tmp_path / "d.csv")
+        out = str(tmp_path / "scores")
+        args = ["score", "--data", data, "--families", "gaussian,laplacian,anova",
+                "--gammas", "0.1,1.0,3.0", "--out", out]
+        assert cli.main(args) == 0
+        assert calls == [3]
+        rows = json.loads((tmp_path / "scores.json").read_text())["kernels"]
+        values = np.array([r["value"] for r in rows])
+        assert np.allclose([r["weight"] for r in rows], values / values.sum(), rtol=1e-15, atol=0)
+
     def test_missing_file_exit_2(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.csv")
         code = cli.main(["score", "--data", missing, "--out", str(tmp_path / "s")])
@@ -245,6 +264,23 @@ class TestDiagnose:
         assert "erfc_bound" in header and "erfc_bound_display" in header
         conc = (tmp_path / "diag.concentration.csv").read_text().splitlines()
         assert len(conc) == 3  # header + one row per D
+
+    def test_estimator_reaches_the_weights(self, tmp_path, monkeypatch):
+        estimators = []
+        weigh = cli.mixing_weights
+
+        def spy(*args, **kwargs):
+            estimators.append(kwargs.get("estimator"))
+            return weigh(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "mixing_weights", spy)
+        data = write_dataset(tmp_path / "d.csv", n=30)
+        args = [
+            "diagnose", "--data", data, "--gammas", "0.5", "--draws", "64", "--trials", "1",
+            "--pairs", "5", "--estimator", "biased", "--out", str(tmp_path / "diag"),
+        ]
+        assert cli.main(args) == 0
+        assert estimators == ["biased"]
 
     def test_rerun_byte_identical(self, tmp_path):
         data = write_dataset(tmp_path / "d.csv", n=30)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from kernelmix.errors import ConfigError
 from kernelmix.kernels import (
@@ -10,6 +11,7 @@ from kernelmix.kernels import (
     alignment,
     eval_kernel,
     gram_matrix,
+    kernel_of_distance,
     mixture_gram,
     target_alignment,
 )
@@ -88,6 +90,25 @@ class TestGram:
         K = gram_matrix(BaseKernel("gaussian", 1.0), X)
         assert np.array_equal(K, K.T)
         assert np.all(np.diag(K) == 1.0)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("rho", [0.7, 0.02])  # 0.02: most values underflow to 0.0
+    def test_bit_identical_to_mirrored_upper_triangle(self, family, rho):
+        # the Gram matrix used to be exp of the scaled cdist, rebuilt as
+        # triu(K) + triu(K, 1).T with a unit diagonal
+        kernel = BaseKernel(family, rho)
+        scale = rho if family == "laplacian" else 2.0 * rho**2
+        for seed in range(6):
+            X = 3.0 * stream(15, seed).normal(size=(20 + 7 * seed, 1 + seed))
+            K = np.exp(-cdist(X, X, kernel.metric) / scale)
+            mirrored = np.triu(K) + np.triu(K, 1).T
+            np.fill_diagonal(mirrored, 1.0)
+            assert np.array_equal(gram_matrix(kernel, X), mirrored)
+
+    def test_non_finite_distances_propagate(self):
+        dist = np.array([np.nan, np.inf, 0.0, 1e6])
+        K = kernel_of_distance(BaseKernel("gaussian", 1.0), dist)
+        assert np.isnan(K[0]) and K[1:].tolist() == [0.0, 1.0, 0.0]
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_psd(self, family):

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from kernelmix.errors import ConfigError, DataError
 from kernelmix.kernels import FAMILIES, BaseKernel
@@ -14,6 +17,7 @@ from kernelmix.mmd import (
     mmd_convergence_probe,
     mmd_null_distribution_probe,
     mmd_score,
+    mmd_scores,
     mmd_unbiased_balanced,
 )
 from kernelmix.rng import stream
@@ -153,6 +157,76 @@ class TestRouting:
     def test_unknown(self):
         with pytest.raises(ConfigError):
             mmd_score(GAUSS1, np.zeros((2, 1)), np.zeros((2, 1)), estimator="magic")
+
+
+RHO = st.floats(0.3, 3.0)
+COORD = st.floats(-3.0, 3.0, allow_nan=False)
+
+
+@st.composite
+def kernel_lists(draw):
+    """Every family at least once, plus up to three more, in any order."""
+    specs = [(family, draw(RHO)) for family in FAMILIES]
+    specs += draw(st.lists(st.tuples(st.sampled_from(FAMILIES), RHO), max_size=3))
+    return [BaseKernel(family, rho) for family, rho in draw(st.permutations(specs))]
+
+
+@st.composite
+def class_samples(draw, balanced):
+    dim = draw(st.integers(1, 3))
+    n_plus = draw(st.integers(2, 7))
+    n_minus = n_plus if balanced else draw(st.integers(2, 7).filter(lambda n: n != n_plus))
+    pos = draw(arrays(np.float64, (n_plus, dim), elements=COORD))
+    neg = draw(arrays(np.float64, (n_minus, dim), elements=COORD))
+    return pos, neg
+
+
+class TestListScorer:
+    @settings(max_examples=60, deadline=None)
+    @given(kernels=kernel_lists(), samples=class_samples(balanced=False))
+    def test_unbalanced_matches_naive_biased(self, kernels, samples):
+        pos, neg = samples
+        scores = mmd_scores(kernels, pos, neg)
+        assert [s.estimator for s in scores] == ["biased"] * len(kernels)
+        for kernel, score in zip(kernels, scores):
+            want = naive_mmd_biased_squared(kernel.family, kernel.rho, pos, neg)
+            assert abs(score.squared - want) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(kernels=kernel_lists(), samples=class_samples(balanced=True))
+    def test_balanced_matches_naive_oracles(self, kernels, samples):
+        pos, neg = samples
+        paired = mmd_scores(kernels, pos, neg)
+        biased = mmd_scores(kernels, pos, neg, estimator="biased")
+        assert [s.estimator for s in paired] == ["unbiased_balanced"] * len(kernels)
+        for kernel, p, b in zip(kernels, paired, biased):
+            want_p = naive_mmd_unbiased_squared(kernel.family, kernel.rho, pos, neg)
+            want_b = naive_mmd_biased_squared(kernel.family, kernel.rho, pos, neg)
+            assert abs(p.squared - want_p) <= 1e-12
+            assert abs(b.squared - want_b) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(kernels=kernel_lists(), samples=class_samples(balanced=True))
+    def test_identical_classes_score_exactly_zero(self, kernels, samples):
+        pos, _neg = samples
+        scores = mmd_scores(kernels, pos, pos.copy())
+        assert [s.squared for s in scores] == [0.0] * len(kernels)
+        assert mixing_weights(kernels, pos, pos.copy()).degenerate
+
+    def test_single_kernel_entry_points_agree(self):
+        rng = stream(48)
+        pos, neg = rng.normal(size=(6, 2)), rng.normal(size=(6, 2)) + 0.4
+        kernels = [BaseKernel(f, 0.9) for f in FAMILIES]
+        scores = mmd_scores(kernels, pos, neg)
+        assert scores == [mmd_score(k, pos, neg) for k in kernels]
+        assert scores == [mmd_unbiased_balanced(k, pos, neg) for k in kernels]
+        assert mmd_scores(kernels, pos, neg, "biased") == [mmd_biased(k, pos, neg) for k in kernels]
+
+    def test_rejects_empty_list_and_dimension_mismatch(self):
+        with pytest.raises(ConfigError):
+            mmd_scores([], np.zeros((3, 1)), np.ones((3, 1)))
+        with pytest.raises(ConfigError):
+            mmd_scores([GAUSS1], np.zeros((3, 1)), np.ones((3, 2)))
 
 
 class TestMixingWeights:

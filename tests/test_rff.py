@@ -176,6 +176,18 @@ class TestFeatureMatrix:
         exact = mixture_gram(kernels, np.array(w), X)
         assert np.abs(approx - exact).max() <= 0.1
 
+    def test_bit_identical_to_stacked_blocks(self):
+        kernels = [GAUSS1, BaseKernel("laplacian", 0.5), BaseKernel("anova", 2.0)]
+        bank = _bank(kernels, [0.2, 0.5, 0.3], draws=32)
+        X = stream(64).normal(size=(25, 2))
+        stacked = np.hstack(
+            [
+                math.sqrt(w) * feature_block(X, xi, b)
+                for w, xi, b in zip(bank.weights.weights, bank.frequencies, bank.phases)
+            ]
+        )
+        assert np.array_equal(build_feature_matrix(X, bank), stacked)
+
     def test_dimension_mismatch(self):
         bank = _bank([GAUSS1], [1.0], dim=3)
         with pytest.raises(ConfigError):

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from kernelmix.data import LabeledDataset, standardize
+from kernelmix.data import LabeledDataset, split_by_label, standardize
 from kernelmix.errors import ConfigError, DataError
 from kernelmix.kernels import BaseKernel
-from kernelmix.mmd import MixtureWeights
+from kernelmix.mmd import MixtureWeights, mixing_weights
 from kernelmix.rff import FeatureBank
 from kernelmix.rng import stream
 from kernelmix.select import (
+    _stratified_holdout,
     compare_selection,
     cv_bandwidth_select,
     kernel_feature_select,
@@ -119,6 +120,29 @@ class TestCompareSelection:
             d.pop("cv_seconds")
             d.pop("mmd_seconds")
         assert da == db
+
+    def test_mixture_weights_match_mixing_weights(self, monkeypatch):
+        ds = small_task(seed=3, n=80)
+        gammas = [0.01, 0.1, 1.0, 10.0]
+        banks = []
+        generate = FeatureBank.generate.__func__
+
+        def spy(cls, *args, **kwargs):
+            bank = generate(cls, *args, **kwargs)
+            banks.append(bank)
+            return bank
+
+        monkeypatch.setattr(FeatureBank, "generate", classmethod(spy))
+        compare_selection(ds, gammas, folds=3, cfg=FAST_CFG, draws=32, seed=5)
+        mixture = [b.weights for b in banks if len(b.kernels) == len(gammas)]
+        train_ds, _test_ds = _stratified_holdout(ds, 0.25, 5)
+        split = split_by_label(train_ds)
+        kernels = [BaseKernel.from_gamma("gaussian", g) for g in gammas]
+        expected = mixing_weights(kernels, split.positives, split.negatives)
+        assert len(mixture) == 1
+        assert np.array_equal(mixture[0].weights, expected.weights)
+        assert mixture[0].scores == expected.scores
+        assert mixture[0].degenerate == expected.degenerate
 
 
 class TestProjection:

@@ -25,6 +25,7 @@ from kernelmix.svm import (
     soft_output,
     train,
 )
+from oracles import reference_train
 
 
 def separable_feature_matrix(n=60, seed=42):
@@ -82,6 +83,33 @@ class TestTrain:
         a = train(Phi, y, cfg)
         b = train(Phi, y, cfg)
         assert np.array_equal(a.beta, b.beta) and a.offset == b.offset
+
+    @pytest.mark.parametrize(
+        "batch_size, schedule, fit_offset, R",
+        [
+            (None, "inv_sqrt", True, 10.0),
+            (None, "constant", False, 10.0),
+            (None, "inv_sqrt", True, 0.5),  # the ball projection fires
+            (16, "inv_sqrt", True, 10.0),
+            (50, "constant", True, 0.5),
+        ],
+    )
+    def test_matches_reference_trainer(self, batch_size, schedule, fit_offset, R):
+        rng = stream(47)
+        Phi = rng.normal(size=(120, 24))
+        y = np.where(Phi[:, 0] + rng.normal(size=120) > 0, 1.0, -1.0)
+        cfg = TrainConfig(
+            R=R, lam=0.05, epochs=15, batch_size=batch_size, step_size=0.5,
+            schedule=schedule, seed=4, fit_offset=fit_offset,
+        )
+        model = train(Phi, y, cfg, draws=8)
+        beta, offset, history = reference_train(
+            Phi, y, R, 0.05, 15, 0.5, 8, batch_size=batch_size, rng=stream(4, 3),
+            schedule=schedule, fit_offset=fit_offset,
+        )
+        assert np.linalg.norm(model.beta - beta) <= 1e-12 * np.linalg.norm(beta)
+        assert abs(model.offset - offset) <= 1e-12 * max(abs(offset), 1e-300)
+        np.testing.assert_allclose(model.meta["objective_history"], history, rtol=1e-12, atol=0)
 
     def test_single_class_rejected(self):
         with pytest.raises(DataError):
