@@ -18,7 +18,7 @@ from .data import (
     standardize,
 )
 from .errors import ConfigError, DataError, KernelmixError, ModelIntegrityError
-from .kernels import BaseKernel, alignment, eval_kernel, gram_matrix, mixture_gram, target_alignment
+from .kernels import BaseKernel, eval_kernel, gram_matrix, mixture_gram
 from .mmd import (
     MixtureWeights,
     MmdScore,
@@ -30,7 +30,7 @@ from .mmd import (
     mmd_scores,
     mmd_unbiased_balanced,
 )
-from .rff import FeatureBank, build_feature_matrix, feature_map, kernel_approx, sample_frequencies
+from .rff import FeatureBank, build_feature_matrix, kernel_approx, sample_frequencies
 from .svm import SvmModel, TrainConfig, load_model, predict, save_model, train
 
 __version__ = "0.1.0"
@@ -49,11 +49,9 @@ __all__ = [
     "ModelIntegrityError",
     "SvmModel",
     "TrainConfig",
-    "alignment",
     "build_feature_matrix",
     "diameter",
     "eval_kernel",
-    "feature_map",
     "gaussian_mmd_closed_form",
     "gaussian_mmd_squared_closed_form",
     "gram_matrix",
@@ -72,6 +70,5 @@ __all__ = [
     "save_model",
     "split_by_label",
     "standardize",
-    "target_alignment",
     "train",
 ]

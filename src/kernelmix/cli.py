@@ -12,19 +12,21 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict, fields
 
 import numpy as np
 
 from .data import (
-    DatasetStats,
     LabeledDataset,
     apply_standardization,
-    dataset_stats,
+    diameter,
     load_dataset,
+    load_features,
     split_by_label,
     standardize,
 )
 from .diagnostics import (
+    ComplexityReport,
     complexity_bounds,
     empirical_sup_error,
     frobenius_concentration,
@@ -37,7 +39,7 @@ from .kernels import BaseKernel
 from .mmd import MixtureWeights, mixing_weights, mmd_scores
 from .rff import FeatureBank, build_feature_matrix
 from .select import compare_selection, log_grid
-from .svm import TrainConfig, decision_values, evaluate, load_model, save_model, train
+from .svm import TrainConfig, _outputs, load_model, save_model, train
 from .synthetic import two_gaussian_dataset
 
 SCHEMA_VERSION = 1
@@ -104,26 +106,29 @@ def _bank_kernels(args) -> list[BaseKernel]:
     return [BaseKernel.from_gamma(fam, g) for fam, g in zip(families, gammas)]
 
 
-def _load_input(args) -> LabeledDataset:
-    try:
-        ds = load_dataset(args.data, format=args.format)
-    except OSError as exc:
-        raise DataError(f"{args.data}: {exc.strerror or exc}") from None
-    return ds
-
-
-def _maybe_standardize(ds: LabeledDataset, args):
+def _load_input(args):
+    """The --data file, standardized unless --no-standardize; (dataset, stats or None)."""
+    ds = load_dataset(args.data, format=args.format)
     if args.no_standardize:
         return ds, None
     return standardize(ds)
+
+
+def _synthetic_or_data(args) -> LabeledDataset:
+    """The built-in --synthetic benchmark (always standardized) or the --data file."""
+    if args.synthetic:
+        ds = two_gaussian_dataset(n=args.synthetic_n, dim=args.synthetic_dim, seed=args.seed)
+        return standardize(ds)[0]
+    if args.data is None:
+        raise ConfigError(f"{args.command} needs --data or --synthetic")
+    return _load_input(args)[0]
 
 
 # -- commands ----------------------------------------------------------------
 
 
 def cmd_score(args) -> int:
-    ds = _load_input(args)
-    ds, _stats = _maybe_standardize(ds, args)
+    ds, _stats = _load_input(args)
     split = split_by_label(ds)
     kernels = _bank_kernels(args)
     scores = mmd_scores(kernels, split.positives, split.negatives, estimator=args.estimator)
@@ -159,8 +164,7 @@ def cmd_score(args) -> int:
 
 
 def cmd_train(args) -> int:
-    ds = _load_input(args)
-    ds, stats = _maybe_standardize(ds, args)
+    ds, stats = _load_input(args)
     split = split_by_label(ds)
     kernels = _bank_kernels(args)
     weights = mixing_weights(kernels, split.positives, split.negatives, estimator=args.estimator)
@@ -191,113 +195,42 @@ def cmd_train(args) -> int:
         "degenerate": weights.degenerate,
         "objective_history": model.meta["objective_history"],
         "final_objective": model.meta["final_objective"],
-        "train_accuracy": evaluate(model, ds)["accuracy"],
+        "train_accuracy": float((_outputs(model, Phi)[1] == ds.labels).mean()),
     }
     _write_json(args.log or args.out + ".log.json", log)
     print(f"wrote model {args.out}")
     return EXIT_OK
 
 
-def _load_predict_features(path: str, format: str, dim: int) -> np.ndarray:
-    """Feature rows for prediction; label columns are ignored, empty files OK."""
-    import csv as _csv
-
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise DataError(f"{path}: {exc.strerror or exc}") from None
-    with fh:
-        if format == "libsvm":
-            rows = []
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                vals = np.zeros(dim)
-                for tok in line.split()[1:]:
-                    try:
-                        idx_s, val_s = tok.split(":", 1)
-                        idx = int(idx_s)
-                        vals[idx - 1] = float(val_s)
-                    except (ValueError, IndexError):
-                        raise DataError(f"{path}:{lineno}: bad entry {tok!r}") from None
-                rows.append(vals)
-            return np.array(rows).reshape(-1, dim)
-        reader = _csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            return np.zeros((0, dim))
-        drop = header.index("label") if "label" in header else None
-        width = len(header) - (1 if drop is not None else 0)
-        rows = []
-        for lineno, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            if len(rec) != len(header):
-                raise DataError(
-                    f"{path}:{lineno}: expected {len(header)} fields, got {len(rec)}"
-                )
-            try:
-                values = [float(v) for v in rec]
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
-            if drop is not None:
-                values.pop(drop)
-            rows.append(values)
-        features = np.array(rows, dtype=float).reshape(-1, width)
-        if features.shape[0] and width != dim:
-            raise DataError(f"{path}: {width} feature columns, model expects {dim}")
-        return features if features.shape[0] else np.zeros((0, dim))
-
-
 def cmd_predict(args) -> int:
-    try:
-        model = load_model(args.model)
-    except OSError as exc:
-        raise DataError(f"{args.model}: {exc.strerror or exc}") from None
-    features = _load_predict_features(args.data, args.format, model.bank.dim)
+    model = load_model(args.model)
+    features = load_features(args.data, args.format, model.bank.dim)
     standardization = model.meta.get("standardization")
-    if standardization is not None and features.shape[0]:
-        stats = DatasetStats(
-            diameter=0.0,
-            per_feature_mean=np.asarray(standardization["mean"]),
-            per_feature_std=np.asarray(standardization["std"]),
+    if standardization is not None:
+        features = apply_standardization(
+            features, standardization["mean"], standardization["std"]
         )
-        features = apply_standardization(features, stats)
-    rows = []
-    if features.shape[0]:
-        dv = decision_values(model, features)
-        with np.errstate(over="ignore"):
-            soft = np.clip(1.0 / (1.0 + np.exp(-dv)), 1e-15, 1.0 - 1e-15)
-        labels = np.where(dv >= 0.0, 1, -1)
-        rows = [
-            {
-                "index": i,
-                "decision_value": float(dv[i]),
-                "soft_output": float(soft[i]),
-                "label": int(labels[i]),
-            }
-            for i in range(features.shape[0])
-        ]
+    dv, labels, soft = _outputs(model, build_feature_matrix(features, model.bank))
+    rows = [
+        {
+            "index": i,
+            "decision_value": float(dv[i]),
+            "soft_output": float(soft[i]),
+            "label": int(labels[i]),
+        }
+        for i in range(features.shape[0])
+    ]
     _write_csv(args.out, ["index", "decision_value", "soft_output", "label"], rows)
     print(f"wrote {args.out} ({len(rows)} predictions)")
     return EXIT_OK
 
 
 def cmd_select(args) -> int:
-    if args.synthetic:
-        ds = two_gaussian_dataset(
-            n=args.synthetic_n, dim=args.synthetic_dim, seed=args.seed
-        )
-        ds, _ = standardize(ds)
-        gammas = np.array(_parse_floats(args.gammas)) if args.gammas else np.array(BENCHMARK_GAMMAS)
+    ds = _synthetic_or_data(args)
+    if args.gammas:
+        gammas = np.array(_parse_floats(args.gammas))
     else:
-        if args.data is None:
-            raise ConfigError("select needs --data or --synthetic")
-        ds = _load_input(args)
-        ds, _stats = _maybe_standardize(ds, args)
-        gammas = np.array(_parse_floats(args.gammas)) if args.gammas else log_grid()
+        gammas = np.array(BENCHMARK_GAMMAS) if args.synthetic else log_grid()
     cfg = TrainConfig(
         R=args.R,
         lam=args.lam,
@@ -324,14 +257,7 @@ def cmd_select(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    if args.synthetic:
-        ds = two_gaussian_dataset(n=args.synthetic_n, dim=args.synthetic_dim, seed=args.seed)
-        ds, _ = standardize(ds)
-    else:
-        if args.data is None:
-            raise ConfigError("diagnose needs --data or --synthetic")
-        ds = _load_input(args)
-        ds, _stats = _maybe_standardize(ds, args)
+    ds = _synthetic_or_data(args)
     kernels = _bank_kernels(args)
     split = split_by_label(ds)
     weights = mixing_weights(kernels, split.positives, split.negatives, estimator=args.estimator)
@@ -344,7 +270,7 @@ def cmd_diagnose(args) -> int:
         bank = FeatureBank.generate(kernels, weights, draws, ds.dim, args.seed)
         Phi = build_feature_matrix(ds.features, bank)
         report = complexity_bounds(Phi, args.R, draws, len(kernels))
-        complexity_rows.append(report.to_dict())
+        complexity_rows.append(asdict(report))
         if report.erfc_bound > report.khintchine_bound:
             violation = True
         fro = frobenius_concentration(ds.features, kernels, weights, draws, seeds)
@@ -361,9 +287,8 @@ def cmd_diagnose(args) -> int:
 
     first = kernels[0]
     if math.isfinite(sigma_p(first, ds.dim)):
-        stats = dataset_stats(ds)
         pointwise = pointwise_error_bound(
-            args.eps, sweep[-1], ds.dim, sigma_p(first, ds.dim), stats.diameter
+            args.eps, sweep[-1], ds.dim, sigma_p(first, ds.dim), diameter(ds)
         )
     else:
         pointwise = {"skipped": "infinite spectral second moment (Laplacian sampler)"}
@@ -381,32 +306,10 @@ def cmd_diagnose(args) -> int:
     _write_json(args.out + ".json", payload)
     _write_csv(
         args.out + ".complexity.csv",
-        [
-            "n",
-            "draws",
-            "m",
-            "R",
-            "frobenius_norm",
-            "spectral_norm",
-            "trace_quartic",
-            "erfc_bound",
-            "erfc_bound_display",
-            "khintchine_bound",
-            "gaussian_bound",
-        ],
+        [f.name for f in fields(ComplexityReport)],
         complexity_rows,
     )
-    _write_csv(
-        args.out + ".concentration.csv",
-        [
-            "draws",
-            "frobenius_max_deviation",
-            "frobenius_mean_deviation",
-            "spectral_max_deviation",
-            "spectral_mean_deviation",
-        ],
-        concentration_rows,
-    )
+    _write_csv(args.out + ".concentration.csv", list(concentration_rows[0]), concentration_rows)
     print(f"wrote {args.out}.json and CSV tables")
     if violation:
         print("bound ordering violated: erfc_bound > khintchine_bound", file=sys.stderr)
@@ -419,7 +322,6 @@ def cmd_diagnose(args) -> int:
 
 def _add_common(p: _Parser) -> None:
     p.add_argument("--seed", type=int, default=0, help="master seed; all streams derive from it")
-    p.add_argument("--threads", type=int, default=1, help="worker cap (computation is single-process)")
     p.add_argument("--config", default=None, help="JSON file of defaults; flags override it")
 
 
@@ -553,8 +455,6 @@ def main(argv: list[str] | None = None) -> int:
         if argv:
             argv = _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
-        if args.threads < 1:
-            raise ConfigError("--threads must be at least 1")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

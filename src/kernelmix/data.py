@@ -107,19 +107,26 @@ def _map_labels(raw: np.ndarray) -> tuple[np.ndarray, str | None]:
     raise DataError(f"unsupported label alphabet {sorted(values)}; expected -1/+1 or 0/1")
 
 
-def _load_csv(path: str) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
-    with open(path, newline="") as fh:
+def _open(path: str):
+    try:
+        return open(path, newline="")
+    except OSError as exc:
+        raise DataError(f"{path}: {exc.strerror or exc}") from None
+
+
+def _read_csv(path: str) -> tuple[list[str] | None, np.ndarray]:
+    """Header and float rows of a CSV file; the header is None for an empty file.
+
+    Every row must have one field per header column, and every field must
+    parse as a finite float.
+    """
+    with _open(path) as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, header row required") from None
+        header = next(reader, None)
+        if header is None:
+            return None, np.zeros((0, 0))
         header = [h.strip() for h in header]
-        if "label" not in header:
-            raise DataError(f"{path}: header must contain a 'label' column")
-        label_col = header.index("label")
-        names = tuple(h for i, h in enumerate(header) if i != label_col)
-        rows, labels = [], []
+        rows = []
         for lineno, rec in enumerate(reader, start=2):
             if not rec:
                 continue
@@ -131,29 +138,36 @@ def _load_csv(path: str) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
                 values = [float(v) for v in rec]
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from None
-            labels.append(values.pop(label_col))
             if not all(math.isfinite(v) for v in values):
-                raise DataError(f"{path}:{lineno}: non-finite feature value")
+                raise DataError(f"{path}:{lineno}: non-finite value")
             rows.append(values)
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    return np.asarray(rows, dtype=float), np.asarray(labels, dtype=float), names
+    return header, np.asarray(rows, dtype=float).reshape(-1, len(header))
 
 
-def _load_libsvm(path: str, n_features: int | None) -> tuple[np.ndarray, np.ndarray]:
+def _read_libsvm(path: str, n_features: int | None) -> tuple[list[float | None], np.ndarray]:
+    """Labels (None where a line has none) and dense features of a LIBSVM file.
+
+    A line's first token is its label unless it is an ``idx:val`` entry.
+    Indices are 1-based and at most ``n_features`` (default: the largest
+    index seen); missing entries read as 0 and ``#`` lines are skipped.
+    """
     entries, labels, max_idx = [], [], 0
-    with open(path) as fh:
+    with _open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
             parts = line.split()
-            try:
-                labels.append(float(parts[0]))
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: bad label {parts[0]!r}") from None
+            if not parts or parts[0].startswith("#"):
+                continue
+            label = None
+            if ":" not in parts[0]:
+                try:
+                    label = float(parts[0])
+                except ValueError:
+                    raise DataError(f"{path}:{lineno}: bad label {parts[0]!r}") from None
+                if not math.isfinite(label):
+                    raise DataError(f"{path}:{lineno}: bad label {parts[0]!r}")
+                parts = parts[1:]
             pairs = {}
-            for tok in parts[1:]:
+            for tok in parts:
                 try:
                     idx_s, val_s = tok.split(":", 1)
                     idx, val = int(idx_s), float(val_s)
@@ -165,9 +179,8 @@ def _load_libsvm(path: str, n_features: int | None) -> tuple[np.ndarray, np.ndar
                     raise DataError(f"{path}:{lineno}: non-finite value in {tok!r}")
                 pairs[idx] = val
                 max_idx = max(max_idx, idx)
+            labels.append(label)
             entries.append(pairs)
-    if not entries:
-        raise DataError(f"{path}: no data rows")
     d = n_features if n_features is not None else max_idx
     if max_idx > d:
         raise DataError(f"{path}: feature index {max_idx} exceeds n_features={d}")
@@ -175,7 +188,7 @@ def _load_libsvm(path: str, n_features: int | None) -> tuple[np.ndarray, np.ndar
     for i, pairs in enumerate(entries):
         for idx, val in pairs.items():
             features[i, idx - 1] = val
-    return features, np.asarray(labels, dtype=float)
+    return labels, features
 
 
 def load_dataset(path: str, format: str = "csv", n_features: int | None = None) -> LabeledDataset:
@@ -185,18 +198,53 @@ def load_dataset(path: str, format: str = "csv", n_features: int | None = None) 
     ``flags['label_mapping']``. Rows with non-finite entries are rejected,
     not imputed.
     """
+    names = None
     if format == "csv":
-        features, raw_labels, names = _load_csv(path)
+        header, table = _read_csv(path)
+        if header is None:
+            raise DataError(f"{path}: empty file, header row required")
+        if "label" not in header:
+            raise DataError(f"{path}: header must contain a 'label' column")
+        label_col = header.index("label")
+        names = tuple(h for i, h in enumerate(header) if i != label_col)
+        raw_labels = table[:, label_col]
+        features = np.delete(table, label_col, axis=1)
     elif format == "libsvm":
-        features, raw_labels = _load_libsvm(path, n_features)
-        names = None
+        raw_labels, features = _read_libsvm(path, n_features)
+        if None in raw_labels:
+            raise DataError(f"{path}: every row needs a label")
+        raw_labels = np.asarray(raw_labels, dtype=float)
     else:
         raise DataError(f"unknown dataset format {format!r}")
+    if features.shape[0] == 0:
+        raise DataError(f"{path}: no data rows")
     labels, mapping = _map_labels(raw_labels)
     flags = {}
     if mapping:
         flags["label_mapping"] = mapping
     return LabeledDataset(features, labels, feature_names=names, flags=flags)
+
+
+def load_features(path: str, format: str, dim: int) -> np.ndarray:
+    """Feature rows (n x dim) for prediction, validated as :func:`load_dataset` does.
+
+    A CSV ``label`` column or a LIBSVM label token is optional and dropped.
+    An empty or header-only file gives 0 rows.
+    """
+    if format == "csv":
+        header, table = _read_csv(path)
+        if header is None:
+            return np.zeros((0, dim))
+        if "label" in header:
+            table = np.delete(table, header.index("label"), axis=1)
+        if table.shape[0] == 0:
+            return np.zeros((0, dim))
+        if table.shape[1] != dim:
+            raise DataError(f"{path}: {table.shape[1]} feature columns, model expects {dim}")
+        return table
+    if format == "libsvm":
+        return _read_libsvm(path, dim)[1]
+    raise DataError(f"unknown dataset format {format!r}")
 
 
 def split_by_label(ds: LabeledDataset) -> ClassSplit:
@@ -218,9 +266,7 @@ def standardize(ds: LabeledDataset) -> tuple[LabeledDataset, DatasetStats]:
         raise DataError("standardize needs n >= 2")
     mean = ds.features.mean(axis=0)
     std = ds.features.std(axis=0)  # ddof=0
-    scale = np.where(std > 0, std, 1.0)
-    out = (ds.features - mean) / scale
-    out[:, std == 0] = 0.0
+    out = apply_standardization(ds.features, mean, std)
     std_ds = LabeledDataset(out, ds.labels, ds.feature_names, dict(ds.flags))
     diam, exact = _diameter(out)
     return std_ds, DatasetStats(
@@ -231,12 +277,16 @@ def standardize(ds: LabeledDataset) -> tuple[LabeledDataset, DatasetStats]:
     )
 
 
-def apply_standardization(features: np.ndarray, stats: DatasetStats) -> np.ndarray:
-    """Replay the transform recorded by :func:`standardize` on new rows."""
+def apply_standardization(features: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
+    """Center by ``mean`` and scale by ``std``; columns with std 0 become 0.
+
+    :func:`standardize` uses it on the training rows, and prediction replays
+    it with the mean and std stored in the model.
+    """
     features = np.asarray(features, dtype=float)
-    scale = np.where(stats.per_feature_std > 0, stats.per_feature_std, 1.0)
-    out = (features - stats.per_feature_mean) / scale
-    out[:, stats.per_feature_std == 0] = 0.0
+    std = np.asarray(std, dtype=float)
+    out = (features - mean) / np.where(std > 0, std, 1.0)
+    out[:, std == 0] = 0.0
     return out
 
 
@@ -276,14 +326,3 @@ def _diameter(features: np.ndarray) -> tuple[float, bool]:
 def diameter(ds: LabeledDataset) -> float:
     """Max pairwise Euclidean distance (exact up to n=2000, bound beyond)."""
     return _diameter(ds.features)[0]
-
-
-def dataset_stats(ds: LabeledDataset) -> DatasetStats:
-    """Column means/stds plus the diameter of the features as they stand."""
-    diam, exact = _diameter(ds.features)
-    return DatasetStats(
-        diameter=diam,
-        per_feature_mean=ds.features.mean(axis=0),
-        per_feature_std=ds.features.std(axis=0),
-        diameter_is_exact=exact,
-    )

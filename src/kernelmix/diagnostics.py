@@ -46,21 +46,6 @@ class ComplexityReport:
     khintchine_bound: float
     gaussian_bound: float
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "draws": self.draws,
-            "m": self.m,
-            "R": self.R,
-            "frobenius_norm": self.frobenius_norm,
-            "spectral_norm": self.spectral_norm,
-            "trace_quartic": self.trace_quartic,
-            "erfc_bound": self.erfc_bound,
-            "erfc_bound_display": self.erfc_bound_display,
-            "khintchine_bound": self.khintchine_bound,
-            "gaussian_bound": self.gaussian_bound,
-        }
-
 
 def complexity_bounds(Phi: np.ndarray, R: float, draws: int, m: int) -> ComplexityReport:
     """Rademacher/Gaussian complexity upper bounds for one feature matrix.

@@ -1,4 +1,4 @@
-"""Shift-invariant base kernels, Gram matrices, mixtures and alignment.
+"""Shift-invariant base kernels, Gram matrices and their mixtures.
 
 All built-in families are bounded by 1, attain 1 on the diagonal, and are
 translation invariant. The Gaussian family uses the squared Euclidean
@@ -109,29 +109,3 @@ def mixture_gram(kernels: list[BaseKernel], weights: np.ndarray, X: np.ndarray) 
     for w, kernel in zip(weights, kernels):
         out += w * gram_matrix(kernel, X)
     return out
-
-
-def alignment(K1: np.ndarray, K2: np.ndarray) -> float:
-    """Normalized Frobenius inner product <K1,K2> / (||K1||_F ||K2||_F)."""
-    K1 = np.asarray(K1, dtype=float)
-    K2 = np.asarray(K2, dtype=float)
-    if K1.shape != K2.shape:
-        raise ConfigError(f"shape mismatch {K1.shape} vs {K2.shape}")
-    n1 = np.linalg.norm(K1)
-    n2 = np.linalg.norm(K2)
-    if n1 == 0 or n2 == 0:
-        raise ConfigError("alignment undefined for an all-zero matrix")
-    return float(np.sum(K1 * K2) / (n1 * n2))
-
-
-def target_alignment(K: np.ndarray, y: np.ndarray) -> float:
-    """Alignment of a Gram matrix with the ideal label kernel y y^T.
-
-    Equals <K, y y^T> / (n ||K||_F) since ||y y^T||_F = n for +/-1 labels.
-    """
-    K = np.asarray(K, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = y.shape[0]
-    if K.shape != (n, n):
-        raise ConfigError(f"Gram shape {K.shape} does not match {n} labels")
-    return float(y @ K @ y / (n * np.linalg.norm(K)))

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import stats as sp_stats
 from scipy.spatial.distance import cdist, pdist
 
 from .errors import ConfigError, DataError
@@ -45,15 +44,6 @@ class MmdScore:
     @property
     def value(self) -> float:
         return math.sqrt(max(self.squared, 0.0))
-
-    def to_dict(self) -> dict:
-        return {
-            "estimator": self.estimator,
-            "n_plus": self.n_plus,
-            "n_minus": self.n_minus,
-            "squared": self.squared,
-            "value": self.value,
-        }
 
 
 @dataclass(frozen=True)
@@ -210,40 +200,33 @@ def mixing_weights(
 
 # -- population references for Gaussian measures ---------------------------
 
-#: Coefficients of the closed-form squared MMD between N(mu_p, s^2 I) and
-#: N(mu_q, s^2 I) under a Gaussian kernel with bandwidth rho:
-#:   2 * (rho^2 / base)^(d/2) * (1 - exp(-||mu_p - mu_q||^2 / expo))
-#: "convolution" is the frozen default, validated against a Monte-Carlo
-#: oracle; "as_published" kept only for comparison (it fails that oracle).
-_CLOSED_FORM_VARIANTS = {
-    "convolution": lambda rho2, s2: (rho2 + 2.0 * s2, 2.0 * rho2 + 4.0 * s2),
-    "as_published": lambda rho2, s2: (rho2 + s2, 2.0 * rho2 + s2),
-}
-
-
 def gaussian_mmd_squared_closed_form(
     mu_p: np.ndarray,
     mu_q: np.ndarray,
     sigma2: float,
     rho: float,
-    variant: str = "convolution",
 ) -> float:
-    """Closed-form squared MMD between two isotropic Gaussians."""
+    """Closed-form squared MMD between N(mu_p, s^2 I) and N(mu_q, s^2 I).
+
+    Under a Gaussian kernel with bandwidth rho it is
+    2 (rho^2 / (rho^2 + 2 s^2))^(d/2) (1 - exp(-||mu_p - mu_q||^2 / (2 rho^2 + 4 s^2))),
+    from convolving the kernel with both measures; it is validated against a
+    Monte-Carlo oracle.
+    """
     if sigma2 < 0:
         raise ConfigError("sigma2 must be nonnegative")
     if rho <= 0:
         raise ConfigError("rho must be positive")
-    try:
-        base, expo = _CLOSED_FORM_VARIANTS[variant](rho**2, float(sigma2))
-    except KeyError:
-        raise ConfigError(f"unknown closed-form variant {variant!r}") from None
     mu_p = np.atleast_1d(np.asarray(mu_p, dtype=float))
     mu_q = np.atleast_1d(np.asarray(mu_q, dtype=float))
     if mu_p.shape != mu_q.shape:
         raise ConfigError("mean vectors must share a dimension")
     d = mu_p.shape[0]
     gap = float(np.dot(mu_p - mu_q, mu_p - mu_q))
-    return 2.0 * (rho**2 / base) ** (d / 2.0) * (1.0 - math.exp(-gap / expo))
+    rho2, s2 = rho**2, float(sigma2)
+    return 2.0 * (rho2 / (rho2 + 2.0 * s2)) ** (d / 2.0) * (
+        1.0 - math.exp(-gap / (2.0 * rho2 + 4.0 * s2))
+    )
 
 
 def gaussian_mmd_closed_form(
@@ -251,10 +234,9 @@ def gaussian_mmd_closed_form(
     mu_q: np.ndarray,
     sigma2: float,
     rho: float,
-    variant: str = "convolution",
 ) -> float:
     """Population MMD (square root of the closed form, clamped at 0)."""
-    return math.sqrt(max(gaussian_mmd_squared_closed_form(mu_p, mu_q, sigma2, rho, variant), 0.0))
+    return math.sqrt(max(gaussian_mmd_squared_closed_form(mu_p, mu_q, sigma2, rho), 0.0))
 
 
 # -- simulation probes ------------------------------------------------------
@@ -297,42 +279,3 @@ def mmd_convergence_probe(
     log_e = np.log([max(r["mean_abs_error"], 1e-300) for r in rows])
     slope = float(np.polyfit(log_n, log_e, 1)[0])
     return {"rows": rows, "slope": slope, "population_mmd": population_mmd}
-
-
-def mmd_null_distribution_probe(
-    sampler: Sampler,
-    kernel: BaseKernel,
-    n0: int,
-    trials: int,
-    seed: int,
-) -> dict:
-    """Summary of sqrt(n0)-scaled squared-MMD draws under P = Q.
-
-    Diagnostic only: reports the mean/std of the raw squared estimates, the
-    scaled moments, and a normality statistic of the scaled draws. No
-    pass/fail is encoded here.
-    """
-    if n0 < 2:
-        raise ConfigError("n0 must be at least 2")
-    draws = np.empty(trials)
-    for t in range(trials):
-        rng = stream(seed, t)
-        pos = sampler(rng, n0)
-        neg = sampler(rng, n0)
-        draws[t] = mmd_score(kernel, pos, neg).squared
-    scaled = math.sqrt(n0) * draws
-    if trials >= 20:
-        stat, pvalue = sp_stats.normaltest(scaled)
-        stat, pvalue = float(stat), float(pvalue)
-    else:
-        stat, pvalue = float("nan"), float("nan")
-    return {
-        "trials": trials,
-        "n0": n0,
-        "mean_squared": float(draws.mean()),
-        "std_squared": float(draws.std(ddof=1)),
-        "scaled_mean": float(scaled.mean()),
-        "scaled_std": float(scaled.std(ddof=1)),
-        "normality_stat": stat,
-        "normality_pvalue": pvalue,
-    }

@@ -58,11 +58,6 @@ def sample_frequencies(
     return xi, b
 
 
-def feature_map(x: np.ndarray, xi: np.ndarray, b: float) -> float:
-    """Single random feature sqrt(2) * cos(<x, xi> + b)."""
-    return math.sqrt(2.0) * math.cos(float(np.dot(x, xi)) + b)
-
-
 def feature_block(X: np.ndarray, xi: np.ndarray, b: np.ndarray) -> np.ndarray:
     """All D features of one kernel for every row of X (n x D)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -159,35 +154,3 @@ def build_feature_matrix(X: np.ndarray, bank: FeatureBank) -> np.ndarray:
     for l, (w, xi, b) in enumerate(zip(bank.weights.weights, bank.frequencies, bank.phases)):
         np.multiply(math.sqrt(w), feature_block(X, xi, b), out=Phi[:, l * D : (l + 1) * D])
     return Phi
-
-
-def sample_mixture_frequencies(
-    kernels: list[BaseKernel],
-    weights: MixtureWeights,
-    total_draws: int,
-    dim: int,
-    seed: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Draw from the mixture spectral law: pick component l w.p. w_l, then xi.
-
-    Returns (xi, b, component) with unweighted frequencies; features built
-    from such a bank enter without the sqrt(w_l) scaling. Provided as the
-    stated alternative to the mixture-kernel model; the analyzed pipeline
-    uses :class:`FeatureBank`.
-    """
-    if len(kernels) != weights.m:
-        raise ConfigError(f"{len(kernels)} kernels but {weights.m} weights")
-    rng = stream(seed, len(kernels))
-    component = rng.choice(len(kernels), size=total_draws, p=weights.weights)
-    xi = np.empty((total_draws, dim))
-    for idx, kernel in enumerate(kernels):
-        mask = component == idx
-        count = int(mask.sum())
-        if count == 0:
-            continue
-        if kernel.family == "laplacian":
-            xi[mask] = rng.standard_cauchy(size=(count, dim)) / kernel.rho
-        else:
-            xi[mask] = rng.normal(0.0, 1.0 / kernel.rho, size=(count, dim))
-    b = rng.uniform(0.0, 2.0 * math.pi, size=total_draws)
-    return xi, b, component

@@ -243,10 +243,6 @@ class FeatureMask:
     objective: float
     initial_objective: float
 
-    @property
-    def selected(self) -> np.ndarray:
-        return np.flatnonzero(self.mask)
-
 
 def _centering(n: int) -> np.ndarray:
     return np.eye(n) - np.full((n, n), 1.0 / n)

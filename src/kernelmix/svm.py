@@ -236,36 +236,39 @@ def train(
 def _features(model: SvmModel, X: np.ndarray) -> np.ndarray:
     if model.bank is None:
         raise ConfigError("model has no feature bank; score feature rows directly")
-    return build_feature_matrix(X, model.bank)
+    return build_feature_matrix(np.atleast_2d(X), model.bank)
+
+
+def _outputs(model: SvmModel, Phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Decision values, labels and soft outputs of the rows of a prebuilt Phi.
+
+    f = beta^T phi^w(x) / sqrt(D) + b0; a decision value of exactly 0 maps
+    to label +1; the soft output is the logistic of f, clamped inside (0, 1).
+    """
+    dv = Phi @ model.beta / math.sqrt(model.draws) + model.offset
+    labels = np.where(dv >= 0.0, 1, -1)
+    with np.errstate(over="ignore"):
+        soft = np.clip(1.0 / (1.0 + np.exp(-dv)), 1e-15, 1.0 - 1e-15)
+    return dv, labels, soft
 
 
 def decision_values(model: SvmModel, X: np.ndarray) -> np.ndarray:
     """f(x) = beta^T phi^w(x) / sqrt(D) + b0 for every row of X."""
-    Phi = _features(model, np.atleast_2d(X))
-    return Phi @ model.beta / math.sqrt(model.draws) + model.offset
-
-
-def decision_value(model: SvmModel, x: np.ndarray) -> float:
-    return float(decision_values(model, np.atleast_2d(x))[0])
+    return _outputs(model, _features(model, X))[0]
 
 
 def predict(model: SvmModel, X: np.ndarray) -> np.ndarray:
     """Labels in {-1, +1}; a decision value of exactly 0 maps to +1."""
-    dv = decision_values(model, X)
-    return np.where(dv >= 0.0, 1, -1)
+    return _outputs(model, _features(model, X))[1]
 
 
 def soft_output(model: SvmModel, X: np.ndarray) -> np.ndarray:
     """Logistic transform of the decision value, clamped inside (0, 1)."""
-    dv = decision_values(model, X)
-    with np.errstate(over="ignore"):
-        p = 1.0 / (1.0 + np.exp(-dv))
-    return np.clip(p, 1e-15, 1.0 - 1e-15)
+    return _outputs(model, _features(model, X))[2]
 
 
 def evaluate(model: SvmModel, ds: LabeledDataset) -> dict:
-    dv = decision_values(model, ds.features)
-    pred = np.where(dv >= 0.0, 1, -1)
+    dv, pred, _soft = _outputs(model, _features(model, ds.features))
     correct = pred == ds.labels
     hinge = float(np.maximum(1.0 - ds.labels * dv, 0.0).mean())
     return {
@@ -281,16 +284,27 @@ def evaluate(model: SvmModel, ds: LabeledDataset) -> dict:
 # -- persistence -------------------------------------------------------------
 
 
-def _frequency_checksum(bank: FeatureBank) -> str:
-    """SHA-256 of the first 8 regenerated frequency values (row order)."""
-    flat = np.concatenate([xi.ravel() for xi in bank.frequencies])[:8]
-    return hashlib.sha256(np.ascontiguousarray(flat, dtype="<f8").tobytes()).hexdigest()
+def _checksum(document: dict, bank: FeatureBank) -> str:
+    """SHA-256 of the model document and of the bank it regenerates.
+
+    The document (every field but the checksum) is hashed as canonical JSON,
+    so any change to the kernels, weights, beta, offset, R, lambda or
+    standardization shows; the regenerated frequencies and phases are hashed
+    as little-endian doubles, so a generator that no longer reproduces the
+    bank shows too.
+    """
+    fields = {k: v for k, v in document.items() if k != "frequency_checksum"}
+    digest = hashlib.sha256(json.dumps(fields, sort_keys=True).encode())
+    for xi, b in zip(bank.frequencies, bank.phases):
+        digest.update(np.ascontiguousarray(xi, dtype="<f8").tobytes())
+        digest.update(np.ascontiguousarray(b, dtype="<f8").tobytes())
+    return digest.hexdigest()
 
 
 def model_to_dict(model: SvmModel, standardization: dict | None = None) -> dict:
     if model.bank is None:
         raise ConfigError("only bank-backed models are serializable")
-    return {
+    document = {
         "schema_version": MODEL_SCHEMA_VERSION,
         "bank": model.bank.to_dict(),
         "R": model.R,
@@ -298,8 +312,9 @@ def model_to_dict(model: SvmModel, standardization: dict | None = None) -> dict:
         "beta": model.beta.tolist(),
         "offset": model.offset,
         "standardization": standardization,
-        "frequency_checksum": _frequency_checksum(model.bank),
     }
+    document["frequency_checksum"] = _checksum(document, model.bank)
+    return document
 
 
 def model_from_dict(payload: dict) -> SvmModel:
@@ -316,16 +331,17 @@ def model_from_dict(payload: dict) -> SvmModel:
             bank=bank,
             meta={"standardization": payload.get("standardization")},
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise ModelIntegrityError(f"malformed model document: {exc}") from None
-    if beta.shape[0] != bank.total_features:
+    if beta.shape != (bank.total_features,):
         raise ModelIntegrityError(
-            f"beta length {beta.shape[0]} does not match bank size {bank.total_features}"
+            f"beta shape {beta.shape} does not match bank size {bank.total_features}"
         )
-    actual = _frequency_checksum(bank)
-    if actual != expected:
+    if not (np.isfinite(beta).all() and math.isfinite(model.offset)):
+        raise ModelIntegrityError("beta and offset must be finite")
+    if _checksum(payload, bank) != expected:
         raise ModelIntegrityError(
-            "frequency checksum mismatch: regenerated bank does not match the saved model"
+            "model checksum mismatch: the file was changed or its bank does not regenerate"
         )
     return model
 
@@ -340,6 +356,8 @@ def load_model(path: str) -> SvmModel:
     try:
         with open(path) as fh:
             payload = json.load(fh)
+    except OSError as exc:
+        raise DataError(f"{path}: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
         raise ModelIntegrityError(f"{path}: not valid JSON ({exc})") from None
     return model_from_dict(payload)

@@ -32,23 +32,6 @@ def two_gaussian_dataset(
     return LabeledDataset(features[order], labels[order])
 
 
-def separable_blobs(
-    n: int = 60,
-    dim: int = 2,
-    gap: float = 4.0,
-    seed: int = 0,
-) -> LabeledDataset:
-    """Two tight, linearly separable clusters (for exact-accuracy tests)."""
-    rng = stream(seed, 11)
-    half = n // 2
-    offset = (gap / 2.0) * np.ones(dim) / math.sqrt(dim)
-    pos = 0.3 * rng.normal(size=(half, dim)) + offset
-    neg = 0.3 * rng.normal(size=(n - half, dim)) - offset
-    features = np.vstack([pos, neg])
-    labels = np.concatenate([np.ones(half, dtype=int), -np.ones(n - half, dtype=int)])
-    return LabeledDataset(features, labels)
-
-
 def planted_feature_dataset(
     n: int = 120,
     dim: int = 8,

@@ -25,6 +25,11 @@ def oracle_kernel(family: str, rho: float, x, y) -> float:
     raise ValueError(family)
 
 
+def feature_map(x: np.ndarray, xi: np.ndarray, b: float) -> float:
+    """Single random feature sqrt(2) * cos(<x, xi> + b)."""
+    return math.sqrt(2.0) * math.cos(float(np.dot(x, xi)) + b)
+
+
 def naive_gram(family: str, rho: float, X) -> np.ndarray:
     n = len(X)
     K = np.empty((n, n))

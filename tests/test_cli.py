@@ -1,6 +1,11 @@
 import json
+import math
+import os
+import subprocess
+import sys
 
 import numpy as np
+import pytest
 
 from kernelmix import cli
 from kernelmix.data import load_dataset
@@ -201,6 +206,71 @@ class TestTrainPredict:
         assert code == 0
         assert (tmp_path / "p.csv").read_text() == "index,decision_value,soft_output,label\n"
 
+    def test_header_only_predicts_nothing(self, tmp_path):
+        _data, model_path = self.run_train(tmp_path)
+        header = tmp_path / "header.csv"
+        header.write_text("f1,f2,label\n")
+        out = tmp_path / "p.csv"
+        assert cli.main(["predict", "--model", model_path, "--data", str(header), "--out", str(out)]) == 0
+        assert out.read_text() == "index,decision_value,soft_output,label\n"
+
+    @pytest.mark.parametrize(
+        "name,text",
+        [
+            ("nan.csv", "f1,f2\n0.5,1.0\nnan,1.0\n"),
+            ("inf.csv", "f1,f2,label\n0.5,inf,1\n"),
+            ("narrow.csv", "f1\n0.5\n"),
+            ("zero.svm", "1 0:5.0\n"),
+            ("wide.svm", "1 1:0.5 3:1.0\n"),
+        ],
+    )
+    def test_invalid_rows_exit_2(self, tmp_path, name, text):
+        _data, model_path = self.run_train(tmp_path)
+        bad = tmp_path / name
+        bad.write_text(text)
+        fmt = "libsvm" if name.endswith(".svm") else "csv"
+        out = tmp_path / "p.csv"
+        args = ["predict", "--model", model_path, "--data", str(bad), "--format", fmt, "--out", str(out)]
+        assert cli.main(args) == 2
+        assert not out.exists()
+
+    def test_unlabeled_rows_match_labeled(self, tmp_path):
+        data, model_path = self.run_train(tmp_path)
+        features = load_dataset(data).features.tolist()
+        (tmp_path / "u.csv").write_text(
+            "f1,f2\n" + "".join(f"{a!r},{b!r}\n" for a, b in features)
+        )
+        (tmp_path / "u.svm").write_text("".join(f"1:{a!r} 2:{b!r}\n" for a, b in features))
+        outputs = []
+        for name, fmt in (("u.csv", "csv"), ("u.svm", "libsvm")):
+            out = tmp_path / (name + ".pred")
+            args = ["predict", "--model", model_path, "--data", str(tmp_path / name),
+                    "--format", fmt, "--out", str(out)]
+            assert cli.main(args) == 0
+            outputs.append(out.read_bytes())
+        assert cli.main(["predict", "--model", model_path, "--data", data, "--out", str(tmp_path / "l.pred")]) == 0
+        assert outputs == [(tmp_path / "l.pred").read_bytes()] * 2
+
+    @pytest.mark.parametrize(
+        "field", ["weights", "kernels[1].rho", "beta[0]=nan", "offset", "standardization.mean[0]"]
+    )
+    def test_tampered_model_exit_4(self, tmp_path, field):
+        data, model_path = self.run_train(tmp_path, **{"--gammas": "0.5,2.0"})
+        payload = json.loads((tmp_path / "model.json").read_text())
+        if field == "weights":
+            payload["bank"]["weights"][0] *= 1.01
+        elif field == "kernels[1].rho":
+            payload["bank"]["kernels"][1]["rho"] *= 1.01
+        elif field == "beta[0]=nan":
+            payload["beta"][0] = math.nan
+        elif field == "offset":
+            payload["offset"] += 0.01
+        else:
+            payload["standardization"]["mean"][0] += 0.01
+        (tmp_path / "model.json").write_text(json.dumps(payload))
+        code = cli.main(["predict", "--model", model_path, "--data", data, "--out", str(tmp_path / "p.csv")])
+        assert code == 4
+
     def test_model_bytes_deterministic(self, tmp_path):
         _data, model_path = self.run_train(tmp_path)
         first = (tmp_path / "model.json").read_bytes()
@@ -344,3 +414,16 @@ class TestConfigFile:
         data = write_dataset(tmp_path / "d.csv")
         code = cli.main(["score", "--data", data, "--threads", "0", "--out", str(tmp_path / "s")])
         assert code == 3
+
+
+def test_import_leaves_out_scipy_stats_and_exports_resolve():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    check = (
+        "import sys, kernelmix\n"
+        "assert 'scipy.stats' not in sys.modules, 'scipy.stats imported'\n"
+        "missing = [n for n in kernelmix.__all__ if not hasattr(kernelmix, n)]\n"
+        "assert not missing, missing\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

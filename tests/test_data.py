@@ -1,14 +1,19 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from kernelmix.data import (
     LabeledDataset,
-    dataset_stats,
     diameter,
     kfold_split,
     load_dataset,
+    load_features,
     split_by_label,
     standardize,
 )
@@ -90,6 +95,51 @@ class TestLoadLibsvm:
         path = write(tmp_path, "d.svm", "+1 1:0.5 oops\n")
         with pytest.raises(DataError, match=":1"):
             load_dataset(path, format="libsvm")
+
+
+class TestLoadFeatures:
+    def test_label_dropped_and_optional(self, tmp_path):
+        labeled = write(tmp_path, "a.csv", "f1,label,f2\n1,1,2\n3,-1,4\n")
+        bare = write(tmp_path, "b.csv", "f1,f2\n1,2\n3,4\n")
+        sparse = write(tmp_path, "c.svm", "# comment\n+1 1:1 2:2\n2:4 1:3\n")
+        for path, fmt in ((labeled, "csv"), (bare, "csv"), (sparse, "libsvm")):
+            assert np.array_equal(load_features(path, fmt, 2), [[1, 2], [3, 4]])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    X=arrays(
+        float,
+        st.tuples(st.integers(1, 6), st.integers(1, 4)),
+        elements=st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+    ),
+    data=st.data(),
+)
+def test_csv_and_libsvm_load_identically(X, data):
+    n, d = X.shape
+    y = data.draw(arrays(int, n, elements=st.sampled_from([-1, 1])))
+    names = ",".join(f"f{j}" for j in range(d))
+    csv_text = f"{names},label\n" + "".join(
+        ",".join(repr(float(v)) for v in row) + f",{label}\n" for row, label in zip(X, y)
+    )
+    svm_text = "".join(
+        f"{label} " + " ".join(f"{j + 1}:{float(v)!r}" for j, v in enumerate(row) if v != 0) + "\n"
+        for row, label in zip(X, y)
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path, svm_path = Path(tmp, "d.csv"), Path(tmp, "d.svm")
+        csv_path.write_text(csv_text)
+        svm_path.write_text(svm_text)
+        from_csv = load_dataset(str(csv_path))
+        from_svm = load_dataset(str(svm_path), format="libsvm", n_features=d)
+        assert np.array_equal(from_csv.labels, y) and np.array_equal(from_svm.labels, y)
+        for features in (
+            from_svm.features,
+            load_features(str(csv_path), "csv", d),
+            load_features(str(svm_path), "libsvm", d),
+        ):
+            assert np.array_equal(features, from_csv.features)
+        assert np.array_equal(from_csv.features, X)
 
 
 class TestSplit:
@@ -202,9 +252,9 @@ class TestDiameter:
         rng = stream(5)
         X = rng.normal(size=(2500, 2))
         ds = LabeledDataset(X, np.where(rng.uniform(size=2500) < 0.5, 1, -1))
-        stats = dataset_stats(ds)
+        out, stats = standardize(ds)
         assert not stats.diameter_is_exact
-        sub = X[stream(6).choice(2500, size=300, replace=False)]
+        sub = out.features[stream(6).choice(2500, size=300, replace=False)]
         from scipy.spatial.distance import pdist
 
         assert stats.diameter >= pdist(sub).max()

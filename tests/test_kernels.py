@@ -8,12 +8,10 @@ from kernelmix.errors import ConfigError
 from kernelmix.kernels import (
     FAMILIES,
     BaseKernel,
-    alignment,
     eval_kernel,
     gram_matrix,
     kernel_of_distance,
     mixture_gram,
-    target_alignment,
 )
 from kernelmix.rng import stream
 from oracles import naive_gram
@@ -148,49 +146,3 @@ class TestMixture:
             wl * np.linalg.eigvalsh(gram_matrix(k, X))[-1] for wl, k in zip(w, kernels)
         )
         assert mix <= parts + 1e-8
-
-
-class TestAlignment:
-    def test_self_alignment(self):
-        K = gram_matrix(BaseKernel("gaussian", 1.0), stream(19).normal(size=(6, 2)))
-        assert alignment(K, K) == pytest.approx(1.0)
-
-    def test_identity_vs_ones(self):
-        got = alignment(np.eye(2), np.ones((2, 2)))
-        assert got == pytest.approx(2.0 / (2.0 * math.sqrt(2.0)))
-
-    def test_scale_invariance(self):
-        K = gram_matrix(BaseKernel("laplacian", 1.0), stream(20).normal(size=(5, 2)))
-        assert alignment(K, 3.7 * K) == pytest.approx(1.0)
-
-    def test_zero_matrix(self):
-        with pytest.raises(ConfigError):
-            alignment(np.zeros((2, 2)), np.eye(2))
-
-    def test_range(self):
-        rng = stream(21)
-        for _ in range(10):
-            A = rng.normal(size=(4, 4))
-            B = rng.normal(size=(4, 4))
-            assert -1.0 - 1e-12 <= alignment(A, B) <= 1.0 + 1e-12
-
-
-class TestTargetAlignment:
-    def test_ideal_kernel(self):
-        y = np.array([1, -1, 1, 1, -1])
-        K = np.outer(y, y).astype(float)
-        assert target_alignment(K, y) == pytest.approx(1.0)
-
-    def test_identity_gram(self):
-        for n in (3, 7, 12):
-            y = np.where(stream(22, n).uniform(size=n) < 0.5, 1, -1)
-            assert target_alignment(np.eye(n), y) == pytest.approx(1.0 / math.sqrt(n))
-
-    def test_matches_alignment_identity(self):
-        rng = stream(23)
-        for _ in range(5):
-            X = rng.normal(size=(8, 3))
-            y = np.where(rng.uniform(size=8) < 0.5, 1, -1)
-            K = gram_matrix(BaseKernel("gaussian", 1.0), X)
-            expected = alignment(K, np.outer(y, y).astype(float))
-            assert abs(target_alignment(K, y) - expected) <= 1e-12

@@ -15,7 +15,6 @@ from kernelmix.mmd import (
     mixing_weights,
     mmd_biased,
     mmd_convergence_probe,
-    mmd_null_distribution_probe,
     mmd_score,
     mmd_scores,
     mmd_unbiased_balanced,
@@ -268,39 +267,29 @@ class TestMixingWeights:
 class TestClosedForm:
     def test_equal_means_zero(self):
         mu = np.array([0.3, -0.7])
-        for variant in ("convolution", "as_published"):
-            assert gaussian_mmd_squared_closed_form(mu, mu, 1.5, 0.9, variant) == 0.0
+        assert gaussian_mmd_squared_closed_form(mu, mu, 1.5, 0.9) == 0.0
 
     def test_dirac_limit(self):
         mu_p, mu_q, rho = np.array([0.0, 0.0]), np.array([1.0, 2.0]), 1.3
         gap = 5.0
         dirac = 2.0 - 2.0 * math.exp(-gap / (2.0 * rho**2))
-        for variant in ("convolution", "as_published"):
-            got = gaussian_mmd_squared_closed_form(mu_p, mu_q, 0.0, rho, variant)
-            assert got == pytest.approx(dirac, abs=1e-12)
+        got = gaussian_mmd_squared_closed_form(mu_p, mu_q, 0.0, rho)
+        assert got == pytest.approx(dirac, abs=1e-12)
         value = gaussian_mmd_closed_form(mu_p, mu_q, 0.0, rho)
         assert value == pytest.approx(math.sqrt(dirac), abs=1e-12)
 
     def test_frozen_monte_carlo_reference(self):
         # 10^6-draw oracle (tests/oracles.py, seed 123) at d=1, mu 0 -> 1,
-        # sigma^2 = 1, rho = 1 gave 0.177360 +- 0.000628; the published
-        # coefficient variant sits ~356 SE away and is kept only for display.
+        # sigma^2 = 1, rho = 1 gave 0.177360 +- 0.000628.
         mc, se = 0.17736040281879204, 0.0006283417813775918
-        conv = gaussian_mmd_squared_closed_form([0.0], [1.0], 1.0, 1.0, "convolution")
-        pub = gaussian_mmd_squared_closed_form([0.0], [1.0], 1.0, 1.0, "as_published")
+        conv = gaussian_mmd_squared_closed_form([0.0], [1.0], 1.0, 1.0)
         assert abs(conv - mc) <= 3 * se
-        assert abs(pub - mc) > 100 * se
-
-    def test_default_variant_is_frozen_winner(self):
-        a = gaussian_mmd_squared_closed_form([0.0], [1.0], 1.0, 1.0)
-        b = gaussian_mmd_squared_closed_form([0.0], [1.0], 1.0, 1.0, "convolution")
-        assert a == b
 
     def test_bad_args(self):
         with pytest.raises(ConfigError):
             gaussian_mmd_squared_closed_form([0.0], [1.0], -1.0, 1.0)
         with pytest.raises(ConfigError):
-            gaussian_mmd_squared_closed_form([0.0], [1.0], 1.0, 1.0, variant="other")
+            gaussian_mmd_squared_closed_form([0.0], [1.0], 1.0, 0.0)
 
 
 class TestProbes:
@@ -317,21 +306,6 @@ class TestProbes:
         probe = mmd_convergence_probe(sampler, sampler, GAUSS1, 0.0, [20, 320], trials=10, seed=8)
         rows = probe["rows"]
         assert rows[-1]["mean_abs_error"] < rows[0]["mean_abs_error"]
-
-    def test_null_probe_mean_and_determinism(self):
-        sampler = lambda rng, n: rng.normal(size=(n, 1))
-        a = mmd_null_distribution_probe(sampler, GAUSS1, n0=80, trials=60, seed=2)
-        b = mmd_null_distribution_probe(sampler, GAUSS1, n0=80, trials=60, seed=2)
-        assert a == b
-        se = a["std_squared"] / math.sqrt(a["trials"])
-        assert abs(a["mean_squared"]) <= 3 * se
-
-    def test_null_probe_minimum_n0(self):
-        sampler = lambda rng, n: rng.normal(size=(n, 1))
-        probe = mmd_null_distribution_probe(sampler, GAUSS1, n0=2, trials=5, seed=0)
-        assert probe["n0"] == 2
-        with pytest.raises(ConfigError):
-            mmd_null_distribution_probe(sampler, GAUSS1, n0=1, trials=5, seed=0)
 
 
 class TestMixtureWeightsType:

@@ -10,13 +10,12 @@ from kernelmix.rff import (
     FeatureBank,
     build_feature_matrix,
     feature_block,
-    feature_map,
     kernel_approx,
     sample_frequencies,
-    sample_mixture_frequencies,
     spectral_second_moment,
 )
 from kernelmix.rng import stream
+from oracles import feature_map
 
 GAUSS1 = BaseKernel("gaussian", 1.0)
 
@@ -64,23 +63,27 @@ class TestSamplers:
 
 
 class TestFeatureMap:
+    @staticmethod
+    def one(x, xi, b):
+        return feature_block(np.atleast_2d(x), np.atleast_2d(xi), np.array([b]))[0, 0]
+
     def test_at_origin(self):
-        assert feature_map(np.zeros(2), np.ones(2), 0.0) == pytest.approx(math.sqrt(2.0))
+        assert self.one(np.zeros(2), np.ones(2), 0.0) == pytest.approx(math.sqrt(2.0))
 
     def test_quarter_period_zero(self):
         x, xi = np.array([1.0]), np.array([math.pi / 4.0])
-        got = feature_map(x, xi, math.pi / 4.0)
+        got = self.one(x, xi, math.pi / 4.0)
         assert abs(got) <= 1e-12
 
     def test_half_period(self):
-        got = feature_map(np.array([1.0, 0.0]), np.array([math.pi, 0.0]), 0.0)
+        got = self.one(np.array([1.0, 0.0]), np.array([math.pi, 0.0]), 0.0)
         assert got == pytest.approx(-math.sqrt(2.0))
 
     def test_amplitude_bound(self):
         rng = stream(50)
         for _ in range(30):
             x, xi = rng.normal(size=(2, 3))
-            assert abs(feature_map(x, xi, float(rng.uniform(0, 2 * math.pi)))) <= math.sqrt(2.0)
+            assert abs(self.one(x, xi, float(rng.uniform(0, 2 * math.pi)))) <= math.sqrt(2.0)
 
 
 class TestKernelApprox:
@@ -200,27 +203,3 @@ class TestFeatureMatrix:
         for i in range(4):
             for j in range(16):
                 assert block[i, j] == pytest.approx(feature_map(X[i], xi[j], b[j]), abs=1e-12)
-
-
-class TestMixtureSampling:
-    def test_single_component_matches_plain_law(self):
-        xi, _b, comp = sample_mixture_frequencies([GAUSS1], MixtureWeights(np.array([1.0])), 10**4, 2, seed=3)
-        assert np.all(comp == 0)
-        assert abs(xi.var() - 1.0) <= 0.05
-
-    def test_one_hot_weights(self):
-        kernels = [GAUSS1, BaseKernel("gaussian", 2.0)]
-        _xi, _b, comp = sample_mixture_frequencies(
-            kernels, MixtureWeights(np.array([1.0, 0.0])), 500, 2, seed=4
-        )
-        assert np.all(comp == 0)
-
-    def test_multinomial_counts(self):
-        kernels = [GAUSS1, BaseKernel("gaussian", 2.0), BaseKernel("laplacian", 1.0)]
-        w = np.array([0.2, 0.5, 0.3])
-        total = 10**5
-        _xi, _b, comp = sample_mixture_frequencies(kernels, MixtureWeights(w), total, 2, seed=5)
-        counts = np.bincount(comp, minlength=3)
-        for c, p in zip(counts, w):
-            sd = math.sqrt(total * p * (1 - p))
-            assert abs(c - total * p) <= 3.0 * sd

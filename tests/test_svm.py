@@ -12,7 +12,6 @@ from kernelmix.rng import stream
 from kernelmix.svm import (
     SvmModel,
     TrainConfig,
-    decision_value,
     decision_values,
     evaluate,
     hinge_objective,
@@ -188,7 +187,7 @@ class TestPrediction:
             draws=model.draws,
             bank=model.bank,
         )
-        assert decision_value(stripped, X[0]) == pytest.approx(0.7)
+        assert decision_values(stripped, X[0]) == pytest.approx([0.7])
 
     def test_matches_feature_matrix_rows(self):
         model, X, _y, Phi = fitted_model()
