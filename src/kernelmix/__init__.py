@@ -18,19 +18,17 @@ from .data import (
     standardize,
 )
 from .errors import ConfigError, DataError, KernelmixError, ModelIntegrityError
-from .kernels import BaseKernel, eval_kernel, gram_matrix, mixture_gram
+from .kernels import BaseKernel, mixture_gram
 from .mmd import (
     MixtureWeights,
     MmdScore,
     gaussian_mmd_closed_form,
     gaussian_mmd_squared_closed_form,
     mixing_weights,
-    mmd_biased,
     mmd_score,
     mmd_scores,
-    mmd_unbiased_balanced,
 )
-from .rff import FeatureBank, build_feature_matrix, kernel_approx, sample_frequencies
+from .rff import FeatureBank, build_feature_matrix, sample_frequencies
 from .svm import SvmModel, TrainConfig, load_model, predict, save_model, train
 
 __version__ = "0.1.0"
@@ -51,20 +49,15 @@ __all__ = [
     "TrainConfig",
     "build_feature_matrix",
     "diameter",
-    "eval_kernel",
     "gaussian_mmd_closed_form",
     "gaussian_mmd_squared_closed_form",
-    "gram_matrix",
-    "kernel_approx",
     "kfold_split",
     "load_dataset",
     "load_model",
     "mixing_weights",
     "mixture_gram",
-    "mmd_biased",
     "mmd_score",
     "mmd_scores",
-    "mmd_unbiased_balanced",
     "predict",
     "sample_frequencies",
     "save_model",

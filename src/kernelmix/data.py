@@ -84,18 +84,11 @@ class ClassSplit:
 
 @dataclass(frozen=True)
 class DatasetStats:
-    """Column statistics of the source data plus a diameter of the output.
+    """Column statistics of the source data: the inverse transform of
+    :func:`standardize` (population std, divisor n)."""
 
-    ``per_feature_mean``/``per_feature_std`` record the inverse transform of
-    :func:`standardize` (population std, divisor n). ``diameter`` refers to
-    the standardized features; it is exact for n <= EXACT_DIAMETER_LIMIT and
-    a bounding-box upper bound otherwise (``diameter_is_exact``).
-    """
-
-    diameter: float
     per_feature_mean: np.ndarray
     per_feature_std: np.ndarray
-    diameter_is_exact: bool = True
 
 
 def _map_labels(raw: np.ndarray) -> tuple[np.ndarray, str | None]:
@@ -268,13 +261,7 @@ def standardize(ds: LabeledDataset) -> tuple[LabeledDataset, DatasetStats]:
     std = ds.features.std(axis=0)  # ddof=0
     out = apply_standardization(ds.features, mean, std)
     std_ds = LabeledDataset(out, ds.labels, ds.feature_names, dict(ds.flags))
-    diam, exact = _diameter(out)
-    return std_ds, DatasetStats(
-        diameter=diam,
-        per_feature_mean=mean,
-        per_feature_std=std,
-        diameter_is_exact=exact,
-    )
+    return std_ds, DatasetStats(per_feature_mean=mean, per_feature_std=std)
 
 
 def apply_standardization(features: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
@@ -313,16 +300,11 @@ def kfold_split(ds: LabeledDataset, k: int, seed: int) -> list[tuple[np.ndarray,
     return out
 
 
-def _diameter(features: np.ndarray) -> tuple[float, bool]:
-    n = features.shape[0]
-    if n <= 1:
-        return 0.0, True
-    if n <= EXACT_DIAMETER_LIMIT:
-        return float(pdist(features).max()), True
-    box = features.max(axis=0) - features.min(axis=0)
-    return float(np.linalg.norm(box)), False
-
-
 def diameter(ds: LabeledDataset) -> float:
-    """Max pairwise Euclidean distance (exact up to n=2000, bound beyond)."""
-    return _diameter(ds.features)[0]
+    """Max pairwise Euclidean distance: exact for n <= EXACT_DIAMETER_LIMIT,
+    the bounding-box diagonal (an upper bound) beyond."""
+    if ds.n <= 1:
+        return 0.0
+    if ds.n <= EXACT_DIAMETER_LIMIT:
+        return float(pdist(ds.features).max())
+    return float(np.linalg.norm(ds.features.max(axis=0) - ds.features.min(axis=0)))

@@ -20,12 +20,12 @@ import numpy as np
 from scipy.special import erfc
 
 from .errors import ConfigError
-from .kernels import BaseKernel, eval_kernel, mixture_gram
+from .kernels import BaseKernel, kernel_of_distance, mixture_gram
 from .mmd import MixtureWeights
 from .rff import (
     FeatureBank,
     build_feature_matrix,
-    kernel_approx,
+    feature_block,
     sample_frequencies,
     spectral_second_moment,
 )
@@ -88,7 +88,9 @@ def complexity_bounds(Phi: np.ndarray, R: float, draws: int, m: int) -> Complexi
     )
 
 
-def _mixture_setup(X, kernels, weights):
+def _mixture_setup(X, kernels, weights, seeds):
+    if not seeds:
+        raise ConfigError("need at least one seed (trial)")
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if not isinstance(weights, MixtureWeights):
         weights = MixtureWeights(np.asarray(weights, dtype=float))
@@ -103,7 +105,7 @@ def frobenius_concentration(
     seeds: list[int],
 ) -> dict:
     """Relative deviation | ||Phi||_F^2 - D Tr(K^w) | / (D Tr(K^w)) per seed."""
-    X, weights = _mixture_setup(X, kernels, weights)
+    X, weights = _mixture_setup(X, kernels, weights, seeds)
     Kw = mixture_gram(kernels, weights.weights, X)
     reference = draws * float(np.trace(Kw))
     rows = []
@@ -130,7 +132,7 @@ def spectral_concentration(
     seeds: list[int],
 ) -> dict:
     """Relative deviation | |||Phi|||_2^2 - D |||K^w|||_2 | / (D |||K^w|||_2)."""
-    X, weights = _mixture_setup(X, kernels, weights)
+    X, weights = _mixture_setup(X, kernels, weights, seeds)
     n = X.shape[0]
     if n > 2000:
         raise ConfigError("dense eigensolve limited to n <= 2000")
@@ -196,18 +198,21 @@ def empirical_sup_error(
     pairs: int,
     seed: int,
 ) -> float:
-    """Max |kernel_approx - k| over sampled row pairs, one shared bank."""
+    """Max |RFF estimate - k| over sampled row pairs, one shared bank, all
+    pairs at once in O(pairs * D) memory."""
     if pairs < 1:
         raise ConfigError("need at least one pair")
     X = np.atleast_2d(np.asarray(X, dtype=float))
     rng = stream(seed, 41)
     xi, b = sample_frequencies(kernel, draws, X.shape[1], seed)
-    worst = 0.0
-    idx = rng.integers(0, X.shape[0], size=(pairs, 2))
-    for i, j in idx:
-        err = abs(kernel_approx(X[i], X[j], xi, b) - eval_kernel(kernel, X[i], X[j]))
-        worst = max(worst, err)
-    return worst
+    i, j = rng.integers(0, X.shape[0], size=(pairs, 2)).T
+    phi_i, phi_j = feature_block(X[i], xi, b), feature_block(X[j], xi, b)
+    estimate = np.einsum("pk,pk->p", phi_i, phi_j) / draws
+    diff = X[i] - X[j]
+    dist = np.einsum("pk,pk->p", diff, diff)
+    if kernel.metric == "euclidean":
+        dist = np.sqrt(dist)
+    return float(np.abs(estimate - kernel_of_distance(kernel, dist)).max())
 
 
 def sigma_p(kernel: BaseKernel, dim: int) -> float:

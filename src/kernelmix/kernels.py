@@ -1,9 +1,11 @@
 """Shift-invariant base kernels, Gram matrices and their mixtures.
 
 All built-in families are bounded by 1, attain 1 on the diagonal, and are
-translation invariant. The Gaussian family uses the squared Euclidean
-distance exp(-||x-y||^2 / (2 rho^2)); gamma = 1/(2 rho^2) is accepted as an
-alternative parameterization.
+translation invariant. Every value comes from :func:`kernel_of_distance` on
+a distance in the family's ``metric``: gaussian exp(-||x-y||^2 / (2 rho^2)),
+laplacian exp(-||x-y|| / rho). ANOVA, the product of per-coordinate Gaussian
+factors with one shared rho, is the Gaussian kernel under its own name.
+gamma = 1/(2 rho^2) is accepted as an alternative parameterization.
 """
 
 from __future__ import annotations
@@ -48,23 +50,14 @@ class BaseKernel:
         return "euclidean" if self.family == "laplacian" else "sqeuclidean"
 
 
-def eval_kernel(kernel: BaseKernel, x: np.ndarray, y: np.ndarray) -> float:
-    """Evaluate k(x, y) for a single pair of vectors."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ConfigError(f"dimension mismatch {x.shape} vs {y.shape}")
-    diff = x - y
-    if kernel.family == "laplacian":
-        return float(np.exp(-np.linalg.norm(diff) / kernel.rho))
-    if kernel.family == "anova":
-        # product of per-coordinate Gaussian factors, one shared rho
-        return float(np.prod(np.exp(-(diff**2) / (2.0 * kernel.rho**2))))
-    return float(np.exp(-np.dot(diff, diff) / (2.0 * kernel.rho**2)))
-
-
 def kernel_matrix(kernel: BaseKernel, X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
-    """Kernel evaluations between the rows of X and Y (Y defaults to X)."""
+    """Kernel evaluations between the rows of X and Y (Y defaults to X).
+
+    With Y omitted this is the Gram matrix of X. ``cdist`` computes the
+    distance of each pair with one loop in which swapping the two rows only
+    flips signs before squaring, so the Gram matrix is exactly symmetric with
+    exact 1.0 on the diagonal (for finite X).
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = X if Y is None else np.atleast_2d(np.asarray(Y, dtype=float))
     if X.shape[1] != Y.shape[1]:
@@ -88,16 +81,6 @@ def kernel_of_distance(kernel: BaseKernel, dist: np.ndarray) -> np.ndarray:
     return np.exp(arg, out=np.zeros_like(arg), where=~(arg < _EXP_IS_ZERO_BELOW))
 
 
-def gram_matrix(kernel: BaseKernel, X: np.ndarray) -> np.ndarray:
-    """Gram matrix of the rows of X.
-
-    ``cdist`` computes the distance of each pair with one loop in which
-    swapping the two rows only flips signs before squaring, so the result is
-    exactly symmetric with exact 1.0 on the diagonal (for finite X).
-    """
-    return kernel_matrix(kernel, X)
-
-
 def mixture_gram(kernels: list[BaseKernel], weights: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Entrywise mixture sum_l w_l K^l over the base kernels."""
     weights = np.asarray(weights, dtype=float)
@@ -107,5 +90,5 @@ def mixture_gram(kernels: list[BaseKernel], weights: np.ndarray, X: np.ndarray) 
         )
     out = np.zeros((np.atleast_2d(X).shape[0],) * 2)
     for w, kernel in zip(weights, kernels):
-        out += w * gram_matrix(kernel, X)
+        out += w * kernel_matrix(kernel, X)
     return out

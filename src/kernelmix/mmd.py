@@ -15,7 +15,8 @@ is available, with core
 
 Both `squared` values are kept signed (they are unbiased for the squared
 population MMD and can dip below zero); `value` clamps at zero before the
-square root. Mixture weights are the normalized per-kernel `value`s.
+square root. Mixture weights are the normalized per-kernel `value`s. Every
+estimate comes from :func:`mmd_scores`; :func:`mmd_score` scores one kernel.
 """
 
 from __future__ import annotations
@@ -91,7 +92,6 @@ def mmd_scores(
     pos: np.ndarray,
     neg: np.ndarray,
     estimator: str = "auto",
-    pairing_seed: int | None = None,
 ) -> list[MmdScore]:
     """Score every kernel from one shared pass of pairwise distances.
 
@@ -99,9 +99,7 @@ def mmd_scores(
     biased form otherwise. The squared distances are computed once (``pdist``
     within each class, ``cdist`` across) and square-rooted once if any
     kernel is Laplacian; each kernel then costs one exp-and-sum. For the
-    balanced estimator row i of ``pos`` pairs with row i of ``neg``;
-    ``pairing_seed`` shuffles the negative rows first when a random pairing
-    is wanted.
+    balanced estimator row i of ``pos`` pairs with row i of ``neg``.
     """
     if not kernels:
         raise ConfigError("need at least one base kernel")
@@ -131,8 +129,6 @@ def mmd_scores(
             )
         if n_plus < 2:
             raise DataError("need at least 2 paired samples")
-        if pairing_seed is not None:
-            neg = neg[stream(pairing_seed).permutation(n_plus)]
         # for each pair i < j of paired draws: (x_i,x_j), (y_i,y_j), (x_i,y_j), (x_j,y_i)
         cross = cdist(pos, neg, "sqeuclidean")
         upper = np.triu_indices(n_plus, 1)
@@ -162,28 +158,13 @@ def mmd_scores(
     return scores
 
 
-def mmd_biased(kernel: BaseKernel, pos: np.ndarray, neg: np.ndarray) -> MmdScore:
-    """Two within-class U-statistics minus the cross average (any class sizes)."""
-    return mmd_scores([kernel], pos, neg, "biased")[0]
-
-
-def mmd_unbiased_balanced(
-    kernel: BaseKernel,
-    pos: np.ndarray,
-    neg: np.ndarray,
-    pairing_seed: int | None = None,
-) -> MmdScore:
-    """Single U-statistic over paired draws; requires equal class sizes."""
-    return mmd_scores([kernel], pos, neg, "unbiased_balanced", pairing_seed)[0]
-
-
 def mmd_score(
     kernel: BaseKernel,
     pos: np.ndarray,
     neg: np.ndarray,
     estimator: str = "auto",
 ) -> MmdScore:
-    """Route to the balanced U-statistic when n+ = n-, else the biased form."""
+    """One kernel's score from :func:`mmd_scores` (same estimators and routing)."""
     return mmd_scores([kernel], pos, neg, estimator)[0]
 
 

@@ -1,18 +1,19 @@
-"""Spectral samplers, random feature maps, and the weighted feature matrix.
+"""Spectral samplers, random feature blocks, and the weighted feature matrix.
 
-The per-draw feature is sqrt(2) * cos(<x, xi> + b); the 1/sqrt(D)
-normalization is applied at the classifier (and inside kernel_approx),
-never here, so the two factors are not double-counted.
+The per-draw feature is sqrt(2) * cos(<x, xi> + b) (Rahimi & Recht, 2007),
+built by :func:`feature_block`; the kernel estimate of a pair (x, y) is the
+mean over draws of phi(x) phi(y). The 1/sqrt(D) normalization is applied
+at the classifier, never here, so the two factors are not double-counted.
 
 Spectral (Bochner dual) laws per family, for bandwidth rho:
 
   gaussian, anova  xi_k ~ Normal(0, 1/rho^2) per coordinate
   laplacian        xi_k ~ Cauchy(0, 1/rho)   per coordinate
 
-The ANOVA product of per-coordinate Gaussian factors with one shared rho
-equals the Gaussian RBF, so it shares the Gaussian spectral law. The
-Cauchy law has no second moment; sigma_p^2 is reported as inf and the
-pointwise error bound refuses such samplers.
+ANOVA with one shared rho is the Gaussian kernel, so it shares the Gaussian
+law. The Cauchy law has no second moment (sigma_p^2 = inf, so the pointwise
+error bound refuses it); it is the dual of the product-form Laplacian, which
+equals the Euclidean Laplacian of :mod:`kernelmix.kernels` only when d = 1.
 """
 
 from __future__ import annotations
@@ -64,13 +65,6 @@ def feature_block(X: np.ndarray, xi: np.ndarray, b: np.ndarray) -> np.ndarray:
     if X.shape[1] != xi.shape[1]:
         raise ConfigError(f"dimension mismatch {X.shape[1]} vs {xi.shape[1]}")
     return math.sqrt(2.0) * np.cos(X @ xi.T + b)
-
-
-def kernel_approx(x: np.ndarray, y: np.ndarray, xi: np.ndarray, b: np.ndarray) -> float:
-    """Monte-Carlo kernel estimate (1/D) sum_j phi(x;xi_j) phi(y;xi_j)."""
-    fx = feature_block(np.atleast_2d(x), xi, b)[0]
-    fy = feature_block(np.atleast_2d(y), xi, b)[0]
-    return float(fx @ fy / xi.shape[0])
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@ and relaxed kernel feature selection.
 
 The MMD selector scores each candidate Gaussian kernel directly on the
 class-conditional samples and never trains a classifier, which is where its
-speed advantage over cross-validation comes from.
+speed advantage over cross-validation comes from. Relaxed feature selection
+works on the random features of a :class:`FeatureBank`.
 """
 
 from __future__ import annotations
@@ -187,6 +188,8 @@ def compare_selection(
     the MMD-weighted mixture over the whole grid) and score them on a
     held-out stratified split."""
     gammas = _check_grid(gammas)
+    if not 0.0 < test_fraction < 1.0:
+        raise ConfigError(f"test fraction must lie in (0, 1), got {test_fraction}")
     train_ds, test_ds = _stratified_holdout(ds, test_fraction, seed)
 
     t0 = time.perf_counter()
@@ -244,28 +247,43 @@ class FeatureMask:
     initial_objective: float
 
 
-def _centering(n: int) -> np.ndarray:
-    return np.eye(n) - np.full((n, n), 1.0 / n)
+def project_capped_box(v: np.ndarray, cap: float) -> np.ndarray:
+    """Euclidean projection of v onto {u in [0,1]^d : sum(u) <= cap}, cap >= 0.
+
+    The projection is clip(v - tau, 0, 1) with tau = 0 when that already
+    meets the budget, else the tau > 0 at which the sum equals cap, found by
+    bisection on the nonincreasing sum (Wang & Lu, arXiv:1503.01002).
+    """
+    v = np.asarray(v, dtype=float)
+    p = np.clip(v, 0.0, 1.0)
+    if p.sum() <= cap:
+        return p
+    lo, hi = 0.0, float(v.max())  # sum(clip(v - hi)) = 0 <= cap
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if np.clip(v - mid, 0.0, 1.0).sum() > cap:
+            lo = mid
+        else:
+            hi = mid
+    return np.clip(v - hi, 0.0, 1.0)
 
 
-def _exact_objective_grad(X, y, kernel: BaseKernel, omega, eps_d):
-    n, d = X.shape
-    sq = (X[:, None, :] - X[None, :, :]) ** 2  # (n, n, d) coordinatewise gaps
-    K = np.exp(-(sq @ (omega**2)) / (2.0 * kernel.rho**2))
-    H = _centering(n)
-    A = H @ K @ H + d * eps_d * np.eye(n)
-    g = np.linalg.solve(A, y)
-    objective = float(y @ g)
-    h = H @ g
-    M = np.outer(h, h) * K
-    grad = (omega / kernel.rho**2) * np.einsum("ij,ijk->k", M, sq)
-    return objective, grad
+def relaxed_objective(X, y, bank: FeatureBank, omega, eps: float):
+    """Objective (and gradient) of the relaxed selection problem at omega.
 
-
-def _rff_objective_grad(X, y, bank: FeatureBank, omega, eps_n):
+    It is y^T (V V^T + eps n I)^{-1} y, with V the centered weighted random
+    features of the omega-scaled inputs.
+    """
+    if not isinstance(bank, FeatureBank):
+        raise ConfigError("relaxed selection needs a FeatureBank")
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    omega = np.asarray(omega, dtype=float)
     n = X.shape[0]
     Xm = X * omega
-    H = _centering(n)
+    H = np.eye(n) - np.full((n, n), 1.0 / n)
     thetas, phis = [], []
     for w, xi, b in zip(bank.weights.weights, bank.frequencies, bank.phases):
         theta = Xm @ xi.T + b
@@ -273,7 +291,7 @@ def _rff_objective_grad(X, y, bank: FeatureBank, omega, eps_n):
         phis.append(math.sqrt(2.0 * w) * np.cos(theta))
     Phi = np.hstack(phis)
     V = H @ Phi
-    reg = eps_n * n
+    reg = eps * n
     A = V.T @ V + reg * np.eye(V.shape[1])
     u = V.T @ y
     alpha = np.linalg.solve(A, u)
@@ -288,33 +306,6 @@ def _rff_objective_grad(X, y, bank: FeatureBank, omega, eps_n):
         S = block * (-math.sqrt(2.0 * w) * np.sin(theta))
         grad += np.sum(X * (S @ xi), axis=0)
         col += bank.draws
-    return objective, grad
-
-
-def project_capped_box(v: np.ndarray, cap: float, tol: float = 1e-8) -> np.ndarray:
-    """Alternate box clamping and rescaling until sum(v) <= cap, v in [0,1]^d."""
-    v = np.clip(v, 0.0, 1.0)
-    for _ in range(100):
-        total = v.sum()
-        if total <= cap + tol:
-            break
-        v = np.clip(v * (cap / total), 0.0, 1.0)
-    return v
-
-
-def relaxed_objective(X, y, kernel_or_bank, omega, eps: float):
-    """Objective (and gradient) of the relaxed selection problem at omega."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    omega = np.asarray(omega, dtype=float)
-    if isinstance(kernel_or_bank, FeatureBank):
-        objective, grad = _rff_objective_grad(X, y, kernel_or_bank, omega, eps)
-    elif isinstance(kernel_or_bank, BaseKernel):
-        if kernel_or_bank.family == "laplacian":
-            raise ConfigError("exact-mode feature selection supports Gaussian-type kernels only")
-        objective, grad = _exact_objective_grad(X, y, kernel_or_bank, omega, eps)
-    else:
-        raise ConfigError("expected a BaseKernel or FeatureBank")
     if not math.isfinite(objective):
         raise ConfigError("selection objective is not finite; increase eps")
     return objective, grad
@@ -323,7 +314,7 @@ def relaxed_objective(X, y, kernel_or_bank, omega, eps: float):
 def kernel_feature_select(
     X: np.ndarray,
     y: np.ndarray,
-    kernel_or_bank,
+    bank: FeatureBank,
     m_sel: int,
     eps: float | None = None,
     steps: int = 150,
@@ -346,7 +337,7 @@ def kernel_feature_select(
         eps = 0.001 / n
     cap = float(m_sel)
     omega = np.full(d, m_sel / d)
-    objective, grad = relaxed_objective(X, y, kernel_or_bank, omega, eps)
+    objective, grad = relaxed_objective(X, y, bank, omega, eps)
     initial_obj = objective
     eta = step_size
     for _ in range(steps):
@@ -356,7 +347,7 @@ def kernel_feature_select(
         moved = False
         for _halving in range(40):
             candidate = project_capped_box(omega - (eta / gnorm) * grad, cap)
-            cand_obj, cand_grad = relaxed_objective(X, y, kernel_or_bank, candidate, eps)
+            cand_obj, cand_grad = relaxed_objective(X, y, bank, candidate, eps)
             if cand_obj < objective:
                 omega, objective, grad = candidate, cand_obj, cand_grad
                 eta = min(eta * 1.5, step_size)

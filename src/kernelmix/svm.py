@@ -38,7 +38,6 @@ class TrainConfig:
     schedule: str = "inv_sqrt"  # or "constant"
     seed: int = 0
     fit_offset: bool = True
-    track_feasibility: bool = False
 
     def __post_init__(self):
         if self.R <= 0:
@@ -172,7 +171,7 @@ def train(
     scores = np.zeros(n)
     scores_avg = np.zeros(n)
     steps = 0
-    feasibility: list[float] = []
+    max_norm = 0.0  # largest ||beta|| of a projected iterate
     objective_history: list[float] = []
     rng = stream(cfg.seed, 3)
 
@@ -200,8 +199,7 @@ def train(
             beta = _project(beta - eta * g_beta, radius)
             if cfg.fit_offset:
                 offset -= eta * g_offset
-            if cfg.track_feasibility:
-                feasibility.append(float(np.linalg.norm(beta)))
+            max_norm = max(max_norm, float(np.linalg.norm(beta)))
             beta_avg += (beta - beta_avg) / steps
             offset_avg += (offset - offset_avg) / steps
             if full_batch:
@@ -219,9 +217,8 @@ def train(
         "steps": steps,
         "final_objective": objective_history[-1],
         "objective_history": objective_history,
+        "max_post_step_norm": max_norm,
     }
-    if cfg.track_feasibility:
-        meta["post_step_norms"] = feasibility
     return SvmModel(
         beta=beta_avg,
         offset=offset_avg if cfg.fit_offset else 0.0,

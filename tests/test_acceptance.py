@@ -13,15 +13,14 @@ import numpy as np
 from kernelmix import cli
 from kernelmix.data import standardize
 from kernelmix.diagnostics import complexity_bounds, empirical_sup_error, frobenius_concentration
-from kernelmix.kernels import FAMILIES, BaseKernel, gram_matrix, kernel_matrix
+from kernelmix.kernels import FAMILIES, BaseKernel, kernel_matrix
 from kernelmix.mmd import (
     MixtureWeights,
     gaussian_mmd_closed_form,
     gaussian_mmd_squared_closed_form,
     mixing_weights,
-    mmd_biased,
     mmd_convergence_probe,
-    mmd_unbiased_balanced,
+    mmd_score,
 )
 from kernelmix.rff import FeatureBank, build_feature_matrix
 from kernelmix.rng import stream
@@ -50,11 +49,11 @@ def test_criterion_01_mmd_oracle_equivalence():
         d = int(rng.integers(1, 5))
         pos = rng.normal(size=(n_plus, d))
         neg = rng.normal(size=(n_minus, d)) + rng.normal()
-        got = mmd_biased(kernel, pos, neg).squared
+        got = mmd_score(kernel, pos, neg, estimator="biased").squared
         want = naive_mmd_biased_squared(family, rho, pos, neg)
         worst = max(worst, abs(got - want))
         n0 = min(n_plus, n_minus)
-        got_u = mmd_unbiased_balanced(kernel, pos[:n0], neg[:n0]).squared
+        got_u = mmd_score(kernel, pos[:n0], neg[:n0], estimator="unbiased_balanced").squared
         want_u = naive_mmd_unbiased_squared(family, rho, pos[:n0], neg[:n0])
         worst = max(worst, abs(got_u - want_u))
     elapsed = time.perf_counter() - t0
@@ -184,10 +183,10 @@ def test_criterion_08a_ball_feasibility():
     Phi = rng.normal(size=(80, 16))
     y = np.where(rng.uniform(size=80) < 0.5, 1.0, -1.0)
     y[:2] = [1.0, -1.0]
-    cfg = TrainConfig(R=1.0, lam=0.01, epochs=30, batch_size=16, step_size=2.0, track_feasibility=True)
+    cfg = TrainConfig(R=1.0, lam=0.01, epochs=30, batch_size=16, step_size=2.0)
     model = train(Phi, y, cfg)
     radius = cfg.R / math.sqrt(16)
-    worst = max(model.meta["post_step_norms"])
+    worst = model.meta["max_post_step_norm"]
     assert worst <= radius + 1e-9
     print(f"[criterion 8a] ball feasibility: max ||beta||={worst:.6f} <= {radius:.6f}+1e-9 PASS")
 
@@ -256,7 +255,7 @@ def test_criterion_08d_rff_vs_gram_reference():
     for seed in (0, 1):
         Xtr, ytr = balanced(100, seed)
         Xte, yte = balanced(400, seed + 50)
-        K = gram_matrix(kernel, Xtr)
+        K = kernel_matrix(kernel, Xtr)
         om, b = reference_gram_svm(K, ytr, lam=lam, epochs=3000, step=0.5)
         ref = float((np.where(kernel_matrix(kernel, Xte, Xtr) @ om + b >= 0, 1, -1) == yte).mean())
         bank = FeatureBank.generate([kernel], MixtureWeights(np.array([1.0])), draws, 5, seed + 100)

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -317,6 +318,16 @@ class TestSelect:
     def test_needs_data_or_synthetic(self, tmp_path):
         assert cli.main(["select", "--out", str(tmp_path / "sel")]) == 3
 
+    @pytest.mark.parametrize("fraction", ["0", "1", "1.5", "-0.2"])
+    def test_test_fraction_outside_unit_interval_exit_3(self, tmp_path, capsys, fraction):
+        data = write_dataset(tmp_path / "d.csv", n=60)
+        args = [
+            "select", "--data", data, "--gammas", "0.5", "--folds", "3", "--draws", "16",
+            "--epochs", "2", "--test-fraction", fraction, "--out", str(tmp_path / "sel"),
+        ]
+        assert cli.main(args) == 3
+        assert "test fraction" in capsys.readouterr().err
+
 
 class TestDiagnose:
     def test_outputs_and_sweep(self, tmp_path):
@@ -385,6 +396,16 @@ class TestDiagnose:
         ]
         assert cli.main(args) == 1
 
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_no_trials_exit_3(self, tmp_path, capsys, trials):
+        data = write_dataset(tmp_path / "d.csv", n=20)
+        args = [
+            "diagnose", "--data", data, "--gammas", "0.5", "--draws", "16",
+            "--trials", trials, "--pairs", "2", "--out", str(tmp_path / "diag"),
+        ]
+        assert cli.main(args) == 3
+        assert "at least one seed" in capsys.readouterr().err
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_flags_override(self, tmp_path):
@@ -427,3 +448,22 @@ def test_import_leaves_out_scipy_stats_and_exports_resolve():
     env = {**os.environ, "PYTHONPATH": src}
     result = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+def test_benchmark_tracer_targets_resolve():
+    # perfbench/tracing.py wraps these names on every traced operation; one
+    # that no longer resolves fails every traced benchmark run
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", os.path.join(root, "perfbench", "tracing.py")
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for _name, module_name, attr, _work in tracing.TARGETS:
+        obj = importlib.import_module(module_name)
+        for part in attr.split("."):
+            obj = getattr(obj, part, None)
+        if not callable(obj):
+            missing.append(f"{module_name}.{attr}")
+    assert not missing, missing

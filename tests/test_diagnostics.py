@@ -13,9 +13,11 @@ from kernelmix.diagnostics import (
     spectral_concentration,
 )
 from kernelmix.errors import ConfigError
-from kernelmix.kernels import BaseKernel
+from kernelmix.kernels import FAMILIES, BaseKernel
 from kernelmix.mmd import MixtureWeights
+from kernelmix.rff import sample_frequencies
 from kernelmix.rng import stream
+from oracles import feature_map, oracle_kernel
 
 GAUSS1 = BaseKernel("gaussian", 1.0)
 
@@ -150,3 +152,20 @@ class TestEmpiricalSupError:
         X = stream(110).uniform(0.0, 1.0, size=(50, 1))
         err = empirical_sup_error(GAUSS1, 2048, X, pairs=100, seed=0)
         assert 0.0 < err <= 0.2
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_matches_per_pair_loop(self, family):
+        # the scalar loop over the same sampled pairs and the same bank;
+        # summation order differs, hence the 1e-12 tolerance
+        kernel = BaseKernel(family, 0.9)
+        X = stream(111).normal(size=(30, 3))
+        draws, pairs, seed = 64, 40, 7
+        xi, b = sample_frequencies(kernel, draws, 3, seed)
+        worst = 0.0
+        for i, j in stream(seed, 41).integers(0, 30, size=(pairs, 2)):
+            approx = sum(
+                feature_map(X[i], xi[k], b[k]) * feature_map(X[j], xi[k], b[k])
+                for k in range(draws)
+            ) / draws
+            worst = max(worst, abs(approx - oracle_kernel(family, 0.9, X[i], X[j])))
+        assert abs(empirical_sup_error(kernel, draws, X, pairs, seed) - worst) <= 1e-12

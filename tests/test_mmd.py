@@ -13,11 +13,9 @@ from kernelmix.mmd import (
     gaussian_mmd_closed_form,
     gaussian_mmd_squared_closed_form,
     mixing_weights,
-    mmd_biased,
     mmd_convergence_probe,
     mmd_score,
     mmd_scores,
-    mmd_unbiased_balanced,
 )
 from kernelmix.rng import stream
 from oracles import naive_mmd_biased_squared, naive_mmd_unbiased_squared
@@ -30,7 +28,7 @@ class TestBiased:
         # within-class averages drop the diagonal while the cross average
         # keeps the matched pairs, so coinciding samples give k(0,2) - 1
         pos = np.array([[0.0], [2.0]])
-        score = mmd_biased(GAUSS1, pos, pos.copy())
+        score = mmd_score(GAUSS1, pos, pos.copy(), "biased")
         expected = naive_mmd_biased_squared("gaussian", 1.0, pos, pos)
         assert score.squared == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(math.exp(-2.0) - 1.0, abs=1e-12)
@@ -44,7 +42,7 @@ class TestBiased:
             n_minus = int(rng.integers(2, 12))
             pos = rng.normal(size=(n_plus, 3))
             neg = rng.normal(size=(n_minus, 3)) + 0.5
-            got = mmd_biased(BaseKernel(family, 0.8), pos, neg).squared
+            got = mmd_score(BaseKernel(family, 0.8), pos, neg, "biased").squared
             want = naive_mmd_biased_squared(family, 0.8, pos, neg)
             assert got == pytest.approx(want, abs=1e-12)
 
@@ -52,20 +50,22 @@ class TestBiased:
         rng = stream(32)
         pos = rng.normal(size=(6, 2))
         neg = rng.normal(size=(9, 2))
-        base = mmd_biased(GAUSS1, pos, neg).squared
-        shuffled = mmd_biased(GAUSS1, pos[rng.permutation(6)], neg[rng.permutation(9)]).squared
+        base = mmd_score(GAUSS1, pos, neg, "biased").squared
+        shuffled = mmd_score(
+            GAUSS1, pos[rng.permutation(6)], neg[rng.permutation(9)], "biased"
+        ).squared
         assert shuffled == pytest.approx(base, abs=1e-12)
 
     def test_swap_symmetry(self):
         rng = stream(33)
         pos, neg = rng.normal(size=(5, 2)), rng.normal(size=(7, 2))
-        assert mmd_biased(GAUSS1, pos, neg).squared == pytest.approx(
-            mmd_biased(GAUSS1, neg, pos).squared, abs=1e-12
+        assert mmd_score(GAUSS1, pos, neg, "biased").squared == pytest.approx(
+            mmd_score(GAUSS1, neg, pos, "biased").squared, abs=1e-12
         )
 
     def test_small_class_rejected(self):
         with pytest.raises(DataError):
-            mmd_biased(GAUSS1, np.zeros((1, 1)), np.zeros((3, 1)))
+            mmd_score(GAUSS1, np.zeros((1, 1)), np.zeros((3, 1)), "biased")
 
     def test_monotone_separation(self):
         # biased squared for {0,eps} vs {t,t+eps} grows with t >= 0
@@ -74,19 +74,20 @@ class TestBiased:
         for t in np.linspace(0.0, 4.0, 9):
             pos = np.array([[0.0], [eps]])
             neg = np.array([[t], [t + eps]])
-            values.append(mmd_biased(GAUSS1, pos, neg).squared)
+            values.append(mmd_score(GAUSS1, pos, neg, "biased").squared)
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
 
 class TestUnbiasedBalanced:
     def test_degenerate_pairing(self):
         pos = stream(34).normal(size=(4, 2))
-        score = mmd_unbiased_balanced(GAUSS1, pos, pos.copy())
+        score = mmd_score(GAUSS1, pos, pos.copy(), "unbiased_balanced")
         assert score.squared == 0.0
 
     def test_two_pair_example(self):
         k = BaseKernel.from_gamma("gaussian", 0.5)
-        score = mmd_unbiased_balanced(k, np.array([[0.0], [1.0]]), np.array([[3.0], [4.0]]))
+        pos, neg = np.array([[0.0], [1.0]]), np.array([[3.0], [4.0]])
+        score = mmd_score(k, pos, neg, "unbiased_balanced")
         expected = 2 * math.exp(-0.5) - math.exp(-8.0) - math.exp(-2.0)
         assert score.squared == pytest.approx(expected, abs=1e-12)
         assert score.value == pytest.approx(math.sqrt(expected), abs=1e-12)
@@ -98,7 +99,7 @@ class TestUnbiasedBalanced:
             n0 = int(rng.integers(2, 12))
             pos = rng.normal(size=(n0, 2))
             neg = rng.normal(size=(n0, 2)) + 0.3
-            got = mmd_unbiased_balanced(BaseKernel(family, 1.2), pos, neg).squared
+            got = mmd_score(BaseKernel(family, 1.2), pos, neg, "unbiased_balanced").squared
             want = naive_mmd_unbiased_squared(family, 1.2, pos, neg)
             assert got == pytest.approx(want, abs=1e-12)
 
@@ -109,7 +110,7 @@ class TestUnbiasedBalanced:
         for t in range(20):
             pos = stream(36, t).normal(size=(6, 1))
             neg = stream(37, t).normal(size=(6, 1))
-            score = mmd_unbiased_balanced(GAUSS1, pos, neg)
+            score = mmd_score(GAUSS1, pos, neg, "unbiased_balanced")
             if score.squared < 0:
                 assert score.value == 0.0
                 found = True
@@ -119,22 +120,13 @@ class TestUnbiasedBalanced:
     def test_swap_is_termwise_invariant(self):
         rng = stream(38)
         pos, neg = rng.normal(size=(5, 2)), rng.normal(size=(5, 2))
-        a = mmd_unbiased_balanced(GAUSS1, pos, neg).squared
-        b = mmd_unbiased_balanced(GAUSS1, neg, pos).squared
+        a = mmd_score(GAUSS1, pos, neg, "unbiased_balanced").squared
+        b = mmd_score(GAUSS1, neg, pos, "unbiased_balanced").squared
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_unbalanced_rejected(self):
         with pytest.raises(DataError):
-            mmd_unbiased_balanced(GAUSS1, np.zeros((3, 1)), np.zeros((4, 1)))
-
-    def test_pairing_seed_shuffles_deterministically(self):
-        rng = stream(46)
-        pos, neg = rng.normal(size=(8, 2)), rng.normal(size=(8, 2)) + 1.0
-        default = mmd_unbiased_balanced(GAUSS1, pos, neg).squared
-        a = mmd_unbiased_balanced(GAUSS1, pos, neg, pairing_seed=5).squared
-        b = mmd_unbiased_balanced(GAUSS1, pos, neg, pairing_seed=5).squared
-        assert a == b
-        assert a != default  # a different pairing reorders the h terms
+            mmd_score(GAUSS1, np.zeros((3, 1)), np.zeros((4, 1)), "unbiased_balanced")
 
 
 class TestRouting:
@@ -218,8 +210,9 @@ class TestListScorer:
         kernels = [BaseKernel(f, 0.9) for f in FAMILIES]
         scores = mmd_scores(kernels, pos, neg)
         assert scores == [mmd_score(k, pos, neg) for k in kernels]
-        assert scores == [mmd_unbiased_balanced(k, pos, neg) for k in kernels]
-        assert mmd_scores(kernels, pos, neg, "biased") == [mmd_biased(k, pos, neg) for k in kernels]
+        assert scores == [mmd_score(k, pos, neg, "unbiased_balanced") for k in kernels]
+        biased = mmd_scores(kernels, pos, neg, "biased")
+        assert biased == [mmd_score(k, pos, neg, "biased") for k in kernels]
 
     def test_rejects_empty_list_and_dimension_mismatch(self):
         with pytest.raises(ConfigError):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kernelmix.data import LabeledDataset
 from kernelmix.errors import ConfigError, DataError, ModelIntegrityError
@@ -56,10 +58,29 @@ class TestTrain:
 
     def test_ball_feasibility_every_step(self):
         Phi, y = separable_feature_matrix()
-        cfg = TrainConfig(R=0.5, lam=0.0, epochs=30, step_size=2.0, track_feasibility=True)
+        cfg = TrainConfig(R=0.5, lam=0.0, epochs=30, step_size=2.0)
         model = train(Phi, y, cfg)
         radius = cfg.R / math.sqrt(Phi.shape[1])
-        assert all(norm <= radius + 1e-9 for norm in model.meta["post_step_norms"])
+        assert model.meta["max_post_step_norm"] <= radius + 1e-9
+        assert np.linalg.norm(model.beta) <= radius + 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(4, 40),
+        total=st.integers(1, 12),
+        batch_size=st.one_of(st.none(), st.integers(1, 50)),
+        R=st.floats(1e-3, 50.0),
+    )
+    def test_ball_feasibility_property(self, seed, n, total, batch_size, R):
+        rng = stream(seed)
+        Phi = rng.normal(scale=3.0, size=(n, total))
+        y = np.where(rng.uniform(size=n) < 0.5, 1.0, -1.0)
+        y[:2] = [1.0, -1.0]
+        cfg = TrainConfig(R=R, lam=0.01, epochs=5, batch_size=batch_size, step_size=2.0)
+        model = train(Phi, y, cfg)
+        radius = R / math.sqrt(total)
+        assert model.meta["max_post_step_norm"] <= radius + 1e-9
         assert np.linalg.norm(model.beta) <= radius + 1e-9
 
     def test_objective_history_non_increasing(self):
