@@ -31,13 +31,12 @@ from .diagnostics import (
     empirical_sup_error,
     frobenius_concentration,
     pointwise_error_bound,
-    sigma_p,
     spectral_concentration,
 )
 from .errors import ConfigError, DataError, ModelIntegrityError
 from .kernels import BaseKernel
 from .mmd import MixtureWeights, mixing_weights, mmd_scores
-from .rff import FeatureBank, build_feature_matrix
+from .rff import FeatureBank, build_feature_matrix, spectral_second_moment
 from .select import compare_selection, log_grid
 from .svm import TrainConfig, _outputs, load_model, save_model, train
 from .synthetic import two_gaussian_dataset
@@ -286,10 +285,9 @@ def cmd_diagnose(args) -> int:
         )
 
     first = kernels[0]
-    if math.isfinite(sigma_p(first, ds.dim)):
-        pointwise = pointwise_error_bound(
-            args.eps, sweep[-1], ds.dim, sigma_p(first, ds.dim), diameter(ds)
-        )
+    sigma_p = math.sqrt(spectral_second_moment(first, ds.dim))
+    if math.isfinite(sigma_p):
+        pointwise = pointwise_error_bound(args.eps, sweep[-1], ds.dim, sigma_p, diameter(ds))
     else:
         pointwise = {"skipped": "infinite spectral second moment (Laplacian sampler)"}
     sup_err = empirical_sup_error(first, sweep[-1], ds.features, args.pairs, args.seed)
@@ -416,7 +414,7 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _apply_config_file(parser: _Parser, argv: list[str]) -> list[str]:
+def _apply_config_file(argv: list[str]) -> list[str]:
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")
@@ -453,7 +451,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         if argv:
-            argv = _apply_config_file(parser, argv)
+            argv = _apply_config_file(argv)
         args = parser.parse_args(argv)
         return args.func(args)
     except ConfigError as exc:

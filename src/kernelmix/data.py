@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import pdist
@@ -24,15 +24,11 @@ EXACT_DIAMETER_LIMIT = 2000
 class LabeledDataset:
     """Feature matrix with binary labels in {-1, +1}.
 
-    ``flags`` carries load-time metadata such as ``label_mapping`` (when the
-    source used {0, 1} labels) and ``single_class`` (set when only one label
-    occurs; MMD scoring refuses such data, loading does not).
+    A single-class dataset is valid; :func:`split_by_label` refuses it.
     """
 
     features: np.ndarray
     labels: np.ndarray
-    feature_names: tuple[str, ...] | None = None
-    flags: dict = field(default_factory=dict)
 
     def __post_init__(self):
         features = np.asarray(self.features, dtype=float)
@@ -50,8 +46,6 @@ class LabeledDataset:
             raise DataError(f"labels must be -1/+1, found {sorted(bad)}")
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
-        if len(set(labels.tolist())) < 2:
-            self.flags.setdefault("single_class", True)
 
     @property
     def n(self) -> int:
@@ -77,10 +71,6 @@ class ClassSplit:
     def n_minus(self) -> int:
         return self.negatives.shape[0]
 
-    @property
-    def balanced(self) -> bool:
-        return self.n_plus == self.n_minus
-
 
 @dataclass(frozen=True)
 class DatasetStats:
@@ -91,12 +81,12 @@ class DatasetStats:
     per_feature_std: np.ndarray
 
 
-def _map_labels(raw: np.ndarray) -> tuple[np.ndarray, str | None]:
+def _map_labels(raw: np.ndarray) -> np.ndarray:
     values = set(np.unique(raw).tolist())
     if values <= {-1.0, 1.0}:
-        return raw.astype(int), None
+        return raw.astype(int)
     if values <= {0.0, 1.0}:
-        return np.where(raw == 0, -1, 1).astype(int), "0->-1,1->+1"
+        return np.where(raw == 0, -1, 1).astype(int)
     raise DataError(f"unsupported label alphabet {sorted(values)}; expected -1/+1 or 0/1")
 
 
@@ -187,11 +177,9 @@ def _read_libsvm(path: str, n_features: int | None) -> tuple[list[float | None],
 def load_dataset(path: str, format: str = "csv", n_features: int | None = None) -> LabeledDataset:
     """Load a dataset from ``csv`` (header with a 'label' column) or ``libsvm``.
 
-    {0,1} labels are mapped to {-1,+1} and the mapping is recorded in
-    ``flags['label_mapping']``. Rows with non-finite entries are rejected,
-    not imputed.
+    {0,1} labels are mapped to {-1,+1}. Rows with non-finite entries are
+    rejected, not imputed.
     """
-    names = None
     if format == "csv":
         header, table = _read_csv(path)
         if header is None:
@@ -199,7 +187,6 @@ def load_dataset(path: str, format: str = "csv", n_features: int | None = None) 
         if "label" not in header:
             raise DataError(f"{path}: header must contain a 'label' column")
         label_col = header.index("label")
-        names = tuple(h for i, h in enumerate(header) if i != label_col)
         raw_labels = table[:, label_col]
         features = np.delete(table, label_col, axis=1)
     elif format == "libsvm":
@@ -211,11 +198,7 @@ def load_dataset(path: str, format: str = "csv", n_features: int | None = None) 
         raise DataError(f"unknown dataset format {format!r}")
     if features.shape[0] == 0:
         raise DataError(f"{path}: no data rows")
-    labels, mapping = _map_labels(raw_labels)
-    flags = {}
-    if mapping:
-        flags["label_mapping"] = mapping
-    return LabeledDataset(features, labels, feature_names=names, flags=flags)
+    return LabeledDataset(features, _map_labels(raw_labels))
 
 
 def load_features(path: str, format: str, dim: int) -> np.ndarray:
@@ -260,8 +243,7 @@ def standardize(ds: LabeledDataset) -> tuple[LabeledDataset, DatasetStats]:
     mean = ds.features.mean(axis=0)
     std = ds.features.std(axis=0)  # ddof=0
     out = apply_standardization(ds.features, mean, std)
-    std_ds = LabeledDataset(out, ds.labels, ds.feature_names, dict(ds.flags))
-    return std_ds, DatasetStats(per_feature_mean=mean, per_feature_std=std)
+    return LabeledDataset(out, ds.labels), DatasetStats(per_feature_mean=mean, per_feature_std=std)
 
 
 def apply_standardization(features: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:

@@ -22,13 +22,7 @@ from scipy.special import erfc
 from .errors import ConfigError
 from .kernels import BaseKernel, kernel_of_distance, mixture_gram
 from .mmd import MixtureWeights
-from .rff import (
-    FeatureBank,
-    build_feature_matrix,
-    feature_block,
-    sample_frequencies,
-    spectral_second_moment,
-)
+from .rff import FeatureBank, build_feature_matrix, feature_block, sample_frequencies
 from .rng import stream
 
 
@@ -213,8 +207,3 @@ def empirical_sup_error(
     if kernel.metric == "euclidean":
         dist = np.sqrt(dist)
     return float(np.abs(estimate - kernel_of_distance(kernel, dist)).max())
-
-
-def sigma_p(kernel: BaseKernel, dim: int) -> float:
-    """sqrt of the spectral second moment (inf for the Laplacian family)."""
-    return math.sqrt(spectral_second_moment(kernel, dim))

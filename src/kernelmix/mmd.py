@@ -22,7 +22,7 @@ estimate comes from :func:`mmd_scores`; :func:`mmd_score` scores one kernel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -39,8 +39,6 @@ ESTIMATORS = ("biased", "unbiased_balanced")
 class MmdScore:
     squared: float
     estimator: str
-    n_plus: int
-    n_minus: int
 
     @property
     def value(self) -> float:
@@ -57,15 +55,15 @@ class MixtureWeights:
 
     weights: np.ndarray
     degenerate: bool = False
-    scores: tuple[float, ...] = field(default=())
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or w.shape[0] == 0:
             raise ConfigError("weights must be a nonempty vector")
-        if (w < 0).any():
-            raise ConfigError("weights must be nonnegative")
-        object.__setattr__(self, "weights", w / w.sum())
+        total = w.sum()
+        if (w < 0).any() or not (math.isfinite(total) and total > 0.0):
+            raise ConfigError("weights must be finite, nonnegative and not all zero")
+        object.__setattr__(self, "weights", w / total)
 
     @classmethod
     def from_scores(cls, values) -> "MixtureWeights":
@@ -75,12 +73,11 @@ class MixtureWeights:
         weights with the ``degenerate`` flag set.
         """
         values = np.asarray(values, dtype=float)
-        scores = tuple(values.tolist())
         total = values.sum()
         if total == 0.0:
             m = values.shape[0]
-            return cls(weights=np.full(m, 1.0 / m), degenerate=True, scores=scores)
-        return cls(weights=values / total, degenerate=False, scores=scores)
+            return cls(weights=np.full(m, 1.0 / m), degenerate=True)
+        return cls(weights=values / total, degenerate=False)
 
     @property
     def m(self) -> int:
@@ -96,10 +93,12 @@ def mmd_scores(
     """Score every kernel from one shared pass of pairwise distances.
 
     ``estimator="auto"`` takes the balanced U-statistic when n+ = n- and the
-    biased form otherwise. The squared distances are computed once (``pdist``
-    within each class, ``cdist`` across) and square-rooted once if any
-    kernel is Laplacian; each kernel then costs one exp-and-sum. For the
-    balanced estimator row i of ``pos`` pairs with row i of ``neg``.
+    biased form otherwise. Both estimators read the same squared distances,
+    computed once (``pdist`` within each class, ``cdist`` across) and
+    square-rooted once if any kernel is Laplacian; each kernel then costs one
+    exp-and-sum. For the balanced estimator row i of ``pos`` pairs with row i
+    of ``neg``, so its cross sum runs over the off-diagonal of the cross
+    block, and identical classes score exactly 0.0.
     """
     if not kernels:
         raise ConfigError("need at least one base kernel")
@@ -112,32 +111,24 @@ def mmd_scores(
         raise ConfigError(f"unknown estimator {estimator!r}")
     if pos.shape[1] != neg.shape[1]:
         raise ConfigError(f"dimension mismatch {pos.shape[1]} vs {neg.shape[1]}")
-
-    if estimator == "biased":
-        if n_plus < 2 or n_minus < 2:
-            raise DataError("each class needs at least 2 samples")
-        # within-class pairs i < j, then every cross pair
-        blocks = (
-            pdist(pos, "sqeuclidean"),
-            pdist(neg, "sqeuclidean"),
-            cdist(pos, neg, "sqeuclidean"),
-        )
-    else:
+    if estimator == "biased" and (n_plus < 2 or n_minus < 2):
+        raise DataError("each class needs at least 2 samples")
+    if estimator == "unbiased_balanced":
         if n_plus != n_minus:
             raise DataError(
                 f"unbalanced classes ({n_plus} vs {n_minus}); use the biased estimator"
             )
         if n_plus < 2:
             raise DataError("need at least 2 paired samples")
-        # for each pair i < j of paired draws: (x_i,x_j), (y_i,y_j), (x_i,y_j), (x_j,y_i)
-        cross = cdist(pos, neg, "sqeuclidean")
-        upper = np.triu_indices(n_plus, 1)
-        blocks = (
-            pdist(pos, "sqeuclidean"),
-            pdist(neg, "sqeuclidean"),
-            cross[upper],
-            cross.T[upper],
-        )
+        if np.array_equal(pos, neg):
+            return [MmdScore(0.0, estimator) for _ in kernels]
+
+    # within-class pairs i < j, then every cross pair
+    blocks = (
+        pdist(pos, "sqeuclidean"),
+        pdist(neg, "sqeuclidean"),
+        cdist(pos, neg, "sqeuclidean"),
+    )
     distances = {"sqeuclidean": blocks}
     if any(k.metric == "euclidean" for k in kernels):
         distances["euclidean"] = tuple(np.sqrt(b) for b in blocks)
@@ -152,9 +143,11 @@ def mmd_scores(
                 - 2.0 * K[2].sum() / (n_plus * n_minus)
             )
         else:
-            # summed termwise, so identical classes cancel to exactly 0.0
-            squared = 2.0 * (K[0] + K[1] - K[2] - K[3]).sum() / (n_plus * (n_plus - 1))
-        scores.append(MmdScore(float(squared), estimator, n_plus, n_minus))
+            # k(x_i,y_j) + k(x_j,y_i) summed over i < j is the cross block
+            # summed off its diagonal
+            np.fill_diagonal(K[2], 0.0)
+            squared = 2.0 * (K[0].sum() + K[1].sum() - K[2].sum()) / (n_plus * (n_plus - 1))
+        scores.append(MmdScore(float(squared), estimator))
     return scores
 
 

@@ -21,15 +21,13 @@ from .kernels import BaseKernel
 from .mmd import MixtureWeights, mmd_scores
 from .rff import FeatureBank, build_feature_matrix
 from .rng import stream
-from .svm import SvmModel, TrainConfig, evaluate, train
+from .svm import SvmModel, TrainConfig, accuracy, train
 
 
 def log_grid(lo: float = 1e-20, hi: float = 1e3, count: int = 24) -> np.ndarray:
     """Strictly increasing log-spaced bandwidth (gamma) grid."""
     if not (0 < lo < hi) or count < 1:
         raise ConfigError("grid bounds must satisfy 0 < lo < hi with count >= 1")
-    if count == 1:
-        return np.array([lo])
     return np.geomspace(lo, hi, count)
 
 
@@ -84,7 +82,7 @@ def cv_bandwidth_select(
             model = _train_single_kernel(
                 train_ds, gamma, draws, cfg, _child_seed(seed, 5, gi, fi)
             )
-            accs.append(evaluate(model, val_ds)["accuracy"])
+            accs.append(accuracy(model, val_ds))
         accs = np.array(accs)
         rows.append(
             {
@@ -225,9 +223,9 @@ def compare_selection(
         cv_seconds=cv_seconds,
         mmd_seconds=mmd_seconds,
         test_accuracy={
-            "cv": evaluate(cv_model, test_ds)["accuracy"],
-            "mmd": evaluate(mmd_model, test_ds)["accuracy"],
-            "mixture": evaluate(mix_model, test_ds)["accuracy"],
+            "cv": accuracy(cv_model, test_ds),
+            "mmd": accuracy(mmd_model, test_ds),
+            "mixture": accuracy(mix_model, test_ds),
         },
         degenerate=degenerate,
     )
@@ -273,8 +271,8 @@ def project_capped_box(v: np.ndarray, cap: float) -> np.ndarray:
 def relaxed_objective(X, y, bank: FeatureBank, omega, eps: float):
     """Objective (and gradient) of the relaxed selection problem at omega.
 
-    It is y^T (V V^T + eps n I)^{-1} y, with V the centered weighted random
-    features of the omega-scaled inputs.
+    It is y^T (V V^T + eps n I)^{-1} y, with V the column-centered weighted
+    random features of the omega-scaled inputs, all kernels in one block.
     """
     if not isinstance(bank, FeatureBank):
         raise ConfigError("relaxed selection needs a FeatureBank")
@@ -282,30 +280,21 @@ def relaxed_objective(X, y, bank: FeatureBank, omega, eps: float):
     y = np.asarray(y, dtype=float)
     omega = np.asarray(omega, dtype=float)
     n = X.shape[0]
-    Xm = X * omega
-    H = np.eye(n) - np.full((n, n), 1.0 / n)
-    thetas, phis = [], []
-    for w, xi, b in zip(bank.weights.weights, bank.frequencies, bank.phases):
-        theta = Xm @ xi.T + b
-        thetas.append(theta)
-        phis.append(math.sqrt(2.0 * w) * np.cos(theta))
-    Phi = np.hstack(phis)
-    V = H @ Phi
+    xi = np.vstack(bank.frequencies)
+    scale = np.repeat(np.sqrt(2.0 * bank.weights.weights), bank.draws)
+    theta = (X * omega) @ xi.T + np.concatenate(bank.phases)
+    V = scale * np.cos(theta)
+    V -= V.mean(axis=0)
     reg = eps * n
     A = V.T @ V + reg * np.eye(V.shape[1])
     u = V.T @ y
     alpha = np.linalg.solve(A, u)
     objective = float((y @ y - u @ alpha) / reg)
     g = (y - V @ alpha) / reg
-    dJ_dV = -2.0 * np.outer(g, V.T @ g)
-    dJ_dPhi = H @ dJ_dV
-    grad = np.zeros_like(omega)
-    col = 0
-    for w, xi, theta in zip(bank.weights.weights, bank.frequencies, thetas):
-        block = dJ_dPhi[:, col : col + bank.draws]
-        S = block * (-math.sqrt(2.0 * w) * np.sin(theta))
-        grad += np.sum(X * (S @ xi), axis=0)
-        col += bank.draws
+    # dJ/dPhi: dJ/dV = -2 g (V^T g)^T, centered over the rows as V was
+    dJ_dPhi = -2.0 * np.outer(g - g.mean(), V.T @ g)
+    S = dJ_dPhi * (-scale * np.sin(theta))
+    grad = np.sum(X * (S @ xi), axis=0)
     if not math.isfinite(objective):
         raise ConfigError("selection objective is not finite; increase eps")
     return objective, grad

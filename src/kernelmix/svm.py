@@ -259,23 +259,9 @@ def predict(model: SvmModel, X: np.ndarray) -> np.ndarray:
     return _outputs(model, _features(model, X))[1]
 
 
-def soft_output(model: SvmModel, X: np.ndarray) -> np.ndarray:
-    """Logistic transform of the decision value, clamped inside (0, 1)."""
-    return _outputs(model, _features(model, X))[2]
-
-
-def evaluate(model: SvmModel, ds: LabeledDataset) -> dict:
-    dv, pred, _soft = _outputs(model, _features(model, ds.features))
-    correct = pred == ds.labels
-    hinge = float(np.maximum(1.0 - ds.labels * dv, 0.0).mean())
-    return {
-        "accuracy": float(correct.mean()),
-        "hinge_loss": hinge,
-        "true_positive": int(((pred == 1) & (ds.labels == 1)).sum()),
-        "true_negative": int(((pred == -1) & (ds.labels == -1)).sum()),
-        "false_positive": int(((pred == 1) & (ds.labels == -1)).sum()),
-        "false_negative": int(((pred == -1) & (ds.labels == 1)).sum()),
-    }
+def accuracy(model: SvmModel, ds: LabeledDataset) -> float:
+    """Fraction of the rows of ``ds`` whose predicted label is correct."""
+    return float((_outputs(model, _features(model, ds.features))[1] == ds.labels).mean())
 
 
 # -- persistence -------------------------------------------------------------

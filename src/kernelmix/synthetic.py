@@ -36,7 +36,6 @@ def planted_feature_dataset(
     n: int = 120,
     dim: int = 8,
     seed: int = 0,
-    informative: int | None = None,
 ) -> tuple[LabeledDataset, int]:
     """Labels depend on one planted coordinate; the rest are noise.
 
@@ -44,8 +43,7 @@ def planted_feature_dataset(
     by positional tie-breaking. Returns (dataset, planted index).
     """
     rng = stream(seed, 13)
-    if informative is None:
-        informative = seed % dim
+    informative = seed % dim
     features = rng.normal(size=(n, dim))
     # keep the informative coordinate away from zero so labels are stable
     features[:, informative] += np.where(features[:, informative] >= 0, 0.5, -0.5)

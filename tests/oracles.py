@@ -185,3 +185,38 @@ def reference_train(
         margins = 1.0 - y * (Phi @ beta_avg / root + offset_avg)
         history.append(float(np.maximum(margins, 0.0).mean() + 0.5 * lam * beta_avg @ beta_avg))
     return beta_avg, (offset_avg if fit_offset else 0.0), history
+
+
+def reference_relaxed_objective(X, y, bank, omega, eps):
+    """The relaxed feature-selection objective and gradient as first written.
+
+    One feature block per kernel, centered by the dense n x n matrix
+    H = I - 11^T/n, with the gradient chained back block by block.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    omega = np.asarray(omega, dtype=float)
+    n = X.shape[0]
+    Xm = X * omega
+    H = np.eye(n) - np.full((n, n), 1.0 / n)
+    thetas, phis = [], []
+    for w, xi, b in zip(bank.weights.weights, bank.frequencies, bank.phases):
+        theta = Xm @ xi.T + b
+        thetas.append(theta)
+        phis.append(math.sqrt(2.0 * w) * np.cos(theta))
+    V = H @ np.hstack(phis)
+    reg = eps * n
+    A = V.T @ V + reg * np.eye(V.shape[1])
+    u = V.T @ y
+    alpha = np.linalg.solve(A, u)
+    objective = float((y @ y - u @ alpha) / reg)
+    g = (y - V @ alpha) / reg
+    dJ_dPhi = H @ (-2.0 * np.outer(g, V.T @ g))
+    grad = np.zeros_like(omega)
+    col = 0
+    for w, xi, theta in zip(bank.weights.weights, bank.frequencies, thetas):
+        block = dJ_dPhi[:, col : col + bank.draws]
+        S = block * (-math.sqrt(2.0 * w) * np.sin(theta))
+        grad += np.sum(X * (S @ xi), axis=0)
+        col += bank.draws
+    return objective, grad

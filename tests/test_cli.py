@@ -10,8 +10,9 @@ import pytest
 
 from kernelmix import cli
 from kernelmix.data import load_dataset
+from kernelmix.rff import FeatureBank
 from kernelmix.rng import stream
-from kernelmix.svm import load_model
+from kernelmix.svm import _checksum, load_model
 
 
 def write_dataset(path, n=40, seed=0, gap=3.0):
@@ -271,6 +272,20 @@ class TestTrainPredict:
         (tmp_path / "model.json").write_text(json.dumps(payload))
         code = cli.main(["predict", "--model", model_path, "--data", data, "--out", str(tmp_path / "p.csv")])
         assert code == 4
+
+    @pytest.mark.parametrize("weights", [[0.0, 0.0], [math.nan, 1.0]])
+    def test_degenerate_weights_exit_4(self, tmp_path, weights):
+        data, model_path = self.run_train(tmp_path, **{"--gammas": "0.5,2.0"})
+        payload = json.loads((tmp_path / "model.json").read_text())
+        bank = FeatureBank.from_dict(payload["bank"])
+        payload["bank"]["weights"] = weights
+        # a consistent checksum, so only the weights can fail the load
+        payload["frequency_checksum"] = _checksum(payload, bank)
+        (tmp_path / "model.json").write_text(json.dumps(payload))
+        out = tmp_path / "p.csv"
+        code = cli.main(["predict", "--model", model_path, "--data", data, "--out", str(out)])
+        assert code == 4
+        assert not out.exists()
 
     def test_model_bytes_deterministic(self, tmp_path):
         _data, model_path = self.run_train(tmp_path)

@@ -33,13 +33,12 @@ class TestLoadCsv:
         ds = load_dataset(path)
         assert ds.n == 3 and ds.dim == 2
         assert ds.labels.tolist() == [1, -1, 1]
-        assert ds.feature_names == ("f1", "f2")
+        assert np.array_equal(ds.features, [[1, 2], [3, 4], [5, 6]])
 
     def test_01_labels_mapped(self, tmp_path):
         path = write(tmp_path, "d.csv", "a,label\n1,0\n2,1\n")
         ds = load_dataset(path)
         assert ds.labels.tolist() == [-1, 1]
-        assert "label_mapping" in ds.flags
 
     def test_label_column_anywhere(self, tmp_path):
         path = write(tmp_path, "d.csv", "label,a,b\n1,1,2\n-1,3,4\n")
@@ -66,10 +65,12 @@ class TestLoadCsv:
         with pytest.raises(DataError):
             load_dataset(path)
 
-    def test_single_class_flagged(self, tmp_path):
+    def test_single_class_loads_but_does_not_split(self, tmp_path):
         path = write(tmp_path, "d.csv", "a,label\n1,1\n2,1\n")
         ds = load_dataset(path)
-        assert ds.flags.get("single_class") is True
+        assert ds.labels.tolist() == [1, 1]
+        with pytest.raises(DataError, match="both classes"):
+            split_by_label(ds)
 
     def test_missing_header(self, tmp_path):
         path = write(tmp_path, "d.csv", "")
@@ -158,7 +159,7 @@ class TestSplit:
         rng = stream(0)
         ds = LabeledDataset(rng.normal(size=(10, 2)), np.array([1, -1] * 5))
         split = split_by_label(ds)
-        assert split.balanced and split.n_plus == 5
+        assert split.n_plus == split.n_minus == 5
 
     def test_reconcat_is_permutation(self):
         for seed in range(5):

@@ -9,17 +9,21 @@ from kernelmix.diagnostics import (
     empirical_sup_error,
     frobenius_concentration,
     pointwise_error_bound,
-    sigma_p,
     spectral_concentration,
 )
 from kernelmix.errors import ConfigError
 from kernelmix.kernels import FAMILIES, BaseKernel
 from kernelmix.mmd import MixtureWeights
-from kernelmix.rff import sample_frequencies
+from kernelmix.rff import sample_frequencies, spectral_second_moment
 from kernelmix.rng import stream
 from oracles import feature_map, oracle_kernel
 
 GAUSS1 = BaseKernel("gaussian", 1.0)
+
+
+def sigma_p(kernel, dim):
+    """sqrt of the spectral second moment, as the diagnose command computes it."""
+    return math.sqrt(spectral_second_moment(kernel, dim))
 
 
 class TestComplexityBounds:

@@ -214,6 +214,21 @@ class TestListScorer:
         biased = mmd_scores(kernels, pos, neg, "biased")
         assert biased == [mmd_score(k, pos, neg, "biased") for k in kernels]
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kernels=kernel_lists(),
+        samples=class_samples(balanced=False),
+        seeds=st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)),
+    )
+    def test_biased_invariant_to_row_shuffles(self, kernels, samples, seeds):
+        pos, neg = samples
+        shuffled_pos = pos[np.random.default_rng(seeds[0]).permutation(len(pos))]
+        shuffled_neg = neg[np.random.default_rng(seeds[1]).permutation(len(neg))]
+        base = mmd_scores(kernels, pos, neg, "biased")
+        for a, b in zip(base, mmd_scores(kernels, shuffled_pos, shuffled_neg, "biased")):
+            # kernel values lie in [0, 1], so the squared MMD lies in [-2, 2]
+            assert abs(a.squared - b.squared) <= 1e-12 * max(abs(a.squared), 1.0)
+
     def test_rejects_empty_list_and_dimension_mismatch(self):
         with pytest.raises(ConfigError):
             mmd_scores([], np.zeros((3, 1)), np.ones((3, 1)))
@@ -309,3 +324,19 @@ class TestMixtureWeightsType:
     def test_normalizes(self):
         w = MixtureWeights(np.array([2.0, 2.0]))
         assert np.allclose(w.weights, 0.5)
+
+    @pytest.mark.parametrize("weights", [[0.0, 0.0], [math.nan, 1.0], [math.inf, 1.0]])
+    def test_rejects_degenerate(self, weights):
+        with pytest.raises(ConfigError, match="finite, nonnegative and not all zero"):
+            MixtureWeights(np.array(weights))
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.floats(0.0, 1e3), min_size=1, max_size=8))
+    def test_from_scores_lies_on_the_simplex(self, values):
+        w = MixtureWeights.from_scores(values)
+        assert (w.weights >= 0.0).all()
+        assert abs(w.weights.sum() - 1.0) <= 1e-12
+        all_zero = all(v == 0.0 for v in values)
+        assert w.degenerate == all_zero
+        if all_zero:
+            assert w.weights.tolist() == [1.0 / len(values)] * len(values)

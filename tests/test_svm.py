@@ -14,8 +14,9 @@ from kernelmix.rng import stream
 from kernelmix.svm import (
     SvmModel,
     TrainConfig,
+    _outputs,
+    accuracy,
     decision_values,
-    evaluate,
     hinge_objective,
     hinge_subgradient,
     load_model,
@@ -23,7 +24,6 @@ from kernelmix.svm import (
     model_to_dict,
     predict,
     save_model,
-    soft_output,
     train,
 )
 from oracles import reference_train
@@ -251,33 +251,20 @@ class TestPrediction:
             draws=model.draws,
             bank=model.bank,
         )
-        assert soft_output(zero, X[:1])[0] == pytest.approx(0.5)
-        p = soft_output(model, X)
+        Phi = build_feature_matrix(X, model.bank)
+        assert _outputs(zero, Phi[:1])[2][0] == pytest.approx(0.5)
+        p = _outputs(model, Phi)[2]
         assert np.all((p > 0.0) & (p < 1.0))
         dv = decision_values(model, X)
         order = np.argsort(dv)
         assert (np.diff(p[order]) >= -1e-15).all()
 
-    def test_evaluate(self):
-        model, X, y, _Phi = fitted_model()
-        ds = LabeledDataset(X, y.astype(int))
-        metrics = evaluate(model, ds)
-        assert 0.0 <= metrics["accuracy"] <= 1.0
-        counts = (
-            metrics["true_positive"]
-            + metrics["true_negative"]
-            + metrics["false_positive"]
-            + metrics["false_negative"]
-        )
-        assert counts == ds.n
-        errors = (metrics["false_positive"] + metrics["false_negative"]) / ds.n
-        assert metrics["accuracy"] + errors == pytest.approx(1.0)
-
     def test_perfect_and_constant_reference_points(self):
         model, X, y, _Phi = fitted_model()
         pred = predict(model, X)
-        acc = evaluate(model, LabeledDataset(X, y.astype(int)))["accuracy"]
-        assert acc == pytest.approx((pred == y).mean())
+        acc = accuracy(model, LabeledDataset(X, y.astype(int)))
+        assert 0.0 <= acc <= 1.0
+        assert acc == (pred == y).mean()
 
 
 class TestPersistence:
