@@ -27,11 +27,9 @@ from .data import (
 )
 from .diagnostics import (
     ComplexityReport,
-    complexity_bounds,
     empirical_sup_error,
-    frobenius_concentration,
     pointwise_error_bound,
-    spectral_concentration,
+    probe_pass,
 )
 from .errors import ConfigError, DataError, ModelIntegrityError
 from .kernels import BaseKernel
@@ -255,34 +253,34 @@ def cmd_select(args) -> int:
     return EXIT_OK
 
 
+def _draw_sweep(args) -> list[int]:
+    """--draw-sweep, else [--draws]; every D a positive integer."""
+    values = _parse_floats(args.draw_sweep) if args.draw_sweep else [args.draws]
+    if not all(v >= 1 and float(v).is_integer() for v in values):
+        raise ConfigError(f"draws must be positive integers, got {args.draw_sweep or args.draws}")
+    return [int(v) for v in values]
+
+
 def cmd_diagnose(args) -> int:
     ds = _synthetic_or_data(args)
     kernels = _bank_kernels(args)
+    sweep = _draw_sweep(args)
     split = split_by_label(ds)
     weights = mixing_weights(kernels, split.positives, split.negatives, estimator=args.estimator)
-    sweep = [int(v) for v in _parse_floats(args.draw_sweep)] if args.draw_sweep else [args.draws]
-    seeds = list(range(args.trials))
+    rows = probe_pass(ds.features, kernels, weights, sweep, list(range(args.trials)), args.seed, args.R)
 
-    complexity_rows, concentration_rows = [], []
-    violation = False
-    for draws in sweep:
-        bank = FeatureBank.generate(kernels, weights, draws, ds.dim, args.seed)
-        Phi = build_feature_matrix(ds.features, bank)
-        report = complexity_bounds(Phi, args.R, draws, len(kernels))
-        complexity_rows.append(asdict(report))
-        if report.erfc_bound > report.khintchine_bound:
-            violation = True
-        fro = frobenius_concentration(ds.features, kernels, weights, draws, seeds)
-        spec = spectral_concentration(ds.features, kernels, weights, draws, seeds)
-        concentration_rows.append(
-            {
-                "draws": draws,
-                "frobenius_max_deviation": fro["max_deviation"],
-                "frobenius_mean_deviation": fro["mean_deviation"],
-                "spectral_max_deviation": spec["max_deviation"],
-                "spectral_mean_deviation": spec["mean_deviation"],
-            }
-        )
+    complexity_rows = [asdict(report) for report, _fro, _spec in rows]
+    violation = any(r["erfc_bound"] > r["khintchine_bound"] for r in complexity_rows)
+    concentration_rows = [
+        {
+            "draws": report.draws,
+            "frobenius_max_deviation": fro["max_deviation"],
+            "frobenius_mean_deviation": fro["mean_deviation"],
+            "spectral_max_deviation": spec["max_deviation"],
+            "spectral_mean_deviation": spec["mean_deviation"],
+        }
+        for report, fro, spec in rows
+    ]
 
     first = kernels[0]
     sigma_p = math.sqrt(spectral_second_moment(first, ds.dim))

@@ -6,6 +6,17 @@ sqrt(192) * ||Phi||_F / |||Phi|||_2, while ``erfc_bound_display`` uses the
 displayed erfc(sqrt(192 D)). The sharper-than ordering against the
 Khintchine bound is asserted on the derivation-faithful variant.
 
+Every quantity of Phi is read from one Gram G, the smaller of Phi Phi^T and
+Phi^T Phi, with no SVD:
+
+  ||Phi||_F^2          = tr G
+  |||Phi|||_2^2        = lambda_max(G)
+  Tr((Phi Phi^T)^2)    = ||G||_F^2
+
+:func:`probe_pass` builds each (D, seed) bank and Phi once, and the mixture
+Gram K^w once per run. The spectral reference lambda_max(K^w) is a dense
+n x n eigensolve, so the pass refuses n > 2000 before building anything.
+
 The non-asymptotic spectral bounds for radial kernels carry e^{2n log 3}
 factors and are vacuous at any usable n; they are documented here and not
 computed.
@@ -52,12 +63,12 @@ def complexity_bounds(Phi: np.ndarray, R: float, draws: int, m: int) -> Complexi
     Phi = np.asarray(Phi, dtype=float)
     if Phi.ndim != 2:
         raise ConfigError("Phi must be a matrix")
-    singular = np.linalg.svd(Phi, compute_uv=False)
-    fro = float(np.sqrt((singular**2).sum()))
-    spec = float(singular[0])
+    G = Phi @ Phi.T if Phi.shape[0] <= Phi.shape[1] else Phi.T @ Phi
+    fro = math.sqrt(float(np.trace(G)))
     if fro == 0.0:
         raise ConfigError("complexity bounds undefined for a zero matrix")
-    trace_quartic = float((singular**4).sum())
+    spec = math.sqrt(float(np.linalg.eigvalsh(G)[-1]))
+    trace_quartic = float(np.einsum("ij,ij->", G, G))
     n = Phi.shape[0]
     pre = R / (n * draws)
     erfc_bound = pre * math.sqrt(math.pi / 192.0) * spec * float(erfc(math.sqrt(192.0) * fro / spec))
@@ -82,71 +93,59 @@ def complexity_bounds(Phi: np.ndarray, R: float, draws: int, m: int) -> Complexi
     )
 
 
-def _mixture_setup(X, kernels, weights, seeds):
+def probe_pass(
+    X: np.ndarray,
+    kernels: list[BaseKernel],
+    weights,
+    sweep: list[int],
+    seeds: list[int],
+    bounds_seed: int,
+    R: float,
+) -> list[tuple[ComplexityReport, dict, dict]]:
+    """(bounds report, Frobenius probe, spectral probe) for each D in ``sweep``.
+
+    One bank, one Phi and one :func:`complexity_bounds` report per seed in
+    ``seeds`` and ``bounds_seed``; the probes reduce the trial seeds'
+    reports against the K^w reference. One Phi is alive at a time.
+    """
     if not seeds:
         raise ConfigError("need at least one seed (trial)")
     X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.shape[0] > 2000:
+        raise ConfigError("dense eigensolve limited to n <= 2000")
     if not isinstance(weights, MixtureWeights):
         weights = MixtureWeights(np.asarray(weights, dtype=float))
-    return X, weights
-
-
-def frobenius_concentration(
-    X: np.ndarray,
-    kernels: list[BaseKernel],
-    weights,
-    draws: int,
-    seeds: list[int],
-) -> dict:
-    """Relative deviation | ||Phi||_F^2 - D Tr(K^w) | / (D Tr(K^w)) per seed."""
-    X, weights = _mixture_setup(X, kernels, weights, seeds)
     Kw = mixture_gram(kernels, weights.weights, X)
-    reference = draws * float(np.trace(Kw))
-    rows = []
-    for seed in seeds:
-        bank = FeatureBank.generate(kernels, weights, draws, X.shape[1], seed)
-        Phi = build_feature_matrix(X, bank)
-        fro_sq = float((Phi**2).sum())
-        rows.append({"seed": seed, "relative_deviation": abs(fro_sq - reference) / reference})
-    devs = np.array([r["relative_deviation"] for r in rows])
-    return {
-        "draws": draws,
-        "trace_reference": reference,
-        "rows": rows,
-        "max_deviation": float(devs.max()),
-        "mean_deviation": float(devs.mean()),
-    }
+    trace_kw, spectral_kw = float(np.trace(Kw)), float(np.linalg.eigvalsh(Kw)[-1])
+    del Kw
+    out = []
+    for draws in sweep:
+        reports = {}
+        for seed in dict.fromkeys([*seeds, bounds_seed]):
+            bank = FeatureBank.generate(kernels, weights, draws, X.shape[1], seed)
+            reports[seed] = complexity_bounds(build_feature_matrix(X, bank), R, draws, len(kernels))
+        trials = [reports[seed] for seed in seeds]
+        fro = frobenius_concentration(trials, trace_kw)
+        out.append((reports[bounds_seed], fro, spectral_concentration(trials, spectral_kw)))
+    return out
 
 
-def spectral_concentration(
-    X: np.ndarray,
-    kernels: list[BaseKernel],
-    weights,
-    draws: int,
-    seeds: list[int],
-) -> dict:
-    """Relative deviation | |||Phi|||_2^2 - D |||K^w|||_2 | / (D |||K^w|||_2)."""
-    X, weights = _mixture_setup(X, kernels, weights, seeds)
-    n = X.shape[0]
-    if n > 2000:
-        raise ConfigError("dense eigensolve limited to n <= 2000")
-    Kw = mixture_gram(kernels, weights.weights, X)
-    spec_K = float(np.linalg.eigvalsh(Kw)[-1])
-    reference = draws * spec_K
-    rows = []
-    for seed in seeds:
-        bank = FeatureBank.generate(kernels, weights, draws, X.shape[1], seed)
-        Phi = build_feature_matrix(X, bank)
-        spec_sq = float(np.linalg.eigvalsh(Phi @ Phi.T)[-1])
-        rows.append({"seed": seed, "relative_deviation": abs(spec_sq - reference) / reference})
-    devs = np.array([r["relative_deviation"] for r in rows])
-    return {
-        "draws": draws,
-        "spectral_reference": reference,
-        "rows": rows,
-        "max_deviation": float(devs.max()),
-        "mean_deviation": float(devs.mean()),
-    }
+def _deviations(squares: list[float], reference: float, name: str) -> dict:
+    devs = np.array([abs(value - reference) / reference for value in squares])
+    return {name: reference, "max_deviation": float(devs.max()), "mean_deviation": float(devs.mean())}
+
+
+# Two named reductions rather than one: perfbench/tracing.py times each by name.
+def frobenius_concentration(reports: list[ComplexityReport], trace_kw: float) -> dict:
+    """Relative deviation | ||Phi||_F^2 - D tr(K^w) | / (D tr(K^w)), one report per seed."""
+    squares = [r.frobenius_norm**2 for r in reports]
+    return _deviations(squares, reports[0].draws * trace_kw, "trace_reference")
+
+
+def spectral_concentration(reports: list[ComplexityReport], spectral_kw: float) -> dict:
+    """Relative deviation | |||Phi|||_2^2 - D |||K^w|||_2 | / (D |||K^w|||_2), one report per seed."""
+    squares = [r.spectral_norm**2 for r in reports]
+    return _deviations(squares, reports[0].draws * spectral_kw, "spectral_reference")
 
 
 def pointwise_error_bound(

@@ -220,3 +220,66 @@ def reference_relaxed_objective(X, y, bank, omega, eps):
         grad += np.sum(X * (S @ xi), axis=0)
         col += bank.draws
     return objective, grad
+
+
+def svd_complexity_bounds(Phi, R, draws, m) -> dict:
+    """The complexity report read from a full SVD of Phi, as first written."""
+    from scipy.special import erfc
+
+    singular = np.linalg.svd(np.asarray(Phi, dtype=float), compute_uv=False)
+    fro = float(np.sqrt((singular**2).sum()))
+    spec = float(singular[0])
+    trace_quartic = float((singular**4).sum())
+    n = Phi.shape[0]
+    pre = R / (n * draws)
+    return {
+        "n": n,
+        "draws": draws,
+        "m": m,
+        "R": R,
+        "frobenius_norm": fro,
+        "spectral_norm": spec,
+        "trace_quartic": trace_quartic,
+        "erfc_bound": pre * math.sqrt(math.pi / 192.0) * spec * float(erfc(math.sqrt(192.0) * fro / spec)),
+        "erfc_bound_display": pre * math.sqrt(math.pi / 192.0) * spec * float(erfc(math.sqrt(192.0 * draws))),
+        "khintchine_bound": (R / (n * draws * math.sqrt(m))) * math.sqrt(23.0 / 44.0) * fro,
+        "gaussian_bound": pre * (
+            2.0 * math.sqrt(math.pi * trace_quartic) / fro
+            + fro / (2.0 * spec**2) * math.exp(-(fro**4) / (4.0 * trace_quartic))
+        ),
+    }
+
+
+def _per_seed_probe(X, kernels, weights, draws, seeds, square_norm, reference_of_gram):
+    from kernelmix.mmd import MixtureWeights
+    from kernelmix.rff import FeatureBank, build_feature_matrix
+
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    weights = np.asarray(weights, dtype=float)
+    Kw = sum(w * naive_gram(k.family, k.rho, X) for w, k in zip(weights, kernels))
+    reference = draws * reference_of_gram(Kw)
+    devs = []
+    for seed in seeds:
+        bank = FeatureBank.generate(kernels, MixtureWeights(weights), draws, X.shape[1], seed)
+        devs.append(abs(square_norm(build_feature_matrix(X, bank)) - reference) / reference)
+    return {"reference": reference, "max_deviation": max(devs), "mean_deviation": float(np.mean(devs))}
+
+
+def oracle_frobenius_concentration(X, kernels, weights, draws, seeds) -> dict:
+    """Per-seed ||Phi||_F^2 against D tr(K^w): each Phi built anew, K^w from the naive Gram."""
+    return _per_seed_probe(
+        X, kernels, weights, draws, seeds, lambda Phi: float((Phi**2).sum()), lambda K: float(np.trace(K))
+    )
+
+
+def oracle_spectral_concentration(X, kernels, weights, draws, seeds) -> dict:
+    """Per-seed |||Phi|||_2^2 (from an SVD) against D |||K^w|||_2."""
+    return _per_seed_probe(
+        X,
+        kernels,
+        weights,
+        draws,
+        seeds,
+        lambda Phi: float(np.linalg.svd(Phi, compute_uv=False)[0] ** 2),
+        lambda K: float(np.linalg.eigvalsh(K)[-1]),
+    )

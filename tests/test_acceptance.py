@@ -12,7 +12,7 @@ import numpy as np
 
 from kernelmix import cli
 from kernelmix.data import standardize
-from kernelmix.diagnostics import complexity_bounds, empirical_sup_error, frobenius_concentration
+from kernelmix.diagnostics import complexity_bounds, empirical_sup_error, probe_pass
 from kernelmix.kernels import FAMILIES, BaseKernel, kernel_matrix
 from kernelmix.mmd import (
     MixtureWeights,
@@ -132,10 +132,9 @@ def test_criterion_05_frobenius_concentration():
     X = stream(1005).normal(size=(100, 3))
     kernel = BaseKernel("gaussian", 1.0)
     seeds = list(range(10))
-    at_4096 = frobenius_concentration(X, [kernel], [1.0], draws=4096, seeds=seeds)
+    rows = probe_pass(X, [kernel], [1.0], [1024, 4096, 16384], seeds, bounds_seed=0, R=1.0)
+    at_1024, at_4096, at_16384 = (fro for _report, fro, _spec in rows)
     assert at_4096["max_deviation"] <= 0.05
-    at_1024 = frobenius_concentration(X, [kernel], [1.0], draws=1024, seeds=seeds)
-    at_16384 = frobenius_concentration(X, [kernel], [1.0], draws=16384, seeds=seeds)
     assert at_16384["mean_deviation"] < at_1024["mean_deviation"]
     print(
         f"[criterion 5] Frobenius concentration: max@4096={at_4096['max_deviation']:.4f}, "

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from kernelmix import cli
+from kernelmix import cli, diagnostics
 from kernelmix.data import load_dataset
 from kernelmix.rff import FeatureBank
 from kernelmix.rng import stream
@@ -403,13 +403,37 @@ class TestDiagnose:
                 khintchine_bound=1.0, gaussian_bound=1.0,
             )
 
-        monkeypatch.setattr(cli, "complexity_bounds", fake_bounds)
+        monkeypatch.setattr(diagnostics, "complexity_bounds", fake_bounds)
         data = write_dataset(tmp_path / "d.csv", n=20)
         args = [
             "diagnose", "--data", data, "--gammas", "0.5", "--draws", "16",
             "--trials", "1", "--pairs", "2", "--out", str(tmp_path / "diag"),
         ]
         assert cli.main(args) == 1
+
+    def test_size_check_runs_before_any_feature_matrix(self, tmp_path, monkeypatch, capsys):
+        def refuse(*_args):
+            raise AssertionError("built before the n <= 2000 check")
+
+        for module, name in ((cli, "build_feature_matrix"), (diagnostics, "build_feature_matrix"),
+                             (diagnostics, "mixture_gram")):
+            monkeypatch.setattr(module, name, refuse)
+        args = [
+            "diagnose", "--synthetic", "two-gaussian", "--synthetic-n", "2100",
+            "--draws", "2048", "--trials", "3", "--out", str(tmp_path / "diag"),
+        ]
+        assert cli.main(args) == 3
+        assert "n <= 2000" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sweep", ["1.5", "0,64", "-5", "64,inf", "nan"])
+    def test_draw_sweep_needs_positive_integers(self, tmp_path, capsys, sweep):
+        data = write_dataset(tmp_path / "d.csv", n=20)
+        args = [
+            "diagnose", "--data", data, "--gammas", "0.5", "--draw-sweep", sweep,
+            "--trials", "1", "--pairs", "2", "--out", str(tmp_path / "diag"),
+        ]
+        assert cli.main(args) == 3
+        assert "positive integers" in capsys.readouterr().err
 
     @pytest.mark.parametrize("trials", ["0", "-2"])
     def test_no_trials_exit_3(self, tmp_path, capsys, trials):
@@ -465,15 +489,21 @@ def test_import_leaves_out_scipy_stats_and_exports_resolve():
     assert result.returncode == 0, result.stderr
 
 
-def test_benchmark_tracer_targets_resolve():
-    # perfbench/tracing.py wraps these names on every traced operation; one
-    # that no longer resolves fails every traced benchmark run
+def load_tracing():
+    """perfbench/tracing.py, loaded by path (perfbench is not a package)."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracing", os.path.join(root, "perfbench", "tracing.py")
     )
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_benchmark_tracer_targets_resolve():
+    # perfbench/tracing.py wraps these names on every traced operation; one
+    # that no longer resolves fails every traced benchmark run
+    tracing = load_tracing()
     missing = []
     for _name, module_name, attr, _work in tracing.TARGETS:
         obj = importlib.import_module(module_name)
@@ -482,3 +512,21 @@ def test_benchmark_tracer_targets_resolve():
         if not callable(obj):
             missing.append(f"{module_name}.{attr}")
     assert not missing, missing
+
+
+@pytest.mark.parametrize("seed, seeds_built", [(1, 3), (7, 4)])
+def test_traced_diagnose_builds_each_phi_once(tmp_path, capsys, seed, seeds_built):
+    # one Phi per (D, seed) over the trial seeds and --seed, one mixture
+    # Gram (one kernel_matrix call per kernel) per run
+    tracing = load_tracing()
+    data = write_dataset(tmp_path / "d.csv", n=30)
+    args = [
+        "diagnose", "--data", data, "--gammas", "0.5,2,8", "--draw-sweep", "16,32",
+        "--trials", "3", "--pairs", "5", "--seed", str(seed), "--out", str(tmp_path / "diag"),
+    ]
+    tracer = tracing.Tracer()
+    code, first = tracer.run_op(lambda: cli.main(args))
+    assert code == 0
+    metrics = tracing.layer_metrics(tracer.spans[first:], first, 30, 0)
+    assert metrics["rff.phi_builds"] == 2 * seeds_built
+    assert metrics["kernels.kernel_matrix_calls"] == 3

@@ -1,24 +1,59 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erfc
 
 from kernelmix.diagnostics import (
     complexity_bounds,
     empirical_sup_error,
-    frobenius_concentration,
     pointwise_error_bound,
-    spectral_concentration,
+    probe_pass,
 )
 from kernelmix.errors import ConfigError
 from kernelmix.kernels import FAMILIES, BaseKernel
 from kernelmix.mmd import MixtureWeights
-from kernelmix.rff import sample_frequencies, spectral_second_moment
+from kernelmix.rff import FeatureBank, build_feature_matrix, sample_frequencies, spectral_second_moment
 from kernelmix.rng import stream
-from oracles import feature_map, oracle_kernel
+from oracles import (
+    feature_map,
+    oracle_frobenius_concentration,
+    oracle_kernel,
+    oracle_spectral_concentration,
+    svd_complexity_bounds,
+)
 
 GAUSS1 = BaseKernel("gaussian", 1.0)
+
+
+def probe(X, kernels, weights, draws, seeds):
+    """(report, Frobenius probe, spectral probe) of one D, bounds on the first seed."""
+    return probe_pass(X, kernels, weights, [draws], seeds, seeds[0], 1.0)[0]
+
+
+@st.composite
+def feature_matrices(draw):
+    """(Phi, draws, m) with n < mD, n > mD, n = mD or rank below min(n, mD)."""
+    m, draws = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    total = m * draws
+    shape = draw(st.sampled_from(("n < mD", "n > mD", "n = mD", "rank-deficient")))
+    if shape == "n < mD" and total > 1:
+        n = draw(st.integers(1, total - 1))
+    elif shape == "n > mD":
+        n = draw(st.integers(total + 1, total + 10))
+    else:
+        n = total if shape != "rank-deficient" else draw(st.integers(2, 12))
+    rng = stream(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.floats(0.1, 10.0))
+    if shape == "rank-deficient" and min(n, total) > 1:
+        rank = draw(st.integers(1, min(n, total) - 1))
+        Phi = rng.normal(size=(n, rank)) @ rng.normal(size=(rank, total))
+    else:
+        Phi = rng.normal(size=(n, total))
+    return scale * Phi, draws, m
 
 
 def sigma_p(kernel, dim):
@@ -73,35 +108,69 @@ class TestComplexityBounds:
         with pytest.raises(ConfigError):
             complexity_bounds(np.zeros((3, 3)), R=1.0, draws=3, m=1)
 
+    @settings(max_examples=200, deadline=None)
+    @given(case=feature_matrices(), R=st.floats(0.1, 100.0))
+    def test_matches_svd_oracle(self, case, R):
+        # the erfc term underflows to 0 near erfc(26.5); the absolute floor
+        # covers the subnormal results just above it
+        Phi, draws, m = case
+        got, want = asdict(complexity_bounds(Phi, R, draws, m)), svd_complexity_bounds(Phi, R, draws, m)
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            assert math.isclose(got[key], value, rel_tol=1e-10, abs_tol=1e-300), key
+
 
 class TestConcentration:
     def test_trace_reference_is_n_for_unit_diagonal(self):
         X = stream(104).normal(size=(12, 3))
         kernels = [GAUSS1, BaseKernel("gaussian", 2.0)]
         w = MixtureWeights(np.array([0.25, 0.75]))
-        report = frobenius_concentration(X, kernels, w, draws=16, seeds=[0, 1])
-        assert report["trace_reference"] == pytest.approx(16 * 12)
+        _report, fro, _spec = probe(X, kernels, w, draws=16, seeds=[0, 1])
+        assert fro["trace_reference"] == pytest.approx(16 * 12)
 
     def test_frobenius_deviation_small_at_large_draws(self):
         X = stream(105).normal(size=(30, 2))
-        report = frobenius_concentration(X, [GAUSS1], [1.0], draws=4096, seeds=[0, 1, 2])
-        assert report["max_deviation"] <= 0.05
+        _report, fro, _spec = probe(X, [GAUSS1], [1.0], draws=4096, seeds=[0, 1, 2])
+        assert fro["max_deviation"] <= 0.05
 
     def test_single_draw_runs_without_assertion(self):
         X = stream(106).normal(size=(10, 2))
-        report = frobenius_concentration(X, [GAUSS1], [1.0], draws=1, seeds=[0, 1])
-        assert len(report["rows"]) == 2  # deviations are large here; report only
+        _report, fro, spec = probe(X, [GAUSS1], [1.0], draws=1, seeds=[0, 1])
+        # deviations are large here; report only
+        assert math.isfinite(fro["max_deviation"]) and math.isfinite(spec["max_deviation"])
 
     def test_spectral_one_hot_matches_single_kernel(self):
         X = stream(107).normal(size=(15, 2))
         kernels = [GAUSS1, BaseKernel("gaussian", 3.0)]
-        one_hot = spectral_concentration(X, kernels, [1.0, 0.0], draws=256, seeds=[3])
-        single = spectral_concentration(X, [GAUSS1], [1.0], draws=256, seeds=[3])
+        one_hot = probe(X, kernels, [1.0, 0.0], draws=256, seeds=[3])[2]
+        single = probe(X, [GAUSS1], [1.0], draws=256, seeds=[3])[2]
         assert one_hot["spectral_reference"] == pytest.approx(single["spectral_reference"])
 
     def test_spectral_size_guard(self):
         with pytest.raises(ConfigError):
-            spectral_concentration(np.zeros((2001, 2)), [GAUSS1], [1.0], draws=4, seeds=[0])
+            probe(np.zeros((2001, 2)), [GAUSS1], [1.0], draws=4, seeds=[0])
+
+    @pytest.mark.parametrize(
+        "n, sweep, seeds, bounds_seed",
+        [(12, [4, 64], [0, 1, 2], 1), (40, [3, 8], [5, 2], 9), (20, [10], [4], 4)],
+    )
+    def test_matches_per_seed_oracles(self, n, sweep, seeds, bounds_seed):
+        # n = 40 with D = 3 or 8 puts n above mD, so Phi^T Phi is the Gram read
+        X = stream(112, n).normal(size=(n, 3))
+        kernels = [BaseKernel("gaussian", 0.7), BaseKernel("laplacian", 1.5)]
+        weights = [0.3, 0.7]
+        rows = probe_pass(X, kernels, weights, sweep, seeds, bounds_seed, 2.0)
+        assert len(rows) == len(sweep)
+        for draws, (report, fro, spec) in zip(sweep, rows):
+            want_fro = oracle_frobenius_concentration(X, kernels, weights, draws, seeds)
+            want_spec = oracle_spectral_concentration(X, kernels, weights, draws, seeds)
+            for got, want, key in ((fro, want_fro, "trace_reference"), (spec, want_spec, "spectral_reference")):
+                assert got[key] == pytest.approx(want["reference"], rel=1e-12)
+                assert got["max_deviation"] == pytest.approx(want["max_deviation"], rel=1e-12)
+                assert got["mean_deviation"] == pytest.approx(want["mean_deviation"], rel=1e-12)
+            bank = FeatureBank.generate(kernels, MixtureWeights(np.array(weights)), draws, 3, bounds_seed)
+            Phi = build_feature_matrix(X, bank)
+            assert asdict(report) == pytest.approx(svd_complexity_bounds(Phi, 2.0, draws, 2), rel=1e-10)
 
 
 class TestPointwiseBound:
