@@ -79,10 +79,6 @@ class MixtureWeights:
             return cls(weights=np.full(m, 1.0 / m), degenerate=True)
         return cls(weights=values / total, degenerate=False)
 
-    @property
-    def m(self) -> int:
-        return self.weights.shape[0]
-
 
 def mmd_scores(
     kernels: list[BaseKernel],

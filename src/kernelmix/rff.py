@@ -8,12 +8,14 @@ at the classifier, never here, so the two factors are not double-counted.
 Spectral (Bochner dual) laws per family, for bandwidth rho:
 
   gaussian, anova  xi_k ~ Normal(0, 1/rho^2) per coordinate
-  laplacian        xi_k ~ Cauchy(0, 1/rho)   per coordinate
+  laplacian        xi = z / (rho |g|), z ~ Normal(0, I_d), g ~ Normal(0, 1)
 
 ANOVA with one shared rho is the Gaussian kernel, so it shares the Gaussian
-law. The Cauchy law has no second moment (sigma_p^2 = inf, so the pointwise
-error bound refuses it); it is the dual of the product-form Laplacian, which
-equals the Euclidean Laplacian of :mod:`kernelmix.kernels` only when d = 1.
+law. The Laplacian law is the multivariate Cauchy, with density
+proportional to (1 + rho^2 ||xi||^2)^(-(d+1)/2), the dual of the Euclidean
+Laplacian exp(-||x - y|| / rho) in every dimension; each coordinate is
+Cauchy(0, 1/rho). It has no second moment (sigma_p^2 = inf, so the
+pointwise error bound refuses it).
 """
 
 from __future__ import annotations
@@ -52,7 +54,8 @@ def sample_frequencies(
         raise ConfigError("need at least one draw")
     rng = stream(seed, kernel_index)
     if kernel.family == "laplacian":
-        xi = rng.standard_cauchy(size=(draws, dim)) / kernel.rho
+        z = rng.normal(size=(draws, dim))
+        xi = z / (kernel.rho * np.abs(rng.normal(size=(draws, 1))))
     else:
         xi = rng.normal(0.0, 1.0 / kernel.rho, size=(draws, dim))
     b = rng.uniform(0.0, 2.0 * math.pi, size=draws)
@@ -60,11 +63,15 @@ def sample_frequencies(
 
 
 def feature_block(X: np.ndarray, xi: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """All D features of one kernel for every row of X (n x D)."""
+    """All D features of one kernel for every row of X (n x D), in one buffer."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != xi.shape[1]:
         raise ConfigError(f"dimension mismatch {X.shape[1]} vs {xi.shape[1]}")
-    return math.sqrt(2.0) * np.cos(X @ xi.T + b)
+    out = X @ xi.T
+    out += b
+    np.cos(out, out=out)
+    out *= math.sqrt(2.0)
+    return out
 
 
 @dataclass(frozen=True)
@@ -93,8 +100,8 @@ class FeatureBank:
         dim: int,
         seed: int,
     ) -> "FeatureBank":
-        if len(kernels) != weights.m:
-            raise ConfigError(f"{len(kernels)} kernels but {weights.m} weights")
+        if len(kernels) != len(weights.weights):
+            raise ConfigError(f"{len(kernels)} kernels but {len(weights.weights)} weights")
         freqs, phases = [], []
         for idx, kernel in enumerate(kernels):
             xi, b = sample_frequencies(kernel, draws, dim, seed, kernel_index=idx)

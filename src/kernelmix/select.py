@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import LabeledDataset, kfold_split, split_by_label
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 from .kernels import BaseKernel
 from .mmd import MixtureWeights, mmd_scores
 from .rff import FeatureBank, build_feature_matrix
@@ -44,19 +44,20 @@ def _child_seed(seed: int, *path: int) -> int:
     return int(stream(seed, *path).integers(2**63))
 
 
-def _train_single_kernel(
+def _fit(
     ds: LabeledDataset,
-    gamma: float,
+    gammas,
+    scores,
     draws: int,
     cfg: TrainConfig,
     bank_seed: int,
 ) -> SvmModel:
-    kernel = BaseKernel.from_gamma("gaussian", gamma)
-    bank = FeatureBank.generate(
-        [kernel], MixtureWeights(np.array([1.0])), draws, ds.dim, bank_seed
-    )
-    Phi = build_feature_matrix(ds.features, bank)
-    return train(Phi, ds.labels, cfg, bank=bank)
+    """Train on the Phi of ``ds`` under a Gaussian bank over ``gammas``,
+    weighted by ``scores`` normalized onto the simplex."""
+    kernels = [BaseKernel.from_gamma("gaussian", g) for g in gammas]
+    weights = MixtureWeights.from_scores(scores)
+    bank = FeatureBank.generate(kernels, weights, draws, ds.dim, bank_seed)
+    return train(build_feature_matrix(ds.features, bank), ds.labels, cfg, bank=bank)
 
 
 def cv_bandwidth_select(
@@ -79,8 +80,8 @@ def cv_bandwidth_select(
         for fi, (train_idx, val_idx) in enumerate(kfold_split(ds, folds, seed)):
             train_ds = LabeledDataset(ds.features[train_idx], ds.labels[train_idx])
             val_ds = LabeledDataset(ds.features[val_idx], ds.labels[val_idx])
-            model = _train_single_kernel(
-                train_ds, gamma, draws, cfg, _child_seed(seed, 5, gi, fi)
+            model = _fit(
+                train_ds, [gamma], [1.0], draws, cfg, _child_seed(seed, 5, gi, fi)
             )
             accs.append(accuracy(model, val_ds))
         accs = np.array(accs)
@@ -98,7 +99,6 @@ def cv_bandwidth_select(
 def mmd_bandwidth_select(
     ds: LabeledDataset,
     gammas,
-    estimator: str = "auto",
 ) -> tuple[float, list[dict], bool]:
     """Score each gamma by the class-conditional MMD; no training involved.
 
@@ -107,10 +107,8 @@ def mmd_bandwidth_select(
     """
     gammas = _check_grid(gammas)
     split = split_by_label(ds)
-    if split.n_plus < 2 or split.n_minus < 2:
-        raise DataError("MMD selection needs at least 2 samples per class")
     kernels = [BaseKernel.from_gamma("gaussian", g) for g in gammas]
-    scores = mmd_scores(kernels, split.positives, split.negatives, estimator=estimator)
+    scores = mmd_scores(kernels, split.positives, split.negatives)
     rows = [{"gamma": float(g), "mmd_score": s.value} for g, s in zip(gammas, scores)]
     values = np.array([r["mmd_score"] for r in rows])
     degenerate = bool(values.max() == 0.0)
@@ -120,37 +118,24 @@ def mmd_bandwidth_select(
 
 @dataclass(frozen=True)
 class SelectionReport:
-    gammas: np.ndarray
-    cv_mean: np.ndarray
-    cv_std: np.ndarray
-    mmd_scores: np.ndarray
+    """One row per gamma (gamma, cv_mean, cv_std, mmd_score), picks, accuracies."""
+
+    rows: list[dict]
     cv_gamma: float
     mmd_gamma: float
     agreement: bool
     cv_seconds: float
     mmd_seconds: float
-    test_accuracy: dict = field(default_factory=dict)
-    degenerate: bool = False
-
-    def rows(self) -> list[dict]:
-        return [
-            {
-                "gamma": float(g),
-                "cv_mean": float(cm),
-                "cv_std": float(cs),
-                "mmd_score": float(ms),
-            }
-            for g, cm, cs, ms in zip(self.gammas, self.cv_mean, self.cv_std, self.mmd_scores)
-        ]
+    test_accuracy: dict
+    degenerate: bool
 
     def to_dict(self) -> dict:
+        """Everything but the timings, which differ between identical runs."""
         return {
-            "rows": self.rows(),
+            "rows": self.rows,
             "cv_gamma": self.cv_gamma,
             "mmd_gamma": self.mmd_gamma,
             "agreement_within_one_step": self.agreement,
-            "cv_seconds": self.cv_seconds,
-            "mmd_seconds": self.mmd_seconds,
             "test_accuracy": self.test_accuracy,
             "degenerate": self.degenerate,
         }
@@ -198,25 +183,16 @@ def compare_selection(
     mmd_gamma, mmd_rows, degenerate = mmd_bandwidth_select(train_ds, gammas)
     mmd_seconds = time.perf_counter() - t0
 
-    cv_model = _train_single_kernel(train_ds, cv_gamma, draws, cfg, _child_seed(seed, 23))
-    mmd_model = _train_single_kernel(train_ds, mmd_gamma, draws, cfg, _child_seed(seed, 29))
-
-    kernels = [BaseKernel.from_gamma("gaussian", g) for g in gammas]
-    weights = MixtureWeights.from_scores([r["mmd_score"] for r in mmd_rows])
-    mix_bank = FeatureBank.generate(
-        kernels, weights, draws, train_ds.dim, _child_seed(seed, 31)
-    )
-    mix_Phi = build_feature_matrix(train_ds.features, mix_bank)
-    mix_model = train(mix_Phi, train_ds.labels, cfg, bank=mix_bank)
+    cv_model = _fit(train_ds, [cv_gamma], [1.0], draws, cfg, _child_seed(seed, 23))
+    mmd_model = _fit(train_ds, [mmd_gamma], [1.0], draws, cfg, _child_seed(seed, 29))
+    mmd_values = [r["mmd_score"] for r in mmd_rows]
+    mix_model = _fit(train_ds, gammas, mmd_values, draws, cfg, _child_seed(seed, 31))
 
     gamma_index = {float(g): i for i, g in enumerate(gammas)}
     agreement = abs(gamma_index[cv_gamma] - gamma_index[mmd_gamma]) <= 1
 
     return SelectionReport(
-        gammas=gammas,
-        cv_mean=np.array([r["cv_mean"] for r in cv_rows]),
-        cv_std=np.array([r["cv_std"] for r in cv_rows]),
-        mmd_scores=np.array([r["mmd_score"] for r in mmd_rows]),
+        rows=[{**c, **m} for c, m in zip(cv_rows, mmd_rows)],
         cv_gamma=cv_gamma,
         mmd_gamma=mmd_gamma,
         agreement=agreement,
@@ -305,9 +281,7 @@ def kernel_feature_select(
     y: np.ndarray,
     bank: FeatureBank,
     m_sel: int,
-    eps: float | None = None,
     steps: int = 150,
-    step_size: float = 1.0,
 ) -> FeatureMask:
     """Projected gradient descent on the relaxed feature-selection objective.
 
@@ -315,20 +289,19 @@ def kernel_feature_select(
     {v in [0,1]^d : sum v <= m_sel}. Steps use backtracking (halve until the
     projected step decreases the objective), so the returned iterate never
     scores worse than the uniform start. The final mask sets the m_sel
-    largest relaxed scores to 1. ``eps`` defaults to 0.001/n.
+    largest relaxed scores to 1. The ridge is eps = 0.001/n.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, d = X.shape
     if not 1 <= m_sel <= d:
         raise ConfigError(f"m_sel must lie in [1, {d}]")
-    if eps is None:
-        eps = 0.001 / n
+    eps = 0.001 / n
     cap = float(m_sel)
     omega = np.full(d, m_sel / d)
     objective, grad = relaxed_objective(X, y, bank, omega, eps)
     initial_obj = objective
-    eta = step_size
+    eta = 1.0
     for _ in range(steps):
         gnorm = float(np.linalg.norm(grad))
         if gnorm == 0.0:
@@ -339,7 +312,7 @@ def kernel_feature_select(
             cand_obj, cand_grad = relaxed_objective(X, y, bank, candidate, eps)
             if cand_obj < objective:
                 omega, objective, grad = candidate, cand_obj, cand_grad
-                eta = min(eta * 1.5, step_size)
+                eta = min(eta * 1.5, 1.0)
                 moved = True
                 break
             eta /= 2.0

@@ -64,10 +64,6 @@ class SvmModel:
     bank: FeatureBank | None = None
     meta: dict = field(default_factory=dict)
 
-    @property
-    def radius(self) -> float:
-        return self.R / math.sqrt(self.beta.shape[0])
-
 
 def _margins(scores: np.ndarray, y: np.ndarray, offset: float, draws: int) -> np.ndarray:
     """Hinge arguments 1 - y_i f(x_i), given ``scores = Phi @ beta``."""
@@ -138,15 +134,14 @@ def train(
     Phi: np.ndarray,
     y: np.ndarray,
     cfg: TrainConfig,
-    draws: int | None = None,
     bank: FeatureBank | None = None,
 ) -> SvmModel:
     """Fit the constrained SVM on a prebuilt feature matrix.
 
-    ``draws`` is D, the number of random features per base kernel; it
-    defaults to ``bank.draws`` when a bank is given, else to the full
-    feature count (single-kernel convention). The bank, when supplied, is
-    kept on the model so it can score raw inputs later.
+    D, the number of random features per base kernel, is ``bank.draws``
+    when a bank is given, else the full feature count (single-kernel
+    convention). The bank, when supplied, is kept on the model so it can
+    score raw inputs later.
     """
     Phi = np.asarray(Phi, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -156,8 +151,7 @@ def train(
         raise DataError("feature matrix contains non-finite entries")
     if len(set(np.sign(y).tolist())) < 2:
         raise DataError("training needs both classes present")
-    if draws is None:
-        draws = bank.draws if bank is not None else Phi.shape[1]
+    draws = bank.draws if bank is not None else Phi.shape[1]
 
     n, total = Phi.shape
     full_batch = cfg.batch_size is None

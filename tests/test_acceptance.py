@@ -22,7 +22,7 @@ from kernelmix.mmd import (
     mmd_convergence_probe,
     mmd_score,
 )
-from kernelmix.rff import FeatureBank, build_feature_matrix
+from kernelmix.rff import FeatureBank, build_feature_matrix, feature_block, sample_frequencies
 from kernelmix.rng import stream
 from kernelmix.select import compare_selection, kernel_feature_select, relaxed_objective
 from kernelmix.svm import TrainConfig, hinge_objective, hinge_subgradient, train
@@ -125,6 +125,24 @@ def test_criterion_04_rff_fidelity():
     assert passes >= 95
     assert elapsed < 30.0
     print(f"[criterion 4] RFF fidelity: {passes}/100 seeds within 0.05, {elapsed:.1f}s PASS")
+
+
+def test_criterion_04b_laplacian_rff_fidelity():
+    """The Laplacian bank's features estimate the Euclidean Laplacian that MMD
+    scores: max |Phi Phi^T / D - K| <= 0.05 over 200 rows at d = 5 and d = 20."""
+    draws = 20_000
+    worst = {}
+    for dim in (5, 20):
+        kernel = BaseKernel.from_gamma("laplacian", 0.5 / dim)
+        X = stream(1014, dim).normal(size=(200, dim))
+        xi, b = sample_frequencies(kernel, draws, dim, seed=dim)
+        Phi = feature_block(X, xi, b)
+        worst[dim] = float(np.abs(Phi @ Phi.T / draws - kernel_matrix(kernel, X)).max())
+        assert worst[dim] <= 0.05, (dim, worst[dim])
+    print(
+        f"[criterion 4b] Laplacian RFF fidelity at D={draws}: max error "
+        f"{worst[5]:.4f} (d=5), {worst[20]:.4f} (d=20) <= 0.05 PASS"
+    )
 
 
 def test_criterion_05_frobenius_concentration():

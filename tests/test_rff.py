@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kernelmix.errors import ConfigError
 from kernelmix.kernels import BaseKernel, mixture_gram
@@ -208,3 +210,17 @@ class TestFeatureMatrix:
         for i in range(4):
             for j in range(16):
                 assert block[i, j] == pytest.approx(feature_map(X[i], xi[j], b[j]), abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        dim=st.integers(1, 6),
+        draws=st.integers(1, 50),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_feature_block_bit_identical_to_expression(self, n, dim, draws, seed):
+        rng = stream(seed)
+        X = rng.normal(scale=3.0, size=(n, dim))
+        xi = rng.standard_cauchy(size=(draws, dim))
+        b = rng.uniform(0.0, 2.0 * math.pi, size=draws)
+        assert np.array_equal(feature_block(X, xi, b), math.sqrt(2.0) * np.cos(X @ xi.T + b))

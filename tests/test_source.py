@@ -1,0 +1,27 @@
+"""Static checks over the package source."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCE = sorted(
+    p for p in (Path(__file__).parent.parent / "src" / "kernelmix").glob("*.py")
+    if p.name != "__init__.py"
+)
+
+
+@pytest.mark.parametrize("path", SOURCE, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+    assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"

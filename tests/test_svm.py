@@ -122,7 +122,10 @@ class TestTrain:
             R=R, lam=0.05, epochs=15, batch_size=batch_size, step_size=0.5,
             schedule=schedule, seed=4, fit_offset=fit_offset,
         )
-        model = train(Phi, y, cfg, draws=8)
+        # D = 8 draws per kernel of a 3-kernel bank, so D != mD = 24
+        kernels = [BaseKernel("gaussian", rho) for rho in (0.5, 1.0, 2.0)]
+        bank = FeatureBank.generate(kernels, MixtureWeights(np.ones(3)), 8, 2, 0)
+        model = train(Phi, y, cfg, bank=bank)
         beta, offset, history = reference_train(
             Phi, y, R, 0.05, 15, 0.5, 8, batch_size=batch_size, rng=stream(4, 3),
             schedule=schedule, fit_offset=fit_offset,
