@@ -261,6 +261,11 @@ def cmd_diagnose(args) -> int:
     ds = _synthetic_or_data(args)
     kernels = _bank_kernels(args)
     sweep = _draw_sweep(args)
+    for flag, value in (("--R", args.R), ("--eps", args.eps)):
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"{flag} must be finite and positive, got {value}")
+    if args.pairs < 1:
+        raise ConfigError(f"--pairs must be at least 1, got {args.pairs}")
     split = split_by_label(ds)
     weights = mixing_weights(kernels, split.positives, split.negatives, estimator=args.estimator)
     rows = probe_pass(ds.features, kernels, weights, sweep, list(range(args.trials)), args.seed, args.R)

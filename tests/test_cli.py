@@ -411,19 +411,46 @@ class TestDiagnose:
         ]
         assert cli.main(args) == 1
 
-    def test_size_check_runs_before_any_feature_matrix(self, tmp_path, monkeypatch, capsys):
+    @pytest.fixture
+    def refuse_builds(self, monkeypatch):
         def refuse(*_args):
-            raise AssertionError("built before the n <= 2000 check")
+            raise AssertionError("built a feature matrix or Gram before the check")
 
         for module, name in ((cli, "build_feature_matrix"), (diagnostics, "build_feature_matrix"),
                              (diagnostics, "mixture_gram")):
             monkeypatch.setattr(module, name, refuse)
+
+    def test_size_check_runs_before_any_feature_matrix(self, tmp_path, capsys, refuse_builds):
         args = [
             "diagnose", "--synthetic", "two-gaussian", "--synthetic-n", "2100",
             "--draws", "2048", "--trials", "3", "--out", str(tmp_path / "diag"),
         ]
         assert cli.main(args) == 3
         assert "n <= 2000" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--R", "-1"],
+            ["--R", "0"],
+            ["--R", "nan"],
+            ["--R", "inf"],
+            ["--eps", "0"],
+            ["--eps", "-1"],
+            ["--eps", "-1", "--families", "laplacian,gaussian"],
+            ["--pairs", "0"],
+        ],
+        ids=" ".join,
+    )
+    def test_scalar_flags_checked_before_any_work(self, tmp_path, capsys, refuse_builds, flags):
+        args = [
+            "diagnose", "--synthetic", "two-gaussian", "--synthetic-n", "400",
+            "--gammas", "0.5,2", "--draw-sweep", "512,2048", "--trials", "3",
+            "--out", str(tmp_path / "diag"), *flags,
+        ]
+        assert cli.main(args) == 3
+        assert flags[0] in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("sweep", ["1.5", "0,64", "-5", "64,inf", "nan"])
     def test_draw_sweep_needs_positive_integers(self, tmp_path, capsys, sweep):

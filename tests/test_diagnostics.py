@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 from scipy.special import erfc
 
 from kernelmix.diagnostics import (
+    _top_eigenvalue,
     complexity_bounds,
     empirical_sup_error,
     pointwise_error_bound,
     probe_pass,
 )
 from kernelmix.errors import ConfigError
-from kernelmix.kernels import FAMILIES, BaseKernel
+from kernelmix.kernels import FAMILIES, BaseKernel, mixture_gram
 from kernelmix.mmd import MixtureWeights
 from kernelmix.rff import FeatureBank, build_feature_matrix, sample_frequencies, spectral_second_moment
 from kernelmix.rng import stream
@@ -59,6 +60,43 @@ def feature_matrices(draw):
 def sigma_p(kernel, dim):
     """sqrt of the spectral second moment, as the diagnose command computes it."""
     return math.sqrt(spectral_second_moment(kernel, dim))
+
+
+@st.composite
+def psd_grams(draw):
+    """A A^T with sides 1-60; A has fewer columns than rows in the rank-deficient cases."""
+    n = draw(st.integers(1, 60))
+    cols = draw(st.integers(1, n - 1)) if n > 1 and draw(st.booleans()) else n
+    A = stream(draw(st.integers(0, 2**32 - 1))).normal(size=(n, cols))
+    return draw(st.floats(1e-3, 1e3)) * (A @ A.T)
+
+
+class TestTopEigenvalue:
+    @settings(max_examples=200, deadline=None)
+    @given(G=psd_grams())
+    def test_matches_full_spectrum(self, G):
+        assert math.isclose(_top_eigenvalue(G), np.linalg.eigvalsh(G)[-1], rel_tol=1e-12)
+
+    @pytest.mark.parametrize(
+        "G",
+        [
+            np.eye(7),
+            np.ones((9, 9)),
+            np.array([[2.5]]),
+            np.array([[2.0, 1.0], [1.0, 3.0]]),
+            np.array([[2.0, -2.0], [-2.0, 2.0]]),  # G 1 = 0: a ones start vector fails here
+            np.kron(np.eye(3), np.array([[1.0, -1.0], [-1.0, 1.0]])) + np.diag(np.arange(6) / 10.0),
+            mixture_gram([BaseKernel.from_gamma("gaussian", 1e4)], np.ones(1), stream(113).normal(size=(300, 3))),
+        ],
+        ids=["identity", "ones-rank-1", "1x1", "2x2", "ones-in-null-space", "blocks", "Kw-gamma-1e4"],
+    )
+    def test_named_cases(self, G):
+        assert math.isclose(_top_eigenvalue(G), np.linalg.eigvalsh(G)[-1], rel_tol=1e-12)
+
+    def test_reruns_bit_identical(self):
+        A = stream(114).normal(size=(80, 30))
+        G = A @ A.T
+        assert _top_eigenvalue(G) == _top_eigenvalue(G)
 
 
 class TestComplexityBounds:

@@ -25,3 +25,20 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+FULL_SPECTRUM = {"eigvalsh", "eigh", "svd", "eigvals"}
+
+
+@pytest.mark.parametrize("path", SOURCE, ids=lambda p: p.name)
+def test_no_full_spectrum_solves(path):
+    # the package reads only lambda_max; an O(n^3) full spectrum is waste
+    tree = ast.parse(path.read_text(), filename=str(path))
+    calls = sorted(
+        f"{name} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        for name in [getattr(node.func, "attr", getattr(node.func, "id", None))]
+        if name in FULL_SPECTRUM
+    )
+    assert not calls, f"{path.name} computes a full spectrum: {', '.join(calls)}"
