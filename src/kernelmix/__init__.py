@@ -8,8 +8,6 @@ complexity bounds and feature-matrix concentration checks.
 """
 
 from .data import (
-    ClassSplit,
-    DatasetStats,
     LabeledDataset,
     diameter,
     kfold_split,
@@ -35,10 +33,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BaseKernel",
-    "ClassSplit",
     "ConfigError",
     "DataError",
-    "DatasetStats",
     "FeatureBank",
     "KernelmixError",
     "LabeledDataset",

@@ -104,11 +104,13 @@ def _bank_kernels(args) -> list[BaseKernel]:
 
 
 def _load_input(args):
-    """The --data file, standardized unless --no-standardize; (dataset, stats or None)."""
+    """The --data file, standardized unless --no-standardize, and the model
+    file's standardization record (None when skipped)."""
     ds = load_dataset(args.data, format=args.format)
     if args.no_standardize:
         return ds, None
-    return standardize(ds)
+    ds, mean, std = standardize(ds)
+    return ds, {"mean": mean.tolist(), "std": std.tolist()}
 
 
 def _synthetic_or_data(args) -> LabeledDataset:
@@ -125,10 +127,10 @@ def _synthetic_or_data(args) -> LabeledDataset:
 
 
 def cmd_score(args) -> int:
-    ds, _stats = _load_input(args)
-    split = split_by_label(ds)
+    ds = _load_input(args)[0]
+    pos, neg = split_by_label(ds)
     kernels = _bank_kernels(args)
-    scores = mmd_scores(kernels, split.positives, split.negatives, estimator=args.estimator)
+    scores = mmd_scores(kernels, pos, neg, estimator=args.estimator)
     weights = MixtureWeights.from_scores([s.value for s in scores])
     rows = [
         {
@@ -145,8 +147,8 @@ def cmd_score(args) -> int:
     payload = {
         "command": "score",
         "seed": args.seed,
-        "n_plus": split.n_plus,
-        "n_minus": split.n_minus,
+        "n_plus": len(pos),
+        "n_minus": len(neg),
         "degenerate": weights.degenerate,
         "kernels": rows,
     }
@@ -161,10 +163,9 @@ def cmd_score(args) -> int:
 
 
 def cmd_train(args) -> int:
-    ds, stats = _load_input(args)
-    split = split_by_label(ds)
+    ds, standardization = _load_input(args)
     kernels = _bank_kernels(args)
-    weights = mixing_weights(kernels, split.positives, split.negatives, estimator=args.estimator)
+    weights = mixing_weights(kernels, *split_by_label(ds), estimator=args.estimator)
     bank = FeatureBank.generate(kernels, weights, args.draws, ds.dim, args.seed)
     Phi = build_feature_matrix(ds.features, bank)
     cfg = TrainConfig(
@@ -178,12 +179,6 @@ def cmd_train(args) -> int:
         fit_offset=not args.no_offset,
     )
     model = train(Phi, ds.labels, cfg, bank=bank)
-    standardization = None
-    if stats is not None:
-        standardization = {
-            "mean": stats.per_feature_mean.tolist(),
-            "std": stats.per_feature_std.tolist(),
-        }
     save_model(model, args.out, standardization=standardization)
     log = {
         "command": "train",
@@ -191,7 +186,7 @@ def cmd_train(args) -> int:
         "weights": weights.weights.tolist(),
         "degenerate": weights.degenerate,
         "objective_history": model.meta["objective_history"],
-        "final_objective": model.meta["final_objective"],
+        "final_objective": model.meta["objective_history"][-1],
         "train_accuracy": float((_outputs(model, Phi)[1] == ds.labels).mean()),
     }
     _write_json(args.log or args.out + ".log.json", log)
@@ -266,8 +261,7 @@ def cmd_diagnose(args) -> int:
             raise ConfigError(f"{flag} must be finite and positive, got {value}")
     if args.pairs < 1:
         raise ConfigError(f"--pairs must be at least 1, got {args.pairs}")
-    split = split_by_label(ds)
-    weights = mixing_weights(kernels, split.positives, split.negatives, estimator=args.estimator)
+    weights = mixing_weights(kernels, *split_by_label(ds), estimator=args.estimator)
     rows = probe_pass(ds.features, kernels, weights, sweep, list(range(args.trials)), args.seed, args.R)
 
     complexity_rows = [asdict(report) for report, _fro, _spec in rows]
@@ -285,10 +279,7 @@ def cmd_diagnose(args) -> int:
 
     first = kernels[0]
     sigma_p = math.sqrt(spectral_second_moment(first, ds.dim))
-    if math.isfinite(sigma_p):
-        pointwise = pointwise_error_bound(args.eps, sweep[-1], ds.dim, sigma_p, diameter(ds))
-    else:
-        pointwise = {"skipped": "infinite spectral second moment (Laplacian sampler)"}
+    pointwise = pointwise_error_bound(args.eps, sweep[-1], ds.dim, sigma_p, diameter(ds))
     sup_err = empirical_sup_error(first, sweep[-1], ds.features, args.pairs, args.seed)
 
     payload = {

@@ -16,9 +16,6 @@ from scipy.spatial.distance import pdist
 from .errors import DataError
 from .rng import stream
 
-#: Largest n for which the diameter is computed exactly over all pairs.
-EXACT_DIAMETER_LIMIT = 2000
-
 
 @dataclass(frozen=True)
 class LabeledDataset:
@@ -54,31 +51,6 @@ class LabeledDataset:
     @property
     def dim(self) -> int:
         return self.features.shape[1]
-
-
-@dataclass(frozen=True)
-class ClassSplit:
-    """Rows of each class in their original order."""
-
-    positives: np.ndarray
-    negatives: np.ndarray
-
-    @property
-    def n_plus(self) -> int:
-        return self.positives.shape[0]
-
-    @property
-    def n_minus(self) -> int:
-        return self.negatives.shape[0]
-
-
-@dataclass(frozen=True)
-class DatasetStats:
-    """Column statistics of the source data: the inverse transform of
-    :func:`standardize` (population std, divisor n)."""
-
-    per_feature_mean: np.ndarray
-    per_feature_std: np.ndarray
 
 
 def _map_labels(raw: np.ndarray) -> np.ndarray:
@@ -174,31 +146,40 @@ def _read_libsvm(path: str, n_features: int | None) -> tuple[list[float | None],
     return labels, features
 
 
+def _read(path: str, format: str, n_features: int | None, labeled: bool):
+    """(raw labels, features) of a ``csv`` or ``libsvm`` file.
+
+    Labels are None where the file has none; a ``labeled`` read refuses
+    that, and an empty CSV file, instead.
+    """
+    if format == "csv":
+        header, table = _read_csv(path)
+        if header is None and labeled:
+            raise DataError(f"{path}: empty file, header row required")
+        if header is None or "label" not in header:
+            if labeled:
+                raise DataError(f"{path}: header must contain a 'label' column")
+            return None, table
+        label_col = header.index("label")
+        return table[:, label_col], np.delete(table, label_col, axis=1)
+    if format == "libsvm":
+        labels, features = _read_libsvm(path, n_features)
+        if labeled and None in labels:
+            raise DataError(f"{path}: every row needs a label")
+        return labels, features
+    raise DataError(f"unknown dataset format {format!r}")
+
+
 def load_dataset(path: str, format: str = "csv", n_features: int | None = None) -> LabeledDataset:
     """Load a dataset from ``csv`` (header with a 'label' column) or ``libsvm``.
 
     {0,1} labels are mapped to {-1,+1}. Rows with non-finite entries are
     rejected, not imputed.
     """
-    if format == "csv":
-        header, table = _read_csv(path)
-        if header is None:
-            raise DataError(f"{path}: empty file, header row required")
-        if "label" not in header:
-            raise DataError(f"{path}: header must contain a 'label' column")
-        label_col = header.index("label")
-        raw_labels = table[:, label_col]
-        features = np.delete(table, label_col, axis=1)
-    elif format == "libsvm":
-        raw_labels, features = _read_libsvm(path, n_features)
-        if None in raw_labels:
-            raise DataError(f"{path}: every row needs a label")
-        raw_labels = np.asarray(raw_labels, dtype=float)
-    else:
-        raise DataError(f"unknown dataset format {format!r}")
+    raw_labels, features = _read(path, format, n_features, labeled=True)
     if features.shape[0] == 0:
         raise DataError(f"{path}: no data rows")
-    return LabeledDataset(features, _map_labels(raw_labels))
+    return LabeledDataset(features, _map_labels(np.asarray(raw_labels, dtype=float)))
 
 
 def load_features(path: str, format: str, dim: int) -> np.ndarray:
@@ -207,43 +188,36 @@ def load_features(path: str, format: str, dim: int) -> np.ndarray:
     A CSV ``label`` column or a LIBSVM label token is optional and dropped.
     An empty or header-only file gives 0 rows.
     """
-    if format == "csv":
-        header, table = _read_csv(path)
-        if header is None:
-            return np.zeros((0, dim))
-        if "label" in header:
-            table = np.delete(table, header.index("label"), axis=1)
-        if table.shape[0] == 0:
-            return np.zeros((0, dim))
-        if table.shape[1] != dim:
-            raise DataError(f"{path}: {table.shape[1]} feature columns, model expects {dim}")
-        return table
-    if format == "libsvm":
-        return _read_libsvm(path, dim)[1]
-    raise DataError(f"unknown dataset format {format!r}")
+    features = _read(path, format, dim, labeled=False)[1]
+    if features.shape[0] == 0:
+        return np.zeros((0, dim))
+    if features.shape[1] != dim:
+        raise DataError(f"{path}: {features.shape[1]} feature columns, model expects {dim}")
+    return features
 
 
-def split_by_label(ds: LabeledDataset) -> ClassSplit:
-    """Split rows into the two class-conditional samples, order preserved."""
+def split_by_label(ds: LabeledDataset) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of each class, (positives, negatives), order preserved."""
     pos = ds.features[ds.labels == 1]
     neg = ds.features[ds.labels == -1]
     if pos.shape[0] == 0 or neg.shape[0] == 0:
         raise DataError("both classes must be nonempty")
-    return ClassSplit(positives=pos, negatives=neg)
+    return pos, neg
 
 
-def standardize(ds: LabeledDataset) -> tuple[LabeledDataset, DatasetStats]:
+def standardize(ds: LabeledDataset) -> tuple[LabeledDataset, np.ndarray, np.ndarray]:
     """Center/scale each column to mean 0 and population std 1 (divisor n).
 
-    Constant columns are left at 0 and their std recorded as 0 so that the
-    same transform can be replayed on prediction inputs.
+    Returns the new dataset and the column mean and std. Constant columns
+    are left at 0 and their std recorded as 0 so that the same transform can
+    be replayed on prediction inputs.
     """
     if ds.n < 2:
         raise DataError("standardize needs n >= 2")
     mean = ds.features.mean(axis=0)
     std = ds.features.std(axis=0)  # ddof=0
     out = apply_standardization(ds.features, mean, std)
-    return LabeledDataset(out, ds.labels), DatasetStats(per_feature_mean=mean, per_feature_std=std)
+    return LabeledDataset(out, ds.labels), mean, std
 
 
 def apply_standardization(features: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
@@ -283,10 +257,5 @@ def kfold_split(ds: LabeledDataset, k: int, seed: int) -> list[tuple[np.ndarray,
 
 
 def diameter(ds: LabeledDataset) -> float:
-    """Max pairwise Euclidean distance: exact for n <= EXACT_DIAMETER_LIMIT,
-    the bounding-box diagonal (an upper bound) beyond."""
-    if ds.n <= 1:
-        return 0.0
-    if ds.n <= EXACT_DIAMETER_LIMIT:
-        return float(pdist(ds.features).max())
-    return float(np.linalg.norm(ds.features.max(axis=0) - ds.features.min(axis=0)))
+    """Max pairwise Euclidean distance, exact over all pairs of rows."""
+    return float(pdist(ds.features).max()) if ds.n > 1 else 0.0

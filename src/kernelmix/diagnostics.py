@@ -178,16 +178,13 @@ def pointwise_error_bound(
     """Probability bound 2^8 (sigma_p diam / eps)^2 exp(-D eps^2 / (4(d+2))).
 
     Clamped at 1; when vacuous, ``required_draws`` reports the smallest D
-    that would push the raw bound below 0.05. Only finite-second-moment
-    samplers are supported (the Cauchy/Laplacian sampler is refused).
+    that would push the raw bound below 0.05. The Laplacian (Cauchy)
+    sampler has an infinite sigma_p and no bound: it gets ``{"skipped": ...}``.
     """
     if eps <= 0:
         raise ConfigError("eps must be positive")
     if not math.isfinite(sigma_p):
-        raise ConfigError(
-            "pointwise bound needs a finite spectral second moment; "
-            "the Laplacian/Cauchy sampler has none"
-        )
+        return {"skipped": "infinite spectral second moment (Laplacian sampler)"}
     prefactor = 2.0**8 * (sigma_p * diam / eps) ** 2
     raw = prefactor * math.exp(-draws * eps**2 / (4.0 * (dim + 2)))
     target = 0.05

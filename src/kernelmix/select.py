@@ -106,9 +106,8 @@ def mmd_bandwidth_select(
     set the flag and the tie rule returns the smallest gamma.
     """
     gammas = _check_grid(gammas)
-    split = split_by_label(ds)
     kernels = [BaseKernel.from_gamma("gaussian", g) for g in gammas]
-    scores = mmd_scores(kernels, split.positives, split.negatives)
+    scores = mmd_scores(kernels, *split_by_label(ds))
     rows = [{"gamma": float(g), "mmd_score": s.value} for g, s in zip(gammas, scores)]
     values = np.array([r["mmd_score"] for r in rows])
     degenerate = bool(values.max() == 0.0)
@@ -216,7 +215,6 @@ class FeatureMask:
 
     omega: np.ndarray
     mask: np.ndarray
-    m_sel: int
     objective: float
     initial_objective: float
 
@@ -324,7 +322,6 @@ def kernel_feature_select(
     return FeatureMask(
         omega=omega,
         mask=mask,
-        m_sel=m_sel,
         objective=objective,
         initial_objective=initial_obj,
     )

@@ -40,16 +40,16 @@ class TrainConfig:
     fit_offset: bool = True
 
     def __post_init__(self):
-        if self.R <= 0:
-            raise ConfigError("R must be positive")
-        if self.lam < 0:
-            raise ConfigError("lambda must be nonnegative")
+        if not (math.isfinite(self.R) and self.R > 0):
+            raise ConfigError(f"R must be finite and positive, got {self.R}")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ConfigError(f"lambda must be finite and nonnegative, got {self.lam}")
         if self.epochs < 1:
             raise ConfigError("epochs must be at least 1")
         if self.schedule not in ("inv_sqrt", "constant"):
             raise ConfigError(f"unknown schedule {self.schedule!r}")
-        if self.step_size <= 0:
-            raise ConfigError("step size must be positive")
+        if not (math.isfinite(self.step_size) and self.step_size > 0):
+            raise ConfigError(f"step size must be finite and positive, got {self.step_size}")
         if self.batch_size is not None and self.batch_size < 1:
             raise ConfigError("batch size must be positive")
 
@@ -205,14 +205,7 @@ def train(
             objective = hinge_objective(Phi, y, beta_avg, offset_avg, cfg.lam, draws)
         objective_history.append(objective)
 
-    meta = {
-        "epochs": cfg.epochs,
-        "seed": cfg.seed,
-        "steps": steps,
-        "final_objective": objective_history[-1],
-        "objective_history": objective_history,
-        "max_post_step_norm": max_norm,
-    }
+    meta = {"objective_history": objective_history, "max_post_step_norm": max_norm}
     return SvmModel(
         beta=beta_avg,
         offset=offset_avg if cfg.fit_offset else 0.0,

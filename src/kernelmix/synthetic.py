@@ -7,6 +7,7 @@ import math
 import numpy as np
 
 from .data import LabeledDataset
+from .errors import ConfigError
 from .rng import stream
 
 
@@ -21,6 +22,8 @@ def two_gaussian_dataset(
     mu = (separation / sqrt(dim)) * ones, so ||mu_+ - mu_-|| = 2 * separation
     regardless of dimension and the Bayes accuracy is Phi(separation).
     """
+    if n < 2 or dim < 1:
+        raise ConfigError(f"two-Gaussian data needs n >= 2 and dim >= 1, got n={n}, dim={dim}")
     rng = stream(seed, 7)
     half = n // 2
     mu = (separation / math.sqrt(dim)) * np.ones(dim)

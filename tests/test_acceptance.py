@@ -297,7 +297,7 @@ def test_criterion_09_selection_harness():
     reports = []
     for seed in range(10):
         ds = two_gaussian_dataset(n=400, dim=5, separation=1.2, seed=seed)
-        ds, _stats = standardize(ds)
+        ds = standardize(ds)[0]
         reports.append(compare_selection(ds, gammas, folds=5, cfg=cfg, draws=256, seed=seed))
     agreements = sum(r.agreement for r in reports)
     assert agreements >= 8

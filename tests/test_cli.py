@@ -236,6 +236,24 @@ class TestTrainPredict:
         assert cli.main(args) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "name,text,fmt,message",
+        [
+            ("empty.csv", "", "csv", "empty file, header row required"),
+            ("unlabeled.csv", "f1,f2\n0.5,1.0\n", "csv", "header must contain a 'label' column"),
+            ("unlabeled.svm", "1 1:0.5\n2:1.0\n", "libsvm", "every row needs a label"),
+            ("header.csv", "f1,f2,label\n", "csv", "no data rows"),
+        ],
+    )
+    def test_training_data_refusals_exit_2(self, tmp_path, capsys, name, text, fmt, message):
+        bad = tmp_path / name
+        bad.write_text(text)
+        out = tmp_path / "model.json"
+        args = ["train", "--data", str(bad), "--format", fmt, "--out", str(out)]
+        assert cli.main(args) == 2
+        assert capsys.readouterr().err == f"data error: {bad}: {message}\n"
+        assert not out.exists()
+
     def test_unlabeled_rows_match_labeled(self, tmp_path):
         data, model_path = self.run_train(tmp_path)
         features = load_dataset(data).features.tolist()
@@ -292,6 +310,21 @@ class TestTrainPredict:
         first = (tmp_path / "model.json").read_bytes()
         self.run_train(tmp_path)
         assert (tmp_path / "model.json").read_bytes() == first
+
+
+@pytest.mark.parametrize("command", ["train", "select"])
+@pytest.mark.parametrize("flag", ["--R", "--lam", "--step-size"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_training_flags_exit_3(tmp_path, capsys, command, flag, value):
+    data = write_dataset(tmp_path / "d.csv", n=40)
+    out = tmp_path / "out"
+    args = [command, "--data", data, "--gammas", "0.5", "--draws", "16", "--epochs", "2",
+            flag, value, "--out", str(out)]
+    if command == "select":
+        args += ["--folds", "3"]
+    assert cli.main(args) == 3
+    assert "must be finite" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]
 
 
 class TestSelect:
@@ -471,6 +504,15 @@ class TestDiagnose:
         ]
         assert cli.main(args) == 3
         assert "at least one seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["select", "diagnose"])
+@pytest.mark.parametrize("flag,value", [("--synthetic-n", "-5"), ("--synthetic-dim", "0")])
+def test_synthetic_size_flags_exit_3(tmp_path, capsys, command, flag, value):
+    args = [command, "--synthetic", "two-gaussian", flag, value, "--out", str(tmp_path / "o")]
+    assert cli.main(args) == 3
+    assert "two-Gaussian data needs" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 class TestConfigFile:

@@ -78,6 +78,14 @@ class TestLoadCsv:
             load_dataset(path)
 
 
+def test_unknown_format_refused(tmp_path):
+    path = write(tmp_path, "d.arff", "a,label\n1,1\n")
+    with pytest.raises(DataError, match="^unknown dataset format 'arff'$"):
+        load_dataset(path, format="arff")
+    with pytest.raises(DataError, match="^unknown dataset format 'arff'$"):
+        load_features(path, "arff", 1)
+
+
 class TestLoadLibsvm:
     def test_sparse_fill(self, tmp_path):
         path = write(tmp_path, "d.svm", "+1 1:0.5 3:2.0\n-1 2:1.0\n")
@@ -146,9 +154,9 @@ def test_csv_and_libsvm_load_identically(X, data):
 class TestSplit:
     def test_order_preserved(self):
         ds = LabeledDataset(np.arange(6).reshape(3, 2), np.array([1, -1, 1]))
-        split = split_by_label(ds)
-        assert np.allclose(split.positives, [[0, 1], [4, 5]])
-        assert np.allclose(split.negatives, [[2, 3]])
+        pos, neg = split_by_label(ds)
+        assert np.allclose(pos, [[0, 1], [4, 5]])
+        assert np.allclose(neg, [[2, 3]])
 
     def test_empty_class(self):
         ds = LabeledDataset(np.zeros((2, 1)), np.array([1, 1]))
@@ -158,8 +166,8 @@ class TestSplit:
     def test_balanced(self):
         rng = stream(0)
         ds = LabeledDataset(rng.normal(size=(10, 2)), np.array([1, -1] * 5))
-        split = split_by_label(ds)
-        assert split.n_plus == split.n_minus == 5
+        pos, neg = split_by_label(ds)
+        assert len(pos) == len(neg) == 5
 
     def test_reconcat_is_permutation(self):
         for seed in range(5):
@@ -169,30 +177,29 @@ class TestSplit:
             y = np.where(rng.uniform(size=n) < 0.5, 1, -1)
             y[0], y[1] = 1, -1  # both classes present
             ds = LabeledDataset(X, y)
-            split = split_by_label(ds)
-            stacked = np.vstack([split.positives, split.negatives])
+            stacked = np.vstack(split_by_label(ds))
             assert sorted(map(tuple, stacked)) == sorted(map(tuple, X))
 
 
 class TestStandardize:
     def test_two_point_column(self):
         ds = LabeledDataset(np.array([[1.0], [3.0]]), np.array([1, -1]))
-        out, stats = standardize(ds)
+        out, mean, std = standardize(ds)
         assert np.allclose(out.features[:, 0], [-1.0, 1.0])
-        assert stats.per_feature_mean[0] == 2.0
-        assert stats.per_feature_std[0] == 1.0  # population std, divisor n
+        assert mean[0] == 2.0
+        assert std[0] == 1.0  # population std, divisor n
 
     def test_constant_column(self):
         ds = LabeledDataset(np.array([[5.0, 1.0], [5.0, 2.0], [5.0, 3.0]]), np.array([1, -1, 1]))
-        out, stats = standardize(ds)
+        out, _mean, std = standardize(ds)
         assert np.allclose(out.features[:, 0], 0.0)
-        assert stats.per_feature_std[0] == 0.0
+        assert std[0] == 0.0
 
     def test_idempotent(self):
         rng = stream(3)
         ds = LabeledDataset(rng.normal(size=(20, 4)), np.where(rng.uniform(size=20) < 0.5, 1, -1))
-        once, _ = standardize(ds)
-        twice, _ = standardize(once)
+        once = standardize(ds)[0]
+        twice = standardize(once)[0]
         assert np.abs(twice.features - once.features).max() <= 1e-12
 
 

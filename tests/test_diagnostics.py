@@ -232,8 +232,8 @@ class TestPointwiseBound:
         assert better["raw_bound"] <= 0.05 * (1 + 1e-9)
 
     def test_refuses_cauchy_sampler(self):
-        with pytest.raises(ConfigError):
-            pointwise_error_bound(0.1, 100, 2, sigma_p(BaseKernel("laplacian", 1.0), 2), 2.0)
+        bound = pointwise_error_bound(0.1, 100, 2, sigma_p(BaseKernel("laplacian", 1.0), 2), 2.0)
+        assert bound == {"skipped": "infinite spectral second moment (Laplacian sampler)"}
 
     def test_sigma_p_gaussian(self):
         assert sigma_p(BaseKernel("gaussian", 2.0), 8) == pytest.approx(math.sqrt(8) / 2.0)

@@ -29,8 +29,7 @@ FAST_CFG = TrainConfig(R=20.0, lam=0.01, epochs=15, step_size=0.5)
 
 def small_task(seed=0, n=60):
     ds = two_gaussian_dataset(n=n, dim=3, separation=1.5, seed=seed)
-    ds, _ = standardize(ds)
-    return ds
+    return standardize(ds)[0]
 
 
 class TestGrid:
@@ -145,9 +144,8 @@ class TestCompareSelection:
         compare_selection(ds, gammas, folds=3, cfg=FAST_CFG, draws=32, seed=5)
         mixture = [b.weights for b in banks if len(b.kernels) == len(gammas)]
         train_ds, _test_ds = _stratified_holdout(ds, 0.25, 5)
-        split = split_by_label(train_ds)
         kernels = [BaseKernel.from_gamma("gaussian", g) for g in gammas]
-        expected = mixing_weights(kernels, split.positives, split.negatives)
+        expected = mixing_weights(kernels, *split_by_label(train_ds))
         assert len(mixture) == 1
         assert np.array_equal(mixture[0].weights, expected.weights)
         assert mixture[0].degenerate == expected.degenerate
