@@ -35,7 +35,7 @@ from .errors import ConfigError, DataError, ModelIntegrityError
 from .kernels import BaseKernel
 from .mmd import MixtureWeights, mixing_weights, mmd_scores
 from .rff import FeatureBank, build_feature_matrix, spectral_second_moment
-from .select import compare_selection, log_grid
+from .select import compare_selection
 from .svm import TrainConfig, _outputs, load_model, save_model, train
 from .synthetic import two_gaussian_dataset
 
@@ -43,6 +43,8 @@ SCHEMA_VERSION = 1
 
 #: 9-point grid of the built-in two-Gaussian benchmark.
 BENCHMARK_GAMMAS = tuple(10.0**e for e in range(-4, 5))
+#: 24-point grid ``select`` searches on a --data file.
+DATA_GAMMAS = np.geomspace(1e-20, 1e3, 24)
 
 EXIT_OK = 0
 EXIT_DIAGNOSTIC = 1
@@ -80,19 +82,9 @@ def _write_csv(path: str, header: list[str], rows: list[dict]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _parse_floats(text: str) -> list[float]:
-    try:
-        values = [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise ConfigError(f"expected comma-separated numbers, got {text!r}") from None
-    if not values:
-        raise ConfigError("empty numeric list")
-    return values
-
-
 def _bank_kernels(args) -> list[BaseKernel]:
     families = [f.strip() for f in args.families.split(",") if f.strip()]
-    gammas = _parse_floats(args.gammas)
+    gammas = args.gammas
     if len(families) == 1:
         families = families * len(gammas)
     if len(families) != len(gammas):
@@ -101,6 +93,12 @@ def _bank_kernels(args) -> list[BaseKernel]:
             "or one per gamma"
         )
     return [BaseKernel.from_gamma(fam, g) for fam, g in zip(families, gammas)]
+
+
+def _train_config(args) -> TrainConfig:
+    """The TrainConfig of the training flags the command declares."""
+    names = {f.name for f in fields(TrainConfig)} & vars(args).keys()
+    return TrainConfig(**{name: getattr(args, name) for name in names})
 
 
 def _load_input(args):
@@ -163,21 +161,12 @@ def cmd_score(args) -> int:
 
 
 def cmd_train(args) -> int:
+    cfg = _train_config(args)
     ds, standardization = _load_input(args)
     kernels = _bank_kernels(args)
     weights = mixing_weights(kernels, *split_by_label(ds), estimator=args.estimator)
     bank = FeatureBank.generate(kernels, weights, args.draws, ds.dim, args.seed)
     Phi = build_feature_matrix(ds.features, bank)
-    cfg = TrainConfig(
-        R=args.R,
-        lam=args.lam,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        step_size=args.step_size,
-        schedule=args.schedule,
-        seed=args.seed,
-        fit_offset=not args.no_offset,
-    )
     model = train(Phi, ds.labels, cfg, bank=bank)
     save_model(model, args.out, standardization=standardization)
     log = {
@@ -218,18 +207,9 @@ def cmd_predict(args) -> int:
 
 
 def cmd_select(args) -> int:
+    cfg = _train_config(args)
     ds = _synthetic_or_data(args)
-    if args.gammas:
-        gammas = np.array(_parse_floats(args.gammas))
-    else:
-        gammas = np.array(BENCHMARK_GAMMAS) if args.synthetic else log_grid()
-    cfg = TrainConfig(
-        R=args.R,
-        lam=args.lam,
-        epochs=args.epochs,
-        step_size=args.step_size,
-        seed=args.seed,
-    )
+    gammas = args.gammas or (BENCHMARK_GAMMAS if args.synthetic else DATA_GAMMAS)
     report = compare_selection(
         ds, gammas, args.folds, cfg, args.draws, args.seed, test_fraction=args.test_fraction
     )
@@ -244,23 +224,10 @@ def cmd_select(args) -> int:
     return EXIT_OK
 
 
-def _draw_sweep(args) -> list[int]:
-    """--draw-sweep, else [--draws]; every D a positive integer."""
-    values = _parse_floats(args.draw_sweep) if args.draw_sweep else [args.draws]
-    if not all(v >= 1 and float(v).is_integer() for v in values):
-        raise ConfigError(f"draws must be positive integers, got {args.draw_sweep or args.draws}")
-    return [int(v) for v in values]
-
-
 def cmd_diagnose(args) -> int:
     ds = _synthetic_or_data(args)
     kernels = _bank_kernels(args)
-    sweep = _draw_sweep(args)
-    for flag, value in (("--R", args.R), ("--eps", args.eps)):
-        if not (math.isfinite(value) and value > 0):
-            raise ConfigError(f"{flag} must be finite and positive, got {value}")
-    if args.pairs < 1:
-        raise ConfigError(f"--pairs must be at least 1, got {args.pairs}")
+    sweep = args.draws
     weights = mixing_weights(kernels, *split_by_label(ds), estimator=args.estimator)
     rows = probe_pass(ds.features, kernels, weights, sweep, list(range(args.trials)), args.seed, args.R)
 
@@ -308,8 +275,44 @@ def cmd_diagnose(args) -> int:
 # -- argument plumbing --------------------------------------------------------
 
 
+def _flag(convert, ok, what: str):
+    """An argparse ``type=`` that converts with ``convert`` and refuses a value
+    failing ``ok``, so a bad flag exits 3 while the command line is parsed."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+
+    return parse
+
+
+def _positive(v: float) -> bool:
+    return math.isfinite(v) and v > 0
+
+
+def _list(convert):
+    return lambda text: [convert(tok) for tok in text.split(",") if tok.strip()]
+
+
+_SEED = _flag(int, lambda v: v >= 0, "a nonnegative integer")
+_COUNT = _flag(int, lambda v: v >= 1, "a positive integer")
+_FOLDS = _flag(int, lambda v: v >= 2, "an integer >= 2")
+_POSITIVE = _flag(float, _positive, "finite and positive")
+_NONNEGATIVE = _flag(float, lambda v: math.isfinite(v) and v >= 0, "finite and nonnegative")
+_FRACTION = _flag(float, lambda v: 0 < v < 1, "in (0, 1)")
+_GAMMAS = _flag(
+    _list(float), lambda vs: vs and all(map(_positive, vs)), "a comma list of positive finite numbers"
+)
+_DRAWS = _flag(_list(int), lambda vs: vs and min(vs) >= 1, "a comma list of positive integers")
+
+
 def _add_common(p: _Parser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="master seed; all streams derive from it")
+    p.add_argument("--seed", type=_SEED, default=0, help="master seed; all streams derive from it")
     p.add_argument("--config", default=None, help="JSON file of defaults; flags override it")
 
 
@@ -329,8 +332,22 @@ def _add_bank(p: _Parser) -> None:
         default="gaussian",
         help="kernel family, or comma list matching --gammas (gaussian|laplacian|anova)",
     )
-    p.add_argument("--gammas", default="1.0", help="comma list of gamma = 1/(2 rho^2) values")
+    p.add_argument("--gammas", type=_GAMMAS, default="1.0", help="comma list of gamma = 1/(2 rho^2) values")
     p.add_argument("--estimator", choices=("auto", "biased", "unbiased_balanced"), default="auto")
+
+
+def _add_training(p: _Parser, draws: int, R: float, lam: float, epochs: int) -> None:
+    p.add_argument("--draws", type=_COUNT, default=draws, help="random features per base kernel (D)")
+    p.add_argument("--R", type=_POSITIVE, default=R, help="coefficient ball parameter")
+    p.add_argument("--lam", type=_NONNEGATIVE, default=lam, help="regularization weight")
+    p.add_argument("--epochs", type=_COUNT, default=epochs)
+    p.add_argument("--step-size", type=_POSITIVE, default=0.5)
+
+
+def _add_synthetic(p: _Parser, n: int) -> None:
+    p.add_argument("--synthetic", choices=("two-gaussian",), default=None, help="use the built-in benchmark instead of --data")
+    p.add_argument("--synthetic-n", type=_COUNT, default=n)
+    p.add_argument("--synthetic-dim", type=_COUNT, default=5)
 
 
 def build_parser() -> _Parser:
@@ -348,14 +365,10 @@ def build_parser() -> _Parser:
     _add_common(p)
     _add_data(p)
     _add_bank(p)
-    p.add_argument("--draws", type=int, default=512, help="random features per base kernel (D)")
-    p.add_argument("--R", type=float, default=10.0, help="coefficient ball parameter")
-    p.add_argument("--lam", type=float, default=1.0, help="regularization weight")
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--step-size", type=float, default=0.5)
+    _add_training(p, draws=512, R=10.0, lam=1.0, epochs=100)
+    p.add_argument("--batch-size", type=_COUNT, default=None)
     p.add_argument("--schedule", choices=("inv_sqrt", "constant"), default="inv_sqrt")
-    p.add_argument("--no-offset", action="store_true", help="disable the unregularized offset term")
+    p.add_argument("--no-offset", dest="fit_offset", action="store_false", help="disable the unregularized offset term")
     p.add_argument("--out", required=True, help="model JSON path")
     p.add_argument("--log", default=None, help="training log path (default: OUT.log.json)")
     p.set_defaults(func=cmd_train)
@@ -371,33 +384,25 @@ def build_parser() -> _Parser:
     p = sub.add_parser("select", help="CV vs MMD bandwidth comparison; writes OUT.csv (columns: gamma,cv_mean,cv_std,mmd_score) and OUT.json")
     _add_common(p)
     _add_data(p, required=False)
-    p.add_argument("--synthetic", choices=("two-gaussian",), default=None, help="use the built-in benchmark instead of --data")
-    p.add_argument("--synthetic-n", type=int, default=400)
-    p.add_argument("--synthetic-dim", type=int, default=5)
-    p.add_argument("--gammas", default=None, help="comma list; default: benchmark grid (synthetic) or the 10^-20..10^3 grid")
-    p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--draws", type=int, default=256)
-    p.add_argument("--R", type=float, default=30.0)
-    p.add_argument("--lam", type=float, default=0.01, help="weak default: the harness needs real margins")
-    p.add_argument("--epochs", type=int, default=40)
-    p.add_argument("--step-size", type=float, default=0.5)
-    p.add_argument("--test-fraction", type=float, default=0.25)
+    _add_synthetic(p, n=400)
+    p.add_argument("--gammas", type=_GAMMAS, default=None, help="comma list; default: benchmark grid (synthetic) or the 10^-20..10^3 grid")
+    p.add_argument("--folds", type=_FOLDS, default=5)
+    # weak lam: the harness needs real margins
+    _add_training(p, draws=256, R=30.0, lam=0.01, epochs=40)
+    p.add_argument("--test-fraction", type=_FRACTION, default=0.25)
     p.add_argument("--out", required=True, help="output path prefix")
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("diagnose", help="complexity bounds (both erfc variants, labeled) and concentration tables; writes OUT.json, OUT.complexity.csv, OUT.concentration.csv")
     _add_common(p)
     _add_data(p, required=False)
-    p.add_argument("--synthetic", choices=("two-gaussian",), default=None)
-    p.add_argument("--synthetic-n", type=int, default=100)
-    p.add_argument("--synthetic-dim", type=int, default=5)
+    _add_synthetic(p, n=100)
     _add_bank(p)
-    p.add_argument("--draws", type=int, default=2048)
-    p.add_argument("--draw-sweep", default=None, help="comma list of D values (one table row per D)")
-    p.add_argument("--trials", type=int, default=5, help="seeds per concentration estimate")
-    p.add_argument("--R", type=float, default=10.0)
-    p.add_argument("--eps", type=float, default=0.1, help="accuracy for the pointwise bound")
-    p.add_argument("--pairs", type=int, default=100, help="pairs for the empirical sup error")
+    p.add_argument("--draws", "--draw-sweep", type=_DRAWS, default="2048", help="D, or a comma list of D values (one table row per D)")
+    p.add_argument("--trials", type=_COUNT, default=5, help="seeds per concentration estimate")
+    p.add_argument("--R", type=_POSITIVE, default=10.0)
+    p.add_argument("--eps", type=_POSITIVE, default=0.1, help="accuracy for the pointwise bound")
+    p.add_argument("--pairs", type=_COUNT, default=100, help="pairs for the empirical sup error")
     p.add_argument("--out", required=True, help="output path prefix")
     p.set_defaults(func=cmd_diagnose)
 

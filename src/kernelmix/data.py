@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import pdist
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .rng import stream
 
 
@@ -240,7 +240,7 @@ def kfold_split(ds: LabeledDataset, k: int, seed: int) -> list[tuple[np.ndarray,
     proportions within one sample of the global ones.
     """
     if not 2 <= k <= ds.n:
-        raise DataError(f"k must lie in [2, {ds.n}], got {k}")
+        raise ConfigError(f"k must lie in [2, {ds.n}], got {k}")
     all_idx = np.arange(ds.n)
     folds: list[list[int]] = [[] for _ in range(k)]
     for cls_key, cls in enumerate((1, -1)):

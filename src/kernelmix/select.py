@@ -24,13 +24,6 @@ from .rng import stream
 from .svm import SvmModel, TrainConfig, accuracy, train
 
 
-def log_grid(lo: float = 1e-20, hi: float = 1e3, count: int = 24) -> np.ndarray:
-    """Strictly increasing log-spaced bandwidth (gamma) grid."""
-    if not (0 < lo < hi) or count < 1:
-        raise ConfigError("grid bounds must satisfy 0 < lo < hi with count >= 1")
-    return np.geomspace(lo, hi, count)
-
-
 def _check_grid(gammas) -> np.ndarray:
     gammas = np.asarray(gammas, dtype=float)
     if gammas.ndim != 1 or gammas.shape[0] == 0:
@@ -74,10 +67,11 @@ def cv_bandwidth_select(
     gamma (the grid is increasing and argmax takes the first maximum).
     """
     gammas = _check_grid(gammas)
+    splits = kfold_split(ds, folds, seed)
     rows = []
     for gi, gamma in enumerate(gammas):
         accs = []
-        for fi, (train_idx, val_idx) in enumerate(kfold_split(ds, folds, seed)):
+        for fi, (train_idx, val_idx) in enumerate(splits):
             train_ds = LabeledDataset(ds.features[train_idx], ds.labels[train_idx])
             val_ds = LabeledDataset(ds.features[val_idx], ds.labels[val_idx])
             model = _fit(

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from kernelmix import cli, diagnostics
+from kernelmix import cli, diagnostics, select
 from kernelmix.data import load_dataset
 from kernelmix.rff import FeatureBank
 from kernelmix.rng import stream
@@ -38,6 +38,64 @@ def write_identical_classes(path, n=6, seed=1):
         lines.append(f"{row[0]},{row[1]},-1")
     path.write_text("\n".join(lines) + "\n")
     return str(path)
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Fail the test if the command reads a file, makes data, or runs an MMD
+    pass or a Phi build."""
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a bad flag reached the data, an MMD pass or a Phi build")
+
+    for name in ("load_dataset", "load_features", "load_model", "two_gaussian_dataset",
+                 "mixing_weights", "build_feature_matrix"):
+        monkeypatch.setattr(cli, name, refuse)
+
+
+def assert_refused_at_parse(tmp_path, capsys, command, flag, *values):
+    """``command flag values...`` on a 40-row file (the synthetic preset for a
+    --synthetic-* flag) exits 3 naming the flag and writes nothing."""
+    data = write_dataset(tmp_path / "d.csv", n=40)
+    source = ["--synthetic", "two-gaussian"] if flag.startswith("--synthetic") else ["--data", data]
+    if command == "predict":
+        source = ["--model", str(tmp_path / "m.json"), *source]
+    assert cli.main([command, *source, flag, *values, "--out", str(tmp_path / "out")]) == 3
+    assert flag in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]
+
+
+COUNT = ("0", "-1", "1.5", "x")
+TRAINING = {"--draws": COUNT, "--R": ("0", "-1", "x"), "--lam": ("-1", "x"),
+            "--epochs": COUNT, "--step-size": ("0", "-1", "x")}
+SYNTHETIC = {"--synthetic-n": ("0", "x"), "--synthetic-dim": ("-1", "x")}
+SEED = ("-1", "x")
+
+# Bad values per command and numeric flag. The nan/inf training values, the
+# test fraction's range, diagnose's --R/--eps/--pairs/--trials/--draw-sweep
+# and the synthetic sizes are further rows, in the tests named after them below.
+BAD_FLAGS = {
+    "score": {"--seed": SEED, "--gammas": ("0", "-1", "nan", "inf", "x", "0.5,-1", ",")},
+    "train": {"--seed": SEED, "--gammas": ("0", "nan"), **TRAINING, "--batch-size": COUNT},
+    "predict": {"--seed": SEED},
+    "select": {"--seed": SEED, **SYNTHETIC, "--gammas": ("0", "inf", "x"), "--folds": ("1", "0", "x"),
+               **TRAINING, "--test-fraction": ("nan", "inf", "x")},
+    "diagnose": {"--seed": SEED, **SYNTHETIC, "--gammas": ("-1", "inf"), "--draws": ("0", "-1", "x", "64,0"),
+                 "--trials": ("-1", "x"), "--R": ("x",), "--eps": ("nan", "inf", "x"), "--pairs": ("-1", "x")},
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        pytest.param(command, flag, value, id=f"{command} {flag} {value}")
+        for command, flags in BAD_FLAGS.items()
+        for flag, values in flags.items()
+        for value in values
+    ],
+)
+def test_bad_flag_refused_at_parse(tmp_path, capsys, no_work, command, flag, value):
+    assert_refused_at_parse(tmp_path, capsys, command, flag, value)
 
 
 class TestScore:
@@ -315,16 +373,8 @@ class TestTrainPredict:
 @pytest.mark.parametrize("command", ["train", "select"])
 @pytest.mark.parametrize("flag", ["--R", "--lam", "--step-size"])
 @pytest.mark.parametrize("value", ["nan", "inf"])
-def test_non_finite_training_flags_exit_3(tmp_path, capsys, command, flag, value):
-    data = write_dataset(tmp_path / "d.csv", n=40)
-    out = tmp_path / "out"
-    args = [command, "--data", data, "--gammas", "0.5", "--draws", "16", "--epochs", "2",
-            flag, value, "--out", str(out)]
-    if command == "select":
-        args += ["--folds", "3"]
-    assert cli.main(args) == 3
-    assert "must be finite" in capsys.readouterr().err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]
+def test_non_finite_training_flags_exit_3(tmp_path, capsys, no_work, command, flag, value):
+    assert_refused_at_parse(tmp_path, capsys, command, flag, value)
 
 
 class TestSelect:
@@ -367,14 +417,21 @@ class TestSelect:
         assert cli.main(["select", "--out", str(tmp_path / "sel")]) == 3
 
     @pytest.mark.parametrize("fraction", ["0", "1", "1.5", "-0.2"])
-    def test_test_fraction_outside_unit_interval_exit_3(self, tmp_path, capsys, fraction):
-        data = write_dataset(tmp_path / "d.csv", n=60)
-        args = [
-            "select", "--data", data, "--gammas", "0.5", "--folds", "3", "--draws", "16",
-            "--epochs", "2", "--test-fraction", fraction, "--out", str(tmp_path / "sel"),
-        ]
+    def test_test_fraction_outside_unit_interval_exit_3(self, tmp_path, capsys, no_work, fraction):
+        assert_refused_at_parse(tmp_path, capsys, "select", "--test-fraction", fraction)
+
+    def test_folds_above_training_rows_exit_3(self, tmp_path, capsys, monkeypatch):
+        # the upper bound depends on the data: 40 rows hold out 10, leaving 30
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("ran an MMD pass or built a Phi before the fold check")
+
+        monkeypatch.setattr(select, "mmd_scores", refuse)
+        monkeypatch.setattr(select, "build_feature_matrix", refuse)
+        data = write_dataset(tmp_path / "d.csv", n=40)
+        args = ["select", "--data", data, "--gammas", "0.5", "--folds", "31", "--out", str(tmp_path / "sel")]
         assert cli.main(args) == 3
-        assert "test fraction" in capsys.readouterr().err
+        assert "config error: k must lie in [2, 30], got 31" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]
 
 
 class TestDiagnose:
@@ -475,44 +532,31 @@ class TestDiagnose:
         ],
         ids=" ".join,
     )
-    def test_scalar_flags_checked_before_any_work(self, tmp_path, capsys, refuse_builds, flags):
-        args = [
-            "diagnose", "--synthetic", "two-gaussian", "--synthetic-n", "400",
-            "--gammas", "0.5,2", "--draw-sweep", "512,2048", "--trials", "3",
-            "--out", str(tmp_path / "diag"), *flags,
-        ]
-        assert cli.main(args) == 3
-        assert flags[0] in capsys.readouterr().err
-        assert not list(tmp_path.iterdir())
+    def test_scalar_flags_checked_before_any_work(self, tmp_path, capsys, no_work, flags):
+        assert_refused_at_parse(tmp_path, capsys, "diagnose", *flags)
 
     @pytest.mark.parametrize("sweep", ["1.5", "0,64", "-5", "64,inf", "nan"])
-    def test_draw_sweep_needs_positive_integers(self, tmp_path, capsys, sweep):
-        data = write_dataset(tmp_path / "d.csv", n=20)
-        args = [
-            "diagnose", "--data", data, "--gammas", "0.5", "--draw-sweep", sweep,
-            "--trials", "1", "--pairs", "2", "--out", str(tmp_path / "diag"),
-        ]
-        assert cli.main(args) == 3
-        assert "positive integers" in capsys.readouterr().err
+    def test_draw_sweep_needs_positive_integers(self, tmp_path, capsys, no_work, sweep):
+        assert_refused_at_parse(tmp_path, capsys, "diagnose", "--draw-sweep", sweep)
 
     @pytest.mark.parametrize("trials", ["0", "-2"])
-    def test_no_trials_exit_3(self, tmp_path, capsys, trials):
-        data = write_dataset(tmp_path / "d.csv", n=20)
-        args = [
-            "diagnose", "--data", data, "--gammas", "0.5", "--draws", "16",
-            "--trials", trials, "--pairs", "2", "--out", str(tmp_path / "diag"),
-        ]
-        assert cli.main(args) == 3
-        assert "at least one seed" in capsys.readouterr().err
+    def test_no_trials_exit_3(self, tmp_path, capsys, no_work, trials):
+        assert_refused_at_parse(tmp_path, capsys, "diagnose", "--trials", trials)
+
+    def test_draws_and_draw_sweep_are_one_flag(self):
+        def draws(*flags):
+            return cli.build_parser().parse_args(["diagnose", *flags, "--out", "o"]).draws
+
+        assert draws() == [2048]
+        assert draws("--draws", "64") == [64]
+        assert draws("--draws", "64,128") == draws("--draw-sweep", "64,128") == [64, 128]
+        assert draws("--draws", "64", "--draw-sweep", "128") == [128]
 
 
 @pytest.mark.parametrize("command", ["select", "diagnose"])
 @pytest.mark.parametrize("flag,value", [("--synthetic-n", "-5"), ("--synthetic-dim", "0")])
-def test_synthetic_size_flags_exit_3(tmp_path, capsys, command, flag, value):
-    args = [command, "--synthetic", "two-gaussian", flag, value, "--out", str(tmp_path / "o")]
-    assert cli.main(args) == 3
-    assert "two-Gaussian data needs" in capsys.readouterr().err
-    assert not list(tmp_path.iterdir())
+def test_synthetic_size_flags_exit_3(tmp_path, capsys, no_work, command, flag, value):
+    assert_refused_at_parse(tmp_path, capsys, command, flag, value)
 
 
 class TestConfigFile:
@@ -535,6 +579,15 @@ class TestConfigFile:
         bad = tmp_path / "cfg.json"
         bad.write_text("[1,2]")
         assert cli.main(["score", "--config", str(bad), "--out", "x"]) == 3
+
+    def test_config_values_checked_like_flags(self, tmp_path, capsys, no_work):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"epochs": 0}))
+        data = write_dataset(tmp_path / "d.csv")
+        args = ["train", "--data", data, "--config", str(config), "--out", str(tmp_path / "m.json")]
+        assert cli.main(args) == 3
+        assert "--epochs" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "d.csv"]
 
     def test_unknown_flag_exit_3(self):
         assert cli.main(["score", "--nope"]) == 3

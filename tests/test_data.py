@@ -17,7 +17,7 @@ from kernelmix.data import (
     split_by_label,
     standardize,
 )
-from kernelmix.errors import DataError
+from kernelmix.errors import ConfigError, DataError
 from kernelmix.rng import stream
 
 
@@ -230,9 +230,9 @@ class TestKfold:
 
     def test_k_out_of_range(self):
         ds = LabeledDataset(np.zeros((4, 1)), np.array([1, -1, 1, -1]))
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError):
             kfold_split(ds, 1, seed=0)
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError):
             kfold_split(ds, 5, seed=0)
 
 

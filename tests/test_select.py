@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from kernelmix.cli import DATA_GAMMAS
 from kernelmix.data import LabeledDataset, split_by_label, standardize
 from kernelmix.errors import ConfigError, DataError
 from kernelmix.kernels import BaseKernel
@@ -15,7 +16,6 @@ from kernelmix.select import (
     compare_selection,
     cv_bandwidth_select,
     kernel_feature_select,
-    log_grid,
     mmd_bandwidth_select,
     project_capped_box,
     relaxed_objective,
@@ -34,17 +34,10 @@ def small_task(seed=0, n=60):
 
 class TestGrid:
     def test_default_range(self):
-        grid = log_grid()
+        grid = DATA_GAMMAS
         assert grid[0] == pytest.approx(1e-20)
         assert grid[-1] == pytest.approx(1e3)
         assert (np.diff(grid) > 0).all()
-
-    def test_single_point(self):
-        assert log_grid(0.5, 2.0, 1).tolist() == [0.5]
-
-    def test_rejects_bad_bounds(self):
-        with pytest.raises(ConfigError):
-            log_grid(1.0, 0.5, 3)
 
 
 class TestMmdSelect:
@@ -65,7 +58,7 @@ class TestMmdSelect:
 
     def test_scores_vary_smoothly(self):
         ds = small_task()
-        _best, rows, _deg = mmd_bandwidth_select(ds, log_grid(1e-4, 1e2, 13))
+        _best, rows, _deg = mmd_bandwidth_select(ds, np.geomspace(1e-4, 1e2, 13))
         scores = [r["mmd_score"] for r in rows]
         assert all(np.isfinite(scores))
         gaps = np.abs(np.diff(scores))

@@ -42,3 +42,18 @@ def test_no_full_spectrum_solves(path):
         if name in FULL_SPECTRUM
     )
     assert not calls, f"{path.name} computes a full spectrum: {', '.join(calls)}"
+
+
+def test_cli_flags_have_converters():
+    # a bare int/float accepts 0, -1, nan and inf; every numeric flag needs a
+    # checking converter so a bad value exits 3 before any work
+    path = Path(__file__).parent.parent / "src" / "kernelmix" / "cli.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bare = sorted(
+        f"{ast.literal_eval(node.args[0]) if node.args else '?'} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument"
+        for kw in node.keywords
+        if kw.arg == "type" and isinstance(kw.value, ast.Name) and kw.value.id in ("int", "float")
+    )
+    assert not bare, f"cli.py declares flags without a checking converter: {', '.join(bare)}"
