@@ -32,7 +32,7 @@ from .diagnostics import (
     probe_pass,
 )
 from .errors import ConfigError, DataError, ModelIntegrityError
-from .kernels import BaseKernel
+from .kernels import FAMILIES, BaseKernel
 from .mmd import MixtureWeights, mixing_weights, mmd_scores
 from .rff import FeatureBank, build_feature_matrix, spectral_second_moment
 from .select import compare_selection
@@ -83,8 +83,7 @@ def _write_csv(path: str, header: list[str], rows: list[dict]) -> None:
 
 
 def _bank_kernels(args) -> list[BaseKernel]:
-    families = [f.strip() for f in args.families.split(",") if f.strip()]
-    gammas = args.gammas
+    families, gammas = args.families, args.gammas
     if len(families) == 1:
         families = families * len(gammas)
     if len(families) != len(gammas):
@@ -125,9 +124,9 @@ def _synthetic_or_data(args) -> LabeledDataset:
 
 
 def cmd_score(args) -> int:
+    kernels = _bank_kernels(args)
     ds = _load_input(args)[0]
     pos, neg = split_by_label(ds)
-    kernels = _bank_kernels(args)
     scores = mmd_scores(kernels, pos, neg, estimator=args.estimator)
     weights = MixtureWeights.from_scores([s.value for s in scores])
     rows = [
@@ -162,8 +161,8 @@ def cmd_score(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _train_config(args)
-    ds, standardization = _load_input(args)
     kernels = _bank_kernels(args)
+    ds, standardization = _load_input(args)
     weights = mixing_weights(kernels, *split_by_label(ds), estimator=args.estimator)
     bank = FeatureBank.generate(kernels, weights, args.draws, ds.dim, args.seed)
     Phi = build_feature_matrix(ds.features, bank)
@@ -225,8 +224,8 @@ def cmd_select(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    ds = _synthetic_or_data(args)
     kernels = _bank_kernels(args)
+    ds = _synthetic_or_data(args)
     sweep = args.draws
     weights = mixing_weights(kernels, *split_by_label(ds), estimator=args.estimator)
     rows = probe_pass(ds.features, kernels, weights, sweep, list(range(args.trials)), args.seed, args.R)
@@ -308,6 +307,10 @@ _FRACTION = _flag(float, lambda v: 0 < v < 1, "in (0, 1)")
 _GAMMAS = _flag(
     _list(float), lambda vs: vs and all(map(_positive, vs)), "a comma list of positive finite numbers"
 )
+_GRID = _flag(_GAMMAS, lambda vs: vs == sorted(set(vs)), "a strictly increasing comma list")
+_FAMILIES = _flag(
+    _list(str.strip), lambda fs: fs and set(fs) <= set(FAMILIES), f"a comma list of {'|'.join(FAMILIES)}"
+)
 _DRAWS = _flag(_list(int), lambda vs: vs and min(vs) >= 1, "a comma list of positive integers")
 
 
@@ -329,6 +332,7 @@ def _add_data(p: _Parser, required: bool = True) -> None:
 def _add_bank(p: _Parser) -> None:
     p.add_argument(
         "--families",
+        type=_FAMILIES,
         default="gaussian",
         help="kernel family, or comma list matching --gammas (gaussian|laplacian|anova)",
     )
@@ -385,7 +389,7 @@ def build_parser() -> _Parser:
     _add_common(p)
     _add_data(p, required=False)
     _add_synthetic(p, n=400)
-    p.add_argument("--gammas", type=_GAMMAS, default=None, help="comma list; default: benchmark grid (synthetic) or the 10^-20..10^3 grid")
+    p.add_argument("--gammas", type=_GRID, default=None, help="increasing comma list; default: benchmark grid (synthetic) or the 10^-20..10^3 grid")
     p.add_argument("--folds", type=_FOLDS, default=5)
     # weak lam: the harness needs real margins
     _add_training(p, draws=256, R=30.0, lam=0.01, epochs=40)
@@ -409,14 +413,13 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _apply_config_file(argv: list[str]) -> list[str]:
-    if "--config" not in argv:
-        return argv
-    idx = argv.index("--config")
-    try:
-        path = argv[idx + 1]
-    except IndexError:
-        raise ConfigError("--config needs a path") from None
+def _config_flags(argv: list[str]) -> list[str]:
+    """The entries of the --config file named in ``argv`` as flags, or []."""
+    finder = _Parser(add_help=False)
+    finder.add_argument("--config")
+    path = finder.parse_known_args(argv)[0].config
+    if path is None:
+        return []
     try:
         with open(path) as fh:
             payload = json.load(fh)
@@ -426,28 +429,22 @@ def _apply_config_file(argv: list[str]) -> list[str]:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(payload, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
-    # config supplies defaults; explicit flags take precedence
-    extra: list[str] = []
+    flags: list[str] = []
     for key, value in sorted(payload.items()):
         flag = "--" + key.replace("_", "-")
-        if flag in argv:
-            continue
-        if isinstance(value, bool):
-            if value:
-                extra.append(flag)
-        else:
-            extra.extend([flag, str(value)])
-    head, tail = argv[:1], argv[1:]
-    return head + extra + tail
+        if value is True:
+            flags.append(flag)
+        elif value is not False:
+            flags.extend([flag, str(value)])
+    return flags
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        if argv:
-            argv = _apply_config_file(argv)
-        args = parser.parse_args(argv)
+        # argparse keeps a flag's last value: explicit flags win, file values are checked
+        args = parser.parse_args(argv[:1] + _config_flags(argv) + argv[1:])
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

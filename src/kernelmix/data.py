@@ -233,6 +233,16 @@ def apply_standardization(features: np.ndarray, mean: np.ndarray, std: np.ndarra
     return out
 
 
+def _class_permutations(ds: LabeledDataset, seed: int, *path: int) -> list[np.ndarray]:
+    """Row indices of each class, (positives, negatives), each permuted by
+    the stream (seed, *path, class key)."""
+    all_idx = np.arange(ds.n)
+    return [
+        stream(seed, *path, key).permutation(all_idx[ds.labels == cls])
+        for key, cls in enumerate((1, -1))
+    ]
+
+
 def kfold_split(ds: LabeledDataset, k: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Stratified k-fold partition, deterministic under ``seed``.
 
@@ -241,19 +251,17 @@ def kfold_split(ds: LabeledDataset, k: int, seed: int) -> list[tuple[np.ndarray,
     """
     if not 2 <= k <= ds.n:
         raise ConfigError(f"k must lie in [2, {ds.n}], got {k}")
-    all_idx = np.arange(ds.n)
-    folds: list[list[int]] = [[] for _ in range(k)]
-    for cls_key, cls in enumerate((1, -1)):
-        idx = all_idx[ds.labels == cls]
-        idx = stream(seed, cls_key).permutation(idx)
-        for j in range(k):
-            folds[j].extend(idx[j::k].tolist())
-    out = []
-    for j in range(k):
-        val = np.array(sorted(folds[j]), dtype=int)
-        train = np.setdiff1d(all_idx, val)
-        out.append((train, val))
-    return out
+    perms = _class_permutations(ds, seed)
+    vals = [np.sort(np.concatenate([idx[j::k] for idx in perms])) for j in range(k)]
+    return [(np.setdiff1d(np.arange(ds.n), val), val) for val in vals]
+
+
+def holdout_split(ds: LabeledDataset, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stratified (train, test) row indices, deterministic under ``seed``:
+    each class holds out max(1, round(fraction * class size)) rows."""
+    perms = _class_permutations(ds, seed, 19)
+    test = np.sort(np.concatenate([p[: max(1, int(round(fraction * p.size)))] for p in perms]))
+    return np.setdiff1d(np.arange(ds.n), test), test
 
 
 def diameter(ds: LabeledDataset) -> float:

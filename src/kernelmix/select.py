@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabeledDataset, kfold_split, split_by_label
+from .data import LabeledDataset, holdout_split, kfold_split, split_by_label
 from .errors import ConfigError
 from .kernels import BaseKernel
 from .mmd import MixtureWeights, mmd_scores
@@ -35,6 +35,10 @@ def _check_grid(gammas) -> np.ndarray:
 
 def _child_seed(seed: int, *path: int) -> int:
     return int(stream(seed, *path).integers(2**63))
+
+
+def _subset(ds: LabeledDataset, idx: np.ndarray) -> LabeledDataset:
+    return LabeledDataset(ds.features[idx], ds.labels[idx])
 
 
 def _fit(
@@ -67,13 +71,11 @@ def cv_bandwidth_select(
     gamma (the grid is increasing and argmax takes the first maximum).
     """
     gammas = _check_grid(gammas)
-    splits = kfold_split(ds, folds, seed)
+    splits = [(_subset(ds, t), _subset(ds, v)) for t, v in kfold_split(ds, folds, seed)]
     rows = []
     for gi, gamma in enumerate(gammas):
         accs = []
-        for fi, (train_idx, val_idx) in enumerate(splits):
-            train_ds = LabeledDataset(ds.features[train_idx], ds.labels[train_idx])
-            val_ds = LabeledDataset(ds.features[val_idx], ds.labels[val_idx])
+        for fi, (train_ds, val_ds) in enumerate(splits):
             model = _fit(
                 train_ds, [gamma], [1.0], draws, cfg, _child_seed(seed, 5, gi, fi)
             )
@@ -134,23 +136,6 @@ class SelectionReport:
         }
 
 
-def _stratified_holdout(
-    ds: LabeledDataset, fraction: float, seed: int
-) -> tuple[LabeledDataset, LabeledDataset]:
-    test_idx: list[int] = []
-    all_idx = np.arange(ds.n)
-    for cls_key, cls in enumerate((1, -1)):
-        idx = stream(seed, 19, cls_key).permutation(all_idx[ds.labels == cls])
-        take = max(1, int(round(fraction * idx.shape[0])))
-        test_idx.extend(idx[:take].tolist())
-    test_idx = np.array(sorted(test_idx))
-    train_idx = np.setdiff1d(all_idx, test_idx)
-    return (
-        LabeledDataset(ds.features[train_idx], ds.labels[train_idx]),
-        LabeledDataset(ds.features[test_idx], ds.labels[test_idx]),
-    )
-
-
 def compare_selection(
     ds: LabeledDataset,
     gammas,
@@ -166,7 +151,7 @@ def compare_selection(
     gammas = _check_grid(gammas)
     if not 0.0 < test_fraction < 1.0:
         raise ConfigError(f"test fraction must lie in (0, 1), got {test_fraction}")
-    train_ds, test_ds = _stratified_holdout(ds, test_fraction, seed)
+    train_ds, test_ds = (_subset(ds, idx) for idx in holdout_split(ds, test_fraction, seed))
 
     t0 = time.perf_counter()
     cv_gamma, cv_rows = cv_bandwidth_select(train_ds, gammas, folds, cfg, draws, seed)

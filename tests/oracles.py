@@ -283,3 +283,39 @@ def oracle_spectral_concentration(X, kernels, weights, draws, seeds) -> dict:
         lambda Phi: float(np.linalg.svd(Phi, compute_uv=False)[0] ** 2),
         lambda K: float(np.linalg.eigvalsh(K)[-1]),
     )
+
+
+def reference_kfold_split(labels, k: int, seed: int) -> list:
+    """Stratified k-fold partition assembled in per-class Python lists. It draws
+    from the package stream (seed, class key), because that stream defines
+    which rows land in which fold."""
+    from kernelmix.rng import stream
+
+    labels = np.asarray(labels)
+    all_idx = np.arange(labels.shape[0])
+    folds = [[] for _ in range(k)]
+    for cls_key, cls in enumerate((1, -1)):
+        idx = stream(seed, cls_key).permutation(all_idx[labels == cls])
+        for j in range(k):
+            folds[j].extend(idx[j::k].tolist())
+    out = []
+    for j in range(k):
+        val = np.array(sorted(folds[j]), dtype=int)
+        out.append((np.setdiff1d(all_idx, val), val))
+    return out
+
+
+def reference_holdout_split(labels, fraction: float, seed: int) -> tuple:
+    """Stratified (train, test) holdout assembled in a Python list, on the
+    package stream (seed, 19, class key) that defines the split."""
+    from kernelmix.rng import stream
+
+    labels = np.asarray(labels)
+    all_idx = np.arange(labels.shape[0])
+    test_idx = []
+    for cls_key, cls in enumerate((1, -1)):
+        idx = stream(seed, 19, cls_key).permutation(all_idx[labels == cls])
+        take = max(1, int(round(fraction * idx.shape[0])))
+        test_idx.extend(idx[:take].tolist())
+    test_idx = np.array(sorted(test_idx))
+    return np.setdiff1d(all_idx, test_idx), test_idx

@@ -70,18 +70,22 @@ TRAINING = {"--draws": COUNT, "--R": ("0", "-1", "x"), "--lam": ("-1", "x"),
             "--epochs": COUNT, "--step-size": ("0", "-1", "x")}
 SYNTHETIC = {"--synthetic-n": ("0", "x"), "--synthetic-dim": ("-1", "x")}
 SEED = ("-1", "x")
+FAMILIES = ("nope", "gaussian,bogus", ",")
 
-# Bad values per command and numeric flag. The nan/inf training values, the
+# Bad values per command and value flag. The nan/inf training values, the
 # test fraction's range, diagnose's --R/--eps/--pairs/--trials/--draw-sweep
 # and the synthetic sizes are further rows, in the tests named after them below.
 BAD_FLAGS = {
-    "score": {"--seed": SEED, "--gammas": ("0", "-1", "nan", "inf", "x", "0.5,-1", ",")},
-    "train": {"--seed": SEED, "--gammas": ("0", "nan"), **TRAINING, "--batch-size": COUNT},
+    "score": {"--seed": SEED, "--gammas": ("0", "-1", "nan", "inf", "x", "0.5,-1", ","),
+              "--families": FAMILIES},
+    "train": {"--seed": SEED, "--gammas": ("0", "nan"), "--families": FAMILIES, **TRAINING,
+              "--batch-size": COUNT},
     "predict": {"--seed": SEED},
-    "select": {"--seed": SEED, **SYNTHETIC, "--gammas": ("0", "inf", "x"), "--folds": ("1", "0", "x"),
-               **TRAINING, "--test-fraction": ("nan", "inf", "x")},
-    "diagnose": {"--seed": SEED, **SYNTHETIC, "--gammas": ("-1", "inf"), "--draws": ("0", "-1", "x", "64,0"),
-                 "--trials": ("-1", "x"), "--R": ("x",), "--eps": ("nan", "inf", "x"), "--pairs": ("-1", "x")},
+    "select": {"--seed": SEED, **SYNTHETIC, "--gammas": ("0", "inf", "x", "1,0.1", "0.5,0.5"),
+               "--folds": ("1", "0", "x"), **TRAINING, "--test-fraction": ("nan", "inf", "x")},
+    "diagnose": {"--seed": SEED, **SYNTHETIC, "--gammas": ("-1", "inf"), "--families": FAMILIES,
+                 "--draws": ("0", "-1", "x", "64,0"), "--trials": ("-1", "x"), "--R": ("x",),
+                 "--eps": ("nan", "inf", "x"), "--pairs": ("-1", "x")},
 }
 
 
@@ -96,6 +100,16 @@ BAD_FLAGS = {
 )
 def test_bad_flag_refused_at_parse(tmp_path, capsys, no_work, command, flag, value):
     assert_refused_at_parse(tmp_path, capsys, command, flag, value)
+
+
+@pytest.mark.parametrize("command", ["score", "train", "diagnose"])
+def test_family_count_mismatch_refused_before_load(tmp_path, capsys, no_work, command):
+    data = write_dataset(tmp_path / "d.csv", n=40)
+    args = [command, "--data", data, "--families", "gaussian,laplacian", "--gammas", "1",
+            "--out", str(tmp_path / "out")]
+    assert cli.main(args) == 3
+    assert "2 families vs 1 gammas" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]
 
 
 class TestScore:
@@ -574,6 +588,42 @@ class TestConfigFile:
         ]) == 0
         payload = json.loads((tmp_path / "scores.json").read_text())
         assert payload["seed"] == 4
+
+    @pytest.mark.parametrize(
+        "flags, seed",
+        [
+            (["--config", "{cfg}"], 9),
+            (["--config={cfg}"], 9),
+            (["--conf", "{cfg}"], 9),
+            (["--config={cfg}", "--seed", "4"], 4),
+            (["--config", "{cfg}", "--seed=4"], 4),
+            (["--conf", "{cfg}", "--seed=4"], 4),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else f"seed {v}",
+    )
+    def test_every_spelling_loads_the_file(self, tmp_path, flags, seed):
+        data = write_dataset(tmp_path / "d.csv")
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"gammas": "0.5", "seed": 9}))
+
+        def score(prefix, *flags):
+            out = str(tmp_path / prefix)
+            assert cli.main(["score", "--data", data, *flags, "--out", out]) == 0
+            return (tmp_path / f"{prefix}.json").read_bytes(), (tmp_path / f"{prefix}.csv").read_bytes()
+
+        expected = score("expected", "--gammas", "0.5", "--seed", str(seed))
+        assert score("spelled", *(flag.format(cfg=config) for flag in flags)) == expected
+        assert json.loads(expected[0])["seed"] == seed
+
+    def test_bad_file_value_refused_under_override(self, tmp_path, capsys, no_work):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"epochs": 0}))
+        data = write_dataset(tmp_path / "d.csv")
+        args = ["train", "--data", data, "--config", str(config), "--epochs", "5",
+                "--out", str(tmp_path / "m.json")]
+        assert cli.main(args) == 3
+        assert "--epochs" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "d.csv"]
 
     def test_invalid_config_exit_3(self, tmp_path):
         bad = tmp_path / "cfg.json"

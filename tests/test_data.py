@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from kernelmix.data import (
     LabeledDataset,
     diameter,
+    holdout_split,
     kfold_split,
     load_dataset,
     load_features,
@@ -19,6 +20,7 @@ from kernelmix.data import (
 )
 from kernelmix.errors import ConfigError, DataError
 from kernelmix.rng import stream
+from oracles import reference_holdout_split, reference_kfold_split
 
 
 def write(tmp_path, name, text):
@@ -234,6 +236,45 @@ class TestKfold:
             kfold_split(ds, 1, seed=0)
         with pytest.raises(ConfigError):
             kfold_split(ds, 5, seed=0)
+
+
+labels_strategy = st.lists(st.sampled_from([-1, 1]), min_size=2, max_size=40).map(np.array)
+
+
+def labeled(labels):
+    return LabeledDataset(np.zeros((labels.shape[0], 1)), labels)
+
+
+@settings(max_examples=150, deadline=None)
+@given(labels=labels_strategy, data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_kfold_split_matches_reference(labels, data, seed):
+    k = data.draw(st.integers(2, labels.shape[0]))
+    folds = kfold_split(labeled(labels), k, seed)
+    reference = reference_kfold_split(labels, k, seed)
+    assert len(folds) == len(reference) == k
+    for (train, val), (ref_train, ref_val) in zip(folds, reference):
+        assert np.array_equal(train, ref_train) and np.array_equal(val, ref_val)
+        assert train.dtype == ref_train.dtype and val.dtype == ref_val.dtype
+        assert np.all(np.diff(train) > 0) and np.all(np.diff(val) > 0)
+        assert np.array_equal(np.union1d(train, val), np.arange(labels.shape[0]))
+    seen = np.concatenate([val for _train, val in folds])
+    assert np.array_equal(np.sort(seen), np.arange(labels.shape[0]))  # disjoint and covering
+
+
+@settings(max_examples=150, deadline=None)
+@given(labels=labels_strategy, fraction=st.floats(0.01, 0.99), seed=st.integers(0, 2**32 - 1))
+def test_holdout_split_matches_reference(labels, fraction, seed):
+    train, test = holdout_split(labeled(labels), fraction, seed)
+    ref_train, ref_test = reference_holdout_split(labels, fraction, seed)
+    assert np.array_equal(train, ref_train) and np.array_equal(test, ref_test)
+    assert train.dtype == ref_train.dtype and test.dtype == ref_test.dtype
+    assert np.all(np.diff(train) > 0) and np.all(np.diff(test) > 0)
+    assert np.array_equal(np.union1d(train, test), np.arange(labels.shape[0]))
+    assert np.intersect1d(train, test).size == 0
+    for cls in (1, -1):
+        size = int((labels == cls).sum())
+        expected = min(size, max(1, round(fraction * size)))
+        assert int((labels[test] == cls).sum()) == expected
 
 
 class TestDiameter:

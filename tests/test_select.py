@@ -5,14 +5,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from kernelmix.cli import DATA_GAMMAS
-from kernelmix.data import LabeledDataset, split_by_label, standardize
+from kernelmix.data import LabeledDataset, holdout_split, split_by_label, standardize
 from kernelmix.errors import ConfigError, DataError
 from kernelmix.kernels import BaseKernel
 from kernelmix.mmd import MixtureWeights, mixing_weights
 from kernelmix.rff import FeatureBank
 from kernelmix.rng import stream
 from kernelmix.select import (
-    _stratified_holdout,
     compare_selection,
     cv_bandwidth_select,
     kernel_feature_select,
@@ -136,7 +135,8 @@ class TestCompareSelection:
         monkeypatch.setattr(FeatureBank, "generate", classmethod(spy))
         compare_selection(ds, gammas, folds=3, cfg=FAST_CFG, draws=32, seed=5)
         mixture = [b.weights for b in banks if len(b.kernels) == len(gammas)]
-        train_ds, _test_ds = _stratified_holdout(ds, 0.25, 5)
+        train_idx, _test_idx = holdout_split(ds, 0.25, 5)
+        train_ds = LabeledDataset(ds.features[train_idx], ds.labels[train_idx])
         kernels = [BaseKernel.from_gamma("gaussian", g) for g in gammas]
         expected = mixing_weights(kernels, *split_by_label(train_ds))
         assert len(mixture) == 1

@@ -44,16 +44,25 @@ def test_no_full_spectrum_solves(path):
     assert not calls, f"{path.name} computes a full spectrum: {', '.join(calls)}"
 
 
+# flags whose value is a file path, which the command opens and checks itself
+PATH_FLAGS = {"--config", "--data", "--out", "--log", "--model"}
+
+
 def test_cli_flags_have_converters():
-    # a bare int/float accepts 0, -1, nan and inf; every numeric flag needs a
-    # checking converter so a bad value exits 3 before any work
+    # a bare int/float accepts 0, -1, nan and inf, and a flag with no
+    # converter accepts anything; every value flag needs a checking converter
+    # so a bad value exits 3 before any work
     path = Path(__file__).parent.parent / "src" / "kernelmix" / "cli.py"
     tree = ast.parse(path.read_text(), filename=str(path))
-    bare = sorted(
-        f"{ast.literal_eval(node.args[0]) if node.args else '?'} (line {node.lineno})"
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument"
-        for kw in node.keywords
-        if kw.arg == "type" and isinstance(kw.value, ast.Name) and kw.value.id in ("int", "float")
-    )
-    assert not bare, f"cli.py declares flags without a checking converter: {', '.join(bare)}"
+    unchecked = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument"):
+            continue
+        flag = ast.literal_eval(node.args[0]) if node.args else "?"
+        keywords = {kw.arg: kw.value for kw in node.keywords}
+        converter = keywords.get("type")
+        bare = isinstance(converter, ast.Name) and converter.id in ("int", "float")
+        checked = (converter is not None and not bare) or {"choices", "action"} & keywords.keys()
+        if not checked and flag not in PATH_FLAGS:
+            unchecked.append(f"{flag} (line {node.lineno})")
+    assert not unchecked, f"cli.py declares flags without a checking converter: {', '.join(sorted(unchecked))}"
