@@ -371,8 +371,6 @@ def build_parser() -> _Parser:
     _add_bank(p)
     _add_training(p, draws=512, R=10.0, lam=1.0, epochs=100)
     p.add_argument("--batch-size", type=_COUNT, default=None)
-    p.add_argument("--schedule", choices=("inv_sqrt", "constant"), default="inv_sqrt")
-    p.add_argument("--no-offset", dest="fit_offset", action="store_false", help="disable the unregularized offset term")
     p.add_argument("--out", required=True, help="model JSON path")
     p.add_argument("--log", default=None, help="training log path (default: OUT.log.json)")
     p.set_defaults(func=cmd_train)

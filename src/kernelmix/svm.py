@@ -5,10 +5,10 @@ Training minimizes
     (1/n) sum_i [1 - y_i (beta^T Phi_i / sqrt(D) + b0)]_+  +  (lam/2) ||beta||^2
 
 by projected (stochastic) subgradient descent, projecting beta back onto
-the ball ||beta||_2 <= R / sqrt(mD) after every step. The offset b0 is
-trained unregularized and unconstrained (can be disabled). The returned
-model carries the averaged iterate, which is feasible by convexity of the
-ball.
+the ball ||beta||_2 <= R / sqrt(mD) after every step of size
+step_size / sqrt(t). The offset b0 is trained unregularized and
+unconstrained. The returned model carries the averaged iterate, which is
+feasible by convexity of the ball.
 """
 
 from __future__ import annotations
@@ -28,6 +28,10 @@ from .rng import stream
 MODEL_SCHEMA_VERSION = 1
 
 
+def _is_int(value, least: int) -> bool:
+    return isinstance(value, (int, np.integer)) and value >= least
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     R: float = 10.0
@@ -35,23 +39,21 @@ class TrainConfig:
     epochs: int = 100
     batch_size: int | None = None  # None = full batch (deterministic path)
     step_size: float = 0.5
-    schedule: str = "inv_sqrt"  # or "constant"
     seed: int = 0
-    fit_offset: bool = True
 
     def __post_init__(self):
         if not (math.isfinite(self.R) and self.R > 0):
             raise ConfigError(f"R must be finite and positive, got {self.R}")
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise ConfigError(f"lambda must be finite and nonnegative, got {self.lam}")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be at least 1")
-        if self.schedule not in ("inv_sqrt", "constant"):
-            raise ConfigError(f"unknown schedule {self.schedule!r}")
+        if not _is_int(self.epochs, 1):
+            raise ConfigError(f"epochs must be a positive integer, got {self.epochs!r}")
         if not (math.isfinite(self.step_size) and self.step_size > 0):
             raise ConfigError(f"step size must be finite and positive, got {self.step_size}")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ConfigError("batch size must be positive")
+        if self.batch_size is not None and not _is_int(self.batch_size, 1):
+            raise ConfigError(f"batch size must be a positive integer, got {self.batch_size!r}")
+        if not _is_int(self.seed, 0):
+            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -167,32 +169,22 @@ def train(
     steps = 0
     max_norm = 0.0  # largest ||beta|| of a projected iterate
     objective_history: list[float] = []
-    rng = stream(cfg.seed, 3)
+    rng = stream(cfg.seed, 3, 0)  # one-element paths (seed, k) are the banks' streams
 
     for _epoch in range(cfg.epochs):
         if full_batch:
-            batches = [None]
+            batches = [slice(None)]  # a view of Phi, not a copy
         else:
-            order = rng.permutation(n)
-            batches = [
-                order[i : i + cfg.batch_size] for i in range(0, n, cfg.batch_size)
-            ]
+            batches = np.split(rng.permutation(n), range(cfg.batch_size, n, cfg.batch_size))
         for batch in batches:
-            if full_batch:
-                g_beta, g_offset = hinge_subgradient(
-                    Phi, y, beta, offset, cfg.lam, draws, scores=scores
-                )
-            else:
-                g_beta, g_offset = hinge_subgradient(
-                    Phi[batch], y[batch], beta, offset, cfg.lam, draws
-                )
+            g_beta, g_offset = hinge_subgradient(
+                Phi[batch], y[batch], beta, offset, cfg.lam, draws,
+                scores=scores if full_batch else None,
+            )
             steps += 1
-            eta = cfg.step_size
-            if cfg.schedule == "inv_sqrt":
-                eta /= math.sqrt(steps)
+            eta = cfg.step_size / math.sqrt(steps)
             beta = _project(beta - eta * g_beta, radius)
-            if cfg.fit_offset:
-                offset -= eta * g_offset
+            offset -= eta * g_offset
             max_norm = max(max_norm, float(np.linalg.norm(beta)))
             beta_avg += (beta - beta_avg) / steps
             offset_avg += (offset - offset_avg) / steps
@@ -208,7 +200,7 @@ def train(
     meta = {"objective_history": objective_history, "max_post_step_norm": max_norm}
     return SvmModel(
         beta=beta_avg,
-        offset=offset_avg if cfg.fit_offset else 0.0,
+        offset=offset_avg,
         R=cfg.R,
         lam=cfg.lam,
         draws=draws,

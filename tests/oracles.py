@@ -134,8 +134,6 @@ def reference_train(
     draws,
     batch_size=None,
     rng=None,
-    schedule="inv_sqrt",
-    fit_offset=True,
 ):
     """Projected subgradient training as first written, step by step.
 
@@ -173,18 +171,17 @@ def reference_train(
                 g_beta = g_beta - (P[active].T @ ya) / (len(batch) * root)
                 g_offset = -float(ya.sum()) / len(batch)
             steps += 1
-            eta = step_size / math.sqrt(steps) if schedule == "inv_sqrt" else step_size
+            eta = step_size / math.sqrt(steps)
             beta = beta - eta * g_beta
             norm = float(np.linalg.norm(beta))
             if norm > radius:
                 beta = beta * (radius / norm)
-            if fit_offset:
-                offset -= eta * g_offset
+            offset -= eta * g_offset
             beta_avg += (beta - beta_avg) / steps
             offset_avg += (offset - offset_avg) / steps
         margins = 1.0 - y * (Phi @ beta_avg / root + offset_avg)
         history.append(float(np.maximum(margins, 0.0).mean() + 0.5 * lam * beta_avg @ beta_avg))
-    return beta_avg, (offset_avg if fit_offset else 0.0), history
+    return beta_avg, offset_avg, history
 
 
 def reference_relaxed_objective(X, y, bank, omega, eps):

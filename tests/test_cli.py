@@ -102,6 +102,21 @@ def test_bad_flag_refused_at_parse(tmp_path, capsys, no_work, command, flag, val
     assert_refused_at_parse(tmp_path, capsys, command, flag, value)
 
 
+@pytest.mark.parametrize("key, value", [("schedule", "constant"), ("no_offset", True)])
+def test_removed_training_flags_exit_3(tmp_path, capsys, no_work, key, value):
+    """train has one step rule and always fits the offset, so neither the old
+    flag nor its --config key is accepted."""
+    flag = "--" + key.replace("_", "-")
+    assert_refused_at_parse(tmp_path, capsys, "train", flag, *([] if value is True else [value]))
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({key: value}))
+    args = ["train", "--data", str(tmp_path / "d.csv"), "--config", str(config),
+            "--out", str(tmp_path / "m.json")]
+    assert cli.main(args) == 3
+    assert flag in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "d.csv"]
+
+
 @pytest.mark.parametrize("command", ["score", "train", "diagnose"])
 def test_family_count_mismatch_refused_before_load(tmp_path, capsys, no_work, command):
     data = write_dataset(tmp_path / "d.csv", n=40)

@@ -10,6 +10,7 @@ from kernelmix.errors import ConfigError, DataError, ModelIntegrityError
 from kernelmix.kernels import BaseKernel
 from kernelmix.mmd import MixtureWeights
 from kernelmix.rff import FeatureBank, build_feature_matrix
+from kernelmix import svm
 from kernelmix.rng import stream
 from kernelmix.svm import (
     SvmModel,
@@ -105,30 +106,25 @@ class TestTrain:
         assert np.array_equal(a.beta, b.beta) and a.offset == b.offset
 
     @pytest.mark.parametrize(
-        "batch_size, schedule, fit_offset, R",
+        "batch_size, R",
         [
-            (None, "inv_sqrt", True, 10.0),
-            (None, "constant", False, 10.0),
-            (None, "inv_sqrt", True, 0.5),  # the ball projection fires
-            (16, "inv_sqrt", True, 10.0),
-            (50, "constant", True, 0.5),
+            (None, 10.0),
+            (None, 0.5),  # the ball projection fires
+            (16, 10.0),
+            (50, 0.5),
         ],
     )
-    def test_matches_reference_trainer(self, batch_size, schedule, fit_offset, R):
+    def test_matches_reference_trainer(self, batch_size, R):
         rng = stream(47)
         Phi = rng.normal(size=(120, 24))
         y = np.where(Phi[:, 0] + rng.normal(size=120) > 0, 1.0, -1.0)
-        cfg = TrainConfig(
-            R=R, lam=0.05, epochs=15, batch_size=batch_size, step_size=0.5,
-            schedule=schedule, seed=4, fit_offset=fit_offset,
-        )
+        cfg = TrainConfig(R=R, lam=0.05, epochs=15, batch_size=batch_size, step_size=0.5, seed=4)
         # D = 8 draws per kernel of a 3-kernel bank, so D != mD = 24
         kernels = [BaseKernel("gaussian", rho) for rho in (0.5, 1.0, 2.0)]
         bank = FeatureBank.generate(kernels, MixtureWeights(np.ones(3)), 8, 2, 0)
         model = train(Phi, y, cfg, bank=bank)
         beta, offset, history = reference_train(
-            Phi, y, R, 0.05, 15, 0.5, 8, batch_size=batch_size, rng=stream(4, 3),
-            schedule=schedule, fit_offset=fit_offset,
+            Phi, y, R, 0.05, 15, 0.5, 8, batch_size=batch_size, rng=stream(4, 3, 0)
         )
         assert np.linalg.norm(model.beta - beta) <= 1e-12 * np.linalg.norm(beta)
         assert abs(model.offset - offset) <= 1e-12 * max(abs(offset), 1e-300)
@@ -145,12 +141,59 @@ class TestTrain:
             train(Phi, np.array([1, -1, 1, -1]), TrainConfig())
 
     def test_bad_config(self):
-        with pytest.raises(ConfigError):
-            TrainConfig(R=-1.0)
-        with pytest.raises(ConfigError):
-            TrainConfig(epochs=0)
-        with pytest.raises(ConfigError):
-            TrainConfig(schedule="linear")
+        for bad in (
+            {"R": -1.0},
+            {"epochs": 0},
+            {"epochs": 2.5},
+            {"epochs": float("nan")},
+            {"batch_size": 2.5},
+            {"seed": -1},
+            {"seed": 1.5},
+        ):
+            with pytest.raises(ConfigError):
+                TrainConfig(**bad)
+        # NumPy integers are integers
+        cfg = TrainConfig(epochs=np.int64(5), batch_size=np.int64(5), seed=np.int64(5))
+        assert cfg.epochs == cfg.batch_size == cfg.seed == 5
+
+    def test_minibatch_shuffle_leaves_the_bank_streams_alone(self, monkeypatch):
+        # stream(seed, k) draws kernel k of a bank at that seed, so a shuffle on a
+        # one-element path would order the steps by a kernel's frequencies
+        paths = []
+
+        def spy(seed, *path):
+            paths.append(path)
+            return stream(seed, *path)
+
+        monkeypatch.setattr(svm, "stream", spy)
+        Phi, y = separable_feature_matrix()
+        train(Phi, y, TrainConfig(epochs=2, batch_size=8, seed=3))
+        assert paths and all(len(path) >= 2 for path in paths)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(4, 40),
+        total=st.integers(1, 12),
+        extra=st.integers(0, 10),
+        R=st.floats(1e-2, 50.0),
+        lam=st.sampled_from([0.0, 0.01, 0.5]),
+    )
+    def test_one_batch_minibatch_is_full_batch(self, seed, n, total, extra, R, lam):
+        # with batch_size >= n every epoch is one step over a permutation of all rows
+        rng = stream(seed)
+        Phi = rng.normal(scale=2.0, size=(n, total))
+        y = np.where(rng.uniform(size=n) < 0.5, 1.0, -1.0)
+        y[:2] = [1.0, -1.0]
+        full = train(Phi, y, TrainConfig(R=R, lam=lam, epochs=6, step_size=0.5))
+        mini = train(Phi, y, TrainConfig(R=R, lam=lam, epochs=6, step_size=0.5, batch_size=n + extra))
+        # relative to |beta|, or to one step's size where the average cancels
+        scale = max(np.linalg.norm(full.beta), np.abs(Phi).max())
+        assert np.linalg.norm(mini.beta - full.beta) <= 1e-12 * scale
+        assert abs(mini.offset - full.offset) <= 1e-12 * max(abs(full.offset), 1e-300)
+        np.testing.assert_allclose(
+            mini.meta["objective_history"], full.meta["objective_history"], rtol=1e-12, atol=0
+        )
 
 
 class TestSubgradient:

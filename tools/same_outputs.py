@@ -1,0 +1,110 @@
+"""Check that the command line writes the same bytes at REF as in the working tree.
+
+    python tools/same_outputs.py REF
+
+Exports REF's ``src`` with ``git archive`` into a temporary directory, writes
+one fixed CSV and one fixed LIBSVM training file from a seeded NumPy draw,
+and runs the same ten commands (score, train, predict, select and diagnose)
+against REF's package and against the working tree's ``src``. Each side runs
+in its own directory with relative paths, so messages compare too. Every
+output file, exit code, stdout and stderr is compared; the selector timings
+that ``select`` prints to stderr are left out. Prints each difference and
+exits 1 if there is any, else 0. Needs only git and the package's own
+dependencies.
+"""
+
+from __future__ import annotations
+
+import io
+import os
+import re
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+
+COMMANDS = [
+    "score --data train.csv --gammas 0.1,1,10 --out score_csv",
+    "score --data train.svm --format libsvm --gammas 0.1,1,10 --out score_svm",
+    "train --data train.csv --gammas 0.1,1 --draws 64 --epochs 30 --out full.json",
+    "train --data train.csv --gammas 0.01,0.1,1,10 --draws 32 --epochs 10 --batch-size 16 --out mini.json",
+    "predict --model full.json --data train.svm --format libsvm --out full_pred.csv",
+    "predict --model mini.json --data train.csv --out mini_pred.csv",
+    "select --data train.csv --gammas 0.01,0.1,1,10 --folds 3 --draws 32 --epochs 10 --out select_data",
+    "select --synthetic two-gaussian --synthetic-n 120 --gammas 0.1,1,10 --folds 3 --draws 32 --epochs 10 --out select_syn",
+    "diagnose --data train.csv --gammas 0.5,2 --draws 64,256 --trials 2 --pairs 20 --out diag_sweep",
+    "diagnose --synthetic two-gaussian --synthetic-n 80 --families laplacian --gammas 0.5,2 --draws 128 --trials 2 --out diag_laplacian",
+]
+
+# `select` reports how long each selector took; wall time is not an output
+TIMINGS = re.compile(r" \(cv [0-9.]+s, mmd [0-9.]+s\)")
+
+
+def write_inputs(directory: Path) -> None:
+    """A 60-row, 3-column two-class problem, as CSV and as LIBSVM."""
+    rng = np.random.default_rng(20190101)
+    X = rng.normal(size=(60, 3)) + np.repeat([[1.0], [-1.0]], 30, axis=0)
+    y = np.repeat([1, -1], 30)
+    csv = ["f1,f2,f3,label"] + [",".join(map(repr, row.tolist())) + f",{label}" for row, label in zip(X, y)]
+    svm = [f"{label} " + " ".join(f"{j + 1}:{v!r}" for j, v in enumerate(row.tolist())) for row, label in zip(X, y)]
+    (directory / "train.csv").write_text("\n".join(csv) + "\n")
+    (directory / "train.svm").write_text("\n".join(svm) + "\n")
+
+
+def run_side(src: Path, directory: Path) -> list[tuple[int, str, str]]:
+    """Run every command with ``src`` on the path; (exit code, stdout, stderr) each."""
+    directory.mkdir()
+    write_inputs(directory)
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1",
+               OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    results = []
+    for command in COMMANDS:
+        done = subprocess.run([sys.executable, "-m", "kernelmix.cli", *command.split()],
+                              cwd=directory, env=env, capture_output=True, text=True)
+        results.append((done.returncode, done.stdout, TIMINGS.sub("", done.stderr)))
+    return results
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    ref = argv[0]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        archive = subprocess.run(["git", "archive", "--format=tar", ref, "src"], cwd=ROOT, capture_output=True)
+        if archive.returncode != 0:
+            print(archive.stderr.decode().strip(), file=sys.stderr)
+            return 2
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(tmp / "ref", filter="data")
+        ref_runs = run_side(tmp / "ref" / "src", tmp / "ref_run")
+        new_runs = run_side(ROOT / "src", tmp / "new_run")
+
+        differences = []
+        for command, old, new in zip(COMMANDS, ref_runs, new_runs):
+            for what, a, b in zip(("exit code", "stdout", "stderr"), old, new):
+                if a != b:
+                    differences.append(f"{what} of `{command}`: {a!r} at {ref}, {b!r} here")
+        old_files = {p.name for p in (tmp / "ref_run").iterdir()}
+        new_files = {p.name for p in (tmp / "new_run").iterdir()}
+        for name in sorted(old_files ^ new_files):
+            differences.append(f"{name}: written {'only at ' + ref if name in old_files else 'only here'}")
+        for name in sorted(old_files & new_files):
+            if (tmp / "ref_run" / name).read_bytes() != (tmp / "new_run" / name).read_bytes():
+                differences.append(f"{name}: bytes differ")
+
+    for line in differences:
+        print(line)
+    print(f"{len(COMMANDS)} commands, {len(old_files | new_files)} files: "
+          f"{len(differences) or 'no'} difference{'' if len(differences) == 1 else 's'} against {ref}")
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
