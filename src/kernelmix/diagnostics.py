@@ -27,6 +27,7 @@ computed.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,10 +127,14 @@ def probe_pass(
 
     One bank, one Phi and one :func:`complexity_bounds` report per seed in
     ``seeds`` and ``bounds_seed``; the probes reduce the trial seeds'
-    reports against the K^w reference. One Phi is alive at a time.
+    reports against the K^w reference. Every Phi is built in place into a
+    C-contiguous view of one buffer sized for the largest D, so the pass
+    holds one n x m max(sweep) Phi and one Gram at a time.
     """
     if not seeds:
         raise ConfigError("need at least one seed (trial)")
+    if not sweep or not all(isinstance(D, numbers.Integral) and D >= 1 for D in sweep):
+        raise ConfigError(f"the draw sweep must be a nonempty list of positive integers, got {list(sweep)}")
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[0] > 2000:
         raise ConfigError("the mixture Gram K^w is a dense n x n matrix; diagnose is limited to n <= 2000")
@@ -138,12 +143,15 @@ def probe_pass(
     Kw = mixture_gram(kernels, weights.weights, X)
     trace_kw, spectral_kw = float(np.trace(Kw)), _top_eigenvalue(Kw)
     del Kw
+    n, m = X.shape[0], len(kernels)
+    buffer = np.empty(n * m * max(sweep))
     out = []
     for draws in sweep:
         reports = {}
         for seed in dict.fromkeys([*seeds, bounds_seed]):
             bank = FeatureBank.generate(kernels, weights, draws, X.shape[1], seed)
-            reports[seed] = complexity_bounds(build_feature_matrix(X, bank), R, draws, len(kernels))
+            Phi = build_feature_matrix(X, bank, out=buffer[: n * m * draws].reshape(n, m * draws))
+            reports[seed] = complexity_bounds(Phi, R, draws, m)
         trials = [reports[seed] for seed in seeds]
         fro = frobenius_concentration(trials, trace_kw)
         out.append((reports[bounds_seed], fro, spectral_concentration(trials, spectral_kw)))

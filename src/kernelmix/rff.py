@@ -62,12 +62,19 @@ def sample_frequencies(
     return xi, b
 
 
-def feature_block(X: np.ndarray, xi: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """All D features of one kernel for every row of X (n x D), in one buffer."""
+def feature_block(
+    X: np.ndarray, xi: np.ndarray, b: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """All D features of one kernel for every row of X (n x D), in one buffer.
+
+    With ``out`` (a float64 n x D array or view, such as a column slice of
+    Phi) every step runs in place there and ``out`` is returned; without it
+    the block is a fresh array.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != xi.shape[1]:
         raise ConfigError(f"dimension mismatch {X.shape[1]} vs {xi.shape[1]}")
-    out = X @ xi.T
+    out = np.matmul(X, xi.T, out=out)
     out += b
     np.cos(out, out=out)
     out *= math.sqrt(2.0)
@@ -141,17 +148,24 @@ class FeatureBank:
         return cls.generate(kernels, weights, payload["draws"], payload["dim"], payload["seed"])
 
 
-def build_feature_matrix(X: np.ndarray, bank: FeatureBank) -> np.ndarray:
+def build_feature_matrix(X: np.ndarray, bank: FeatureBank, out: np.ndarray | None = None) -> np.ndarray:
     """Concatenated weighted feature matrix Phi (n x mD).
 
     Block l holds sqrt(w_l) * sqrt(2) * cos(X xi_l^T + b_l); blocks appear
-    in kernel order, so entries are bounded by sqrt(2 * max_l w_l).
+    in kernel order, so entries are bounded by sqrt(2 * max_l w_l). Each
+    block is built in place in its column slice of Phi, which is ``out``
+    when given (a float64 n x mD array or view; it is returned) and a fresh
+    array otherwise.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != bank.dim:
         raise ConfigError(f"data dim {X.shape[1]} does not match bank dim {bank.dim}")
-    Phi = np.empty((X.shape[0], bank.total_features))
+    shape = (X.shape[0], bank.total_features)
+    if out is not None and (out.shape != shape or out.dtype != np.float64):
+        raise ValueError(f"out must be a float64 array of shape {shape}, got {out.dtype} {out.shape}")
+    Phi = np.empty(shape) if out is None else out
     D = bank.draws
     for l, (w, xi, b) in enumerate(zip(bank.weights.weights, bank.frequencies, bank.phases)):
-        np.multiply(math.sqrt(w), feature_block(X, xi, b), out=Phi[:, l * D : (l + 1) * D])
+        block = feature_block(X, xi, b, out=Phi[:, l * D : (l + 1) * D])
+        block *= math.sqrt(w)
     return Phi

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -7,12 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erfc
 
+from kernelmix import diagnostics
 from kernelmix.diagnostics import (
     _top_eigenvalue,
     complexity_bounds,
     empirical_sup_error,
+    frobenius_concentration,
     pointwise_error_bound,
     probe_pass,
+    spectral_concentration,
 )
 from kernelmix.errors import ConfigError
 from kernelmix.kernels import FAMILIES, BaseKernel, mixture_gram
@@ -209,6 +213,53 @@ class TestConcentration:
             bank = FeatureBank.generate(kernels, MixtureWeights(np.array(weights)), draws, 3, bounds_seed)
             Phi = build_feature_matrix(X, bank)
             assert asdict(report) == pytest.approx(svd_complexity_bounds(Phi, 2.0, draws, 2), rel=1e-10)
+
+    @pytest.mark.parametrize("sweep", [[], [0], [-3], [64, 0]])
+    def test_sweep_checked_before_any_work(self, monkeypatch, sweep):
+        calls = []
+        monkeypatch.setattr(diagnostics, "mixture_gram", lambda *a: calls.append(a))
+        with pytest.raises(ConfigError, match="draw sweep"):
+            probe_pass(np.zeros((5, 2)), [GAUSS1], [1.0], sweep, [0], 0, 1.0)
+        assert calls == []
+
+    def test_bit_identical_to_fresh_feature_matrices(self):
+        # bounds seed 5 lies outside the trial seeds, so each D builds three Phi
+        # into the shared buffer; every number must match a fresh Phi's
+        X = stream(113).normal(size=(30, 3))
+        kernels = [BaseKernel("gaussian", 0.7), BaseKernel("laplacian", 1.5), BaseKernel("gaussian", 3.0)]
+        weights = MixtureWeights(np.array([0.2, 0.5, 0.3]))
+        sweep, seeds = [7, 40, 16], [0, 1]
+        rows = probe_pass(X, kernels, weights, sweep, seeds, 5, 2.0)
+        Kw = mixture_gram(kernels, weights.weights, X)
+        trace_kw, spectral_kw = float(np.trace(Kw)), _top_eigenvalue(Kw)
+        for draws, (report, fro, spec) in zip(sweep, rows):
+            fresh = {
+                seed: complexity_bounds(
+                    build_feature_matrix(X, FeatureBank.generate(kernels, weights, draws, 3, seed)), 2.0, draws, 3
+                )
+                for seed in (*seeds, 5)
+            }
+            assert report == fresh[5]
+            trials = [fresh[seed] for seed in seeds]
+            assert fro == frobenius_concentration(trials, trace_kw)
+            assert spec == spectral_concentration(trials, spectral_kw)
+
+    def test_memory_holds_one_phi_at_the_largest_draws_and_one_gram(self):
+        n, d, sweep = 100, 5, [64, 1024]
+        X = stream(114).normal(size=(n, d))
+        kernels = [BaseKernel("gaussian", 0.5), BaseKernel("laplacian", 1.0), BaseKernel("gaussian", 2.0),
+                   BaseKernel("gaussian", 8.0)]
+        weights = [0.1, 0.2, 0.3, 0.4]
+        probe_pass(X, kernels, weights, [4], [0], 0, 1.0)  # lazy imports and caches outside the measurement
+        tracemalloc.start()
+        try:
+            probe_pass(X, kernels, weights, sweep, [0, 1], 5, 1.0)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the 512 KiB covers the banks and numpy's fixed ufunc buffers on strided views
+        bound = 8 * (n * len(kernels) * max(sweep) + n * n) + 512 * 1024
+        assert peak <= bound, (peak, bound)
 
 
 class TestPointwiseBound:

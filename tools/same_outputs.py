@@ -4,7 +4,7 @@
 
 Exports REF's ``src`` with ``git archive`` into a temporary directory, writes
 one fixed CSV and one fixed LIBSVM training file from a seeded NumPy draw,
-and runs the same ten commands (score, train, predict, select and diagnose)
+and runs the same eleven commands (score, train, predict, select and diagnose)
 against REF's package and against the working tree's ``src``. Each side runs
 in its own directory with relative paths, so messages compare too. Every
 output file, exit code, stdout and stderr is compared; the selector timings
@@ -39,6 +39,8 @@ COMMANDS = [
     "select --synthetic two-gaussian --synthetic-n 120 --gammas 0.1,1,10 --folds 3 --draws 32 --epochs 10 --out select_syn",
     "diagnose --data train.csv --gammas 0.5,2 --draws 64,256 --trials 2 --pairs 20 --out diag_sweep",
     "diagnose --synthetic two-gaussian --synthetic-n 80 --families laplacian --gammas 0.5,2 --draws 128 --trials 2 --out diag_laplacian",
+    # --seed outside the trial seeds: each D builds a bank and Phi of its own for the bounds
+    "diagnose --data train.csv --families gaussian,laplacian,gaussian --gammas 0.5,2,8 --draws 32,128 --trials 2 --seed 5 --pairs 10 --out diag_mixed",
 ]
 
 # `select` reports how long each selector took; wall time is not an output
