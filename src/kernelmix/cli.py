@@ -228,7 +228,7 @@ def cmd_diagnose(args) -> int:
     ds = _synthetic_or_data(args)
     sweep = args.draws
     weights = mixing_weights(kernels, *split_by_label(ds), estimator=args.estimator)
-    rows = probe_pass(ds.features, kernels, weights, sweep, list(range(args.trials)), args.seed, args.R)
+    rows = probe_pass(ds.features, kernels, weights, sweep, list(range(args.seed, args.seed + args.trials)), args.R)
 
     complexity_rows = [asdict(report) for report, _fro, _spec in rows]
     violation = any(r["erfc_bound"] > r["khintchine_bound"] for r in complexity_rows)
@@ -401,7 +401,7 @@ def build_parser() -> _Parser:
     _add_synthetic(p, n=100)
     _add_bank(p)
     p.add_argument("--draws", "--draw-sweep", type=_DRAWS, default="2048", help="D, or a comma list of D values (one table row per D)")
-    p.add_argument("--trials", type=_COUNT, default=5, help="seeds per concentration estimate")
+    p.add_argument("--trials", type=_COUNT, default=5, help="banks per concentration estimate, at seeds --seed ... --seed+trials-1; the first is the bounds bank, so each D builds --trials Phi")
     p.add_argument("--R", type=_POSITIVE, default=10.0)
     p.add_argument("--eps", type=_POSITIVE, default=0.1, help="accuracy for the pointwise bound")
     p.add_argument("--pairs", type=_COUNT, default=100, help="pairs for the empirical sup error")

@@ -120,16 +120,15 @@ def probe_pass(
     weights,
     sweep: list[int],
     seeds: list[int],
-    bounds_seed: int,
     R: float,
 ) -> list[tuple[ComplexityReport, dict, dict]]:
     """(bounds report, Frobenius probe, spectral probe) for each D in ``sweep``.
 
     One bank, one Phi and one :func:`complexity_bounds` report per seed in
-    ``seeds`` and ``bounds_seed``; the probes reduce the trial seeds'
-    reports against the K^w reference. Every Phi is built in place into a
-    C-contiguous view of one buffer sized for the largest D, so the pass
-    holds one n x m max(sweep) Phi and one Gram at a time.
+    ``seeds``; the probes reduce those reports against the K^w reference,
+    and the first seed's report is the bounds row. Every Phi is built in
+    place into a C-contiguous view of one buffer sized for the largest D,
+    so the pass holds one n x m max(sweep) Phi and one Gram at a time.
     """
     if not seeds:
         raise ConfigError("need at least one seed (trial)")
@@ -147,14 +146,13 @@ def probe_pass(
     buffer = np.empty(n * m * max(sweep))
     out = []
     for draws in sweep:
-        reports = {}
-        for seed in dict.fromkeys([*seeds, bounds_seed]):
+        reports = []
+        for seed in seeds:
             bank = FeatureBank.generate(kernels, weights, draws, X.shape[1], seed)
             Phi = build_feature_matrix(X, bank, out=buffer[: n * m * draws].reshape(n, m * draws))
-            reports[seed] = complexity_bounds(Phi, R, draws, m)
-        trials = [reports[seed] for seed in seeds]
-        fro = frobenius_concentration(trials, trace_kw)
-        out.append((reports[bounds_seed], fro, spectral_concentration(trials, spectral_kw)))
+            reports.append(complexity_bounds(Phi, R, draws, m))
+        fro = frobenius_concentration(reports, trace_kw)
+        out.append((reports[0], fro, spectral_concentration(reports, spectral_kw)))
     return out
 
 

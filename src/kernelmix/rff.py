@@ -74,11 +74,15 @@ def feature_block(
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != xi.shape[1]:
         raise ConfigError(f"dimension mismatch {X.shape[1]} vs {xi.shape[1]}")
-    out = np.matmul(X, xi.T, out=out)
-    out += b
-    np.cos(out, out=out)
-    out *= math.sqrt(2.0)
-    return out
+    return _feature_map(np.matmul(X, xi.T, out=out), b)
+
+
+def _feature_map(theta: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """theta <- sqrt(2) cos(theta + b) in place, b broadcast over the rows."""
+    theta += b
+    np.cos(theta, out=theta)
+    theta *= math.sqrt(2.0)
+    return theta
 
 
 @dataclass(frozen=True)
@@ -153,9 +157,10 @@ def build_feature_matrix(X: np.ndarray, bank: FeatureBank, out: np.ndarray | Non
 
     Block l holds sqrt(w_l) * sqrt(2) * cos(X xi_l^T + b_l); blocks appear
     in kernel order, so entries are bounded by sqrt(2 * max_l w_l). Each
-    block is built in place in its column slice of Phi, which is ``out``
-    when given (a float64 n x mD array or view; it is returned) and a fresh
-    array otherwise.
+    block's projection is written into its column slice of Phi, which is
+    ``out`` when given (a float64 n x mD array or view; it is returned) and
+    a fresh array otherwise; the feature map and the weights then run once
+    over the whole of Phi, in place.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != bank.dim:
@@ -165,7 +170,8 @@ def build_feature_matrix(X: np.ndarray, bank: FeatureBank, out: np.ndarray | Non
         raise ValueError(f"out must be a float64 array of shape {shape}, got {out.dtype} {out.shape}")
     Phi = np.empty(shape) if out is None else out
     D = bank.draws
-    for l, (w, xi, b) in enumerate(zip(bank.weights.weights, bank.frequencies, bank.phases)):
-        block = feature_block(X, xi, b, out=Phi[:, l * D : (l + 1) * D])
-        block *= math.sqrt(w)
+    for l, xi in enumerate(bank.frequencies):
+        np.matmul(X, xi.T, out=Phi[:, l * D : (l + 1) * D])
+    _feature_map(Phi, np.concatenate(bank.phases))
+    Phi *= np.repeat(np.sqrt(bank.weights.weights), D)
     return Phi

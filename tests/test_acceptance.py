@@ -150,7 +150,7 @@ def test_criterion_05_frobenius_concentration():
     X = stream(1005).normal(size=(100, 3))
     kernel = BaseKernel("gaussian", 1.0)
     seeds = list(range(10))
-    rows = probe_pass(X, [kernel], [1.0], [1024, 4096, 16384], seeds, bounds_seed=0, R=1.0)
+    rows = probe_pass(X, [kernel], [1.0], [1024, 4096, 16384], seeds, R=1.0)
     at_1024, at_4096, at_16384 = (fro for _report, fro, _spec in rows)
     assert at_4096["max_deviation"] <= 0.05
     assert at_16384["mean_deviation"] < at_1024["mean_deviation"]

@@ -4,13 +4,16 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from kernelmix import cli, diagnostics, select
-from kernelmix.data import load_dataset
-from kernelmix.rff import FeatureBank
+from kernelmix.data import load_dataset, split_by_label, standardize
+from kernelmix.kernels import BaseKernel
+from kernelmix.mmd import mixing_weights
+from kernelmix.rff import FeatureBank, build_feature_matrix
 from kernelmix.rng import stream
 from kernelmix.svm import _checksum, load_model
 
@@ -509,6 +512,39 @@ class TestDiagnose:
         assert cli.main(args) == 0
         assert (tmp_path / "diag.json").read_bytes() == first
 
+    def test_trials_follow_seed(self, tmp_path):
+        # the trial banks are --seed ... --seed+trials-1 and the first is the
+        # bounds bank, so the concentration rows move with --seed
+        data = write_dataset(tmp_path / "d.csv", n=30)
+        payloads = {}
+        for seed in (0, 7):
+            out = tmp_path / f"diag{seed}"
+            args = [
+                "diagnose", "--data", data, "--gammas", "0.5,2", "--draws", "32,64",
+                "--trials", "2", "--pairs", "5", "--seed", str(seed), "--out", str(out),
+            ]
+            assert cli.main(args) == 0
+            payloads[seed] = json.loads(out.with_suffix(".json").read_text())
+        ds = standardize(load_dataset(data))[0]
+        kernels = [BaseKernel.from_gamma("gaussian", gamma) for gamma in (0.5, 2.0)]
+        weights = mixing_weights(kernels, *split_by_label(ds))
+        rows = diagnostics.probe_pass(ds.features, kernels, weights, [32, 64], [7, 8], 10.0)
+        want = [
+            {
+                "draws": report.draws,
+                "frobenius_max_deviation": fro["max_deviation"],
+                "frobenius_mean_deviation": fro["mean_deviation"],
+                "spectral_max_deviation": spec["max_deviation"],
+                "spectral_mean_deviation": spec["mean_deviation"],
+            }
+            for report, fro, spec in rows
+        ]
+        assert payloads[7]["concentration"] == want
+        assert payloads[7]["concentration"] != payloads[0]["concentration"]
+        for draws, row in zip((32, 64), payloads[7]["complexity"]):
+            Phi = build_feature_matrix(ds.features, FeatureBank.generate(kernels, weights, draws, 2, 7))
+            assert row == asdict(diagnostics.complexity_bounds(Phi, 10.0, draws, 2))
+
     def test_ordering_violation_exits_nonzero(self, tmp_path, monkeypatch):
         # the ordering cannot be violated by real data; check the wiring by
         # forcing a violating report through the computation
@@ -701,10 +737,10 @@ def test_benchmark_tracer_targets_resolve():
     assert not missing, missing
 
 
-@pytest.mark.parametrize("seed, seeds_built", [(1, 3), (7, 4)])
+@pytest.mark.parametrize("seed, seeds_built", [(0, 3), (1, 3), (7, 3)])
 def test_traced_diagnose_builds_each_phi_once(tmp_path, capsys, seed, seeds_built):
-    # one Phi per (D, seed) over the trial seeds and --seed, one mixture
-    # Gram (one kernel_matrix call per kernel) per run
+    # one Phi per (D, trial seed), whatever --seed is, and one mixture Gram
+    # (one kernel_matrix call per kernel) per run
     tracing = load_tracing()
     data = write_dataset(tmp_path / "d.csv", n=30)
     args = [

@@ -36,7 +36,7 @@ GAUSS1 = BaseKernel("gaussian", 1.0)
 
 def probe(X, kernels, weights, draws, seeds):
     """(report, Frobenius probe, spectral probe) of one D, bounds on the first seed."""
-    return probe_pass(X, kernels, weights, [draws], seeds, seeds[0], 1.0)[0]
+    return probe_pass(X, kernels, weights, [draws], seeds, 1.0)[0]
 
 
 @st.composite
@@ -193,15 +193,15 @@ class TestConcentration:
             probe(np.zeros((2001, 2)), [GAUSS1], [1.0], draws=4, seeds=[0])
 
     @pytest.mark.parametrize(
-        "n, sweep, seeds, bounds_seed",
-        [(12, [4, 64], [0, 1, 2], 1), (40, [3, 8], [5, 2], 9), (20, [10], [4], 4)],
+        "n, sweep, seeds",
+        [(12, [4, 64], [1, 0, 2]), (40, [3, 8], [9, 5, 2]), (20, [10], [4])],
     )
-    def test_matches_per_seed_oracles(self, n, sweep, seeds, bounds_seed):
+    def test_matches_per_seed_oracles(self, n, sweep, seeds):
         # n = 40 with D = 3 or 8 puts n above mD, so Phi^T Phi is the Gram read
         X = stream(112, n).normal(size=(n, 3))
         kernels = [BaseKernel("gaussian", 0.7), BaseKernel("laplacian", 1.5)]
         weights = [0.3, 0.7]
-        rows = probe_pass(X, kernels, weights, sweep, seeds, bounds_seed, 2.0)
+        rows = probe_pass(X, kernels, weights, sweep, seeds, 2.0)
         assert len(rows) == len(sweep)
         for draws, (report, fro, spec) in zip(sweep, rows):
             want_fro = oracle_frobenius_concentration(X, kernels, weights, draws, seeds)
@@ -210,7 +210,7 @@ class TestConcentration:
                 assert got[key] == pytest.approx(want["reference"], rel=1e-12)
                 assert got["max_deviation"] == pytest.approx(want["max_deviation"], rel=1e-12)
                 assert got["mean_deviation"] == pytest.approx(want["mean_deviation"], rel=1e-12)
-            bank = FeatureBank.generate(kernels, MixtureWeights(np.array(weights)), draws, 3, bounds_seed)
+            bank = FeatureBank.generate(kernels, MixtureWeights(np.array(weights)), draws, 3, seeds[0])
             Phi = build_feature_matrix(X, bank)
             assert asdict(report) == pytest.approx(svd_complexity_bounds(Phi, 2.0, draws, 2), rel=1e-10)
 
@@ -219,28 +219,27 @@ class TestConcentration:
         calls = []
         monkeypatch.setattr(diagnostics, "mixture_gram", lambda *a: calls.append(a))
         with pytest.raises(ConfigError, match="draw sweep"):
-            probe_pass(np.zeros((5, 2)), [GAUSS1], [1.0], sweep, [0], 0, 1.0)
+            probe_pass(np.zeros((5, 2)), [GAUSS1], [1.0], sweep, [0], 1.0)
         assert calls == []
 
     def test_bit_identical_to_fresh_feature_matrices(self):
-        # bounds seed 5 lies outside the trial seeds, so each D builds three Phi
-        # into the shared buffer; every number must match a fresh Phi's
+        # three seeds, so each D builds three Phi into the shared buffer; every
+        # number must match a fresh Phi's, and the bounds row is the first seed's
         X = stream(113).normal(size=(30, 3))
         kernels = [BaseKernel("gaussian", 0.7), BaseKernel("laplacian", 1.5), BaseKernel("gaussian", 3.0)]
         weights = MixtureWeights(np.array([0.2, 0.5, 0.3]))
-        sweep, seeds = [7, 40, 16], [0, 1]
-        rows = probe_pass(X, kernels, weights, sweep, seeds, 5, 2.0)
+        sweep, seeds = [7, 40, 16], [5, 0, 1]
+        rows = probe_pass(X, kernels, weights, sweep, seeds, 2.0)
         Kw = mixture_gram(kernels, weights.weights, X)
         trace_kw, spectral_kw = float(np.trace(Kw)), _top_eigenvalue(Kw)
         for draws, (report, fro, spec) in zip(sweep, rows):
-            fresh = {
-                seed: complexity_bounds(
+            trials = [
+                complexity_bounds(
                     build_feature_matrix(X, FeatureBank.generate(kernels, weights, draws, 3, seed)), 2.0, draws, 3
                 )
-                for seed in (*seeds, 5)
-            }
-            assert report == fresh[5]
-            trials = [fresh[seed] for seed in seeds]
+                for seed in seeds
+            ]
+            assert report == trials[0]
             assert fro == frobenius_concentration(trials, trace_kw)
             assert spec == spectral_concentration(trials, spectral_kw)
 
@@ -250,10 +249,10 @@ class TestConcentration:
         kernels = [BaseKernel("gaussian", 0.5), BaseKernel("laplacian", 1.0), BaseKernel("gaussian", 2.0),
                    BaseKernel("gaussian", 8.0)]
         weights = [0.1, 0.2, 0.3, 0.4]
-        probe_pass(X, kernels, weights, [4], [0], 0, 1.0)  # lazy imports and caches outside the measurement
+        probe_pass(X, kernels, weights, [4], [0], 1.0)  # lazy imports and caches outside the measurement
         tracemalloc.start()
         try:
-            probe_pass(X, kernels, weights, sweep, [0, 1], 5, 1.0)
+            probe_pass(X, kernels, weights, sweep, [5, 0, 1], 1.0)
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -39,7 +39,7 @@ COMMANDS = [
     "select --synthetic two-gaussian --synthetic-n 120 --gammas 0.1,1,10 --folds 3 --draws 32 --epochs 10 --out select_syn",
     "diagnose --data train.csv --gammas 0.5,2 --draws 64,256 --trials 2 --pairs 20 --out diag_sweep",
     "diagnose --synthetic two-gaussian --synthetic-n 80 --families laplacian --gammas 0.5,2 --draws 128 --trials 2 --out diag_laplacian",
-    # --seed outside the trial seeds: each D builds a bank and Phi of its own for the bounds
+    # trial banks 5 and 6: the concentration rows follow --seed
     "diagnose --data train.csv --families gaussian,laplacian,gaussian --gammas 0.5,2,8 --draws 32,128 --trials 2 --seed 5 --pairs 10 --out diag_mixed",
 ]
 
