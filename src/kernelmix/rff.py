@@ -1,7 +1,8 @@
 """Spectral samplers, random feature blocks, and the weighted feature matrix.
 
 The per-draw feature is sqrt(2) * cos(<x, xi> + b) (Rahimi & Recht, 2007),
-built by :func:`feature_block`; the kernel estimate of a pair (x, y) is the
+written once, in the in-place map that :func:`feature_block` and
+:func:`build_feature_matrix` share; the kernel estimate of a pair (x, y) is the
 mean over draws of phi(x) phi(y). The 1/sqrt(D) normalization is applied
 at the classifier, never here, so the two factors are not double-counted.
 
