@@ -11,9 +11,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from .errors import ConfigError, DataError
+from .kernels import squared_distances
 from .rng import stream
 
 
@@ -266,4 +266,4 @@ def holdout_split(ds: LabeledDataset, fraction: float, seed: int) -> tuple[np.nd
 
 def diameter(ds: LabeledDataset) -> float:
     """Max pairwise Euclidean distance, exact over all pairs of rows."""
-    return float(pdist(ds.features).max()) if ds.n > 1 else 0.0
+    return math.sqrt(squared_distances(ds.features).max()) if ds.n > 1 else 0.0

@@ -31,7 +31,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .errors import ConfigError
 from .kernels import BaseKernel, kernel_of_distance, mixture_gram
@@ -81,6 +80,9 @@ def complexity_bounds(Phi: np.ndarray, R: float, draws: int, m: int) -> Complexi
     khintchine_bound   (R / (n D sqrt(m))) sqrt(23/44) ||Phi||_F
     gaussian_bound     (R / (n D)) (2 sqrt(pi T4)/fro + fro/(2 spec^2) e^{-fro^4/(4 T4)})
     """
+    # imported here, like eigsh: only diagnose reads a bound
+    from scipy.special import erfc
+
     Phi = np.asarray(Phi, dtype=float)
     if Phi.ndim != 2:
         raise ConfigError("Phi must be a matrix")

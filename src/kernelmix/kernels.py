@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import ConfigError
 
@@ -46,23 +45,70 @@ class BaseKernel:
 
     @property
     def metric(self) -> str:
-        """The distance the family is a function of (a scipy ``cdist`` metric)."""
+        """The distance the family is a function of: ``"sqeuclidean"``, or
+        ``"euclidean"``, its square root."""
         return "euclidean" if self.family == "laplacian" else "sqeuclidean"
+
+
+#: Rows of X per block of :func:`squared_distances`.
+_BLOCK_ROWS = 32
+
+
+def squared_distances(X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
+    """Squared Euclidean distances between the rows of X and Y (n x m).
+
+    With Y omitted, only the pairs i < j of X's rows, condensed in row-major
+    order. Each block of rows accumulates (x_k - y_k)^2 in place, one
+    coordinate at a time in column order. That is the summation order of
+    scipy's ``cdist``/``pdist``, so the bits and the condensed layout equal
+    theirs with ``"sqeuclidean"``. A block's x_k - y_k come from one product
+    [x_k, 1] [1, -y_k]^T, whose two terms are exact, so it is rounded once,
+    as a subtraction is. Swapping two rows only flips signs before squaring,
+    so the distances of X to itself are exactly symmetric, with exact zeros
+    on the diagonal.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    within = Y is None
+    Y = X if within else np.atleast_2d(np.asarray(Y, dtype=float))
+    if X.shape[1] != Y.shape[1]:
+        raise ConfigError(f"dimension mismatch {X.shape[1]} vs {Y.shape[1]}")
+    (n, d), m = X.shape, Y.shape[0]
+    left = np.ones((d, n, 2))
+    left[:, :, 0] = X.T
+    right = np.ones((d, 2, m))
+    np.negative(Y.T, out=right[:, 1])
+    out = np.empty(n * (n - 1) // 2) if within else np.empty((n, m))
+    scratch = np.empty(2 * _BLOCK_ROWS * m)
+    filled = 0
+    for start in range(0, n, _BLOCK_ROWS):
+        rows = slice(start, min(start + _BLOCK_ROWS, n))
+        # within X, a block's rows pair with the rows after its first
+        cols = slice(start + 1 if within else 0, m)
+        shape = (rows.stop - start, m - cols.start)
+        size = shape[0] * shape[1]
+        acc = scratch[:size].reshape(shape) if within else out[rows]
+        term = scratch[size : 2 * size].reshape(shape)
+        np.matmul(left[0, rows], right[0, :, cols], out=acc)
+        acc *= acc
+        for k in range(1, d):
+            np.matmul(left[k, rows], right[k, :, cols], out=term)
+            term *= term
+            acc += term
+        if within:  # keep the pairs j > i
+            pairs = acc[np.arange(shape[1]) >= np.arange(shape[0])[:, None]]
+            out[filled : filled + pairs.size] = pairs
+            filled += pairs.size
+    return out
 
 
 def kernel_matrix(kernel: BaseKernel, X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
     """Kernel evaluations between the rows of X and Y (Y defaults to X).
 
-    With Y omitted this is the Gram matrix of X. ``cdist`` computes the
-    distance of each pair with one loop in which swapping the two rows only
-    flips signs before squaring, so the Gram matrix is exactly symmetric with
-    exact 1.0 on the diagonal (for finite X).
+    With Y omitted this is the Gram matrix of X, exactly symmetric with
+    exact 1.0 on the diagonal (for finite X; see :func:`squared_distances`).
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Y = X if Y is None else np.atleast_2d(np.asarray(Y, dtype=float))
-    if X.shape[1] != Y.shape[1]:
-        raise ConfigError(f"dimension mismatch {X.shape[1]} vs {Y.shape[1]}")
-    return kernel_of_distance(kernel, cdist(X, Y, kernel.metric))
+    squared = squared_distances(X, X if Y is None else Y)
+    return kernel_of_distance(kernel, np.sqrt(squared) if kernel.metric == "euclidean" else squared)
 
 
 #: exp(x) rounds to exactly 0.0 for every x below this, and numpy's exp is
@@ -73,12 +119,21 @@ _EXP_IS_ZERO_BELOW = -745.2
 def kernel_of_distance(kernel: BaseKernel, dist: np.ndarray) -> np.ndarray:
     """Kernel values from distances in the family's ``metric``.
 
-    Arguments whose exp underflows to 0.0 are written as 0.0 without calling
-    exp, which leaves every value bit-identical.
+    When no argument underflows, exp runs in place on the scaled distances.
+    Otherwise only the arguments whose exp does not underflow are gathered
+    into exp, and the rest are written as the 0.0 that exp would return.
+    exp is elementwise, so both paths give the bits of exp on every
+    argument.
     """
     scale = kernel.rho if kernel.family == "laplacian" else 2.0 * kernel.rho**2
     arg = dist / -scale
-    return np.exp(arg, out=np.zeros_like(arg), where=~(arg < _EXP_IS_ZERO_BELOW))
+    if arg.min(initial=0.0) >= _EXP_IS_ZERO_BELOW:
+        return np.exp(arg, out=arg)
+    kept = np.flatnonzero(~(arg < _EXP_IS_ZERO_BELOW))
+    values = np.exp(np.take(arg, kept))
+    arg.fill(0.0)
+    np.put(arg, kept, values)
+    return arg
 
 
 def mixture_gram(kernels: list[BaseKernel], weights: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -88,7 +143,11 @@ def mixture_gram(kernels: list[BaseKernel], weights: np.ndarray, X: np.ndarray) 
         raise ConfigError(
             f"{len(kernels)} kernels but {weights.shape[0]} weights"
         )
-    out = np.zeros((np.atleast_2d(X).shape[0],) * 2)
+    # one distance matrix per metric, shared by every kernel
+    distances = {"sqeuclidean": squared_distances(X, X)}
+    if any(k.metric == "euclidean" for k in kernels):
+        distances["euclidean"] = np.sqrt(distances["sqeuclidean"])
+    out = np.zeros_like(distances["sqeuclidean"])
     for w, kernel in zip(weights, kernels):
-        out += w * kernel_matrix(kernel, X)
+        out += w * kernel_of_distance(kernel, distances[kernel.metric])
     return out

@@ -26,10 +26,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
 
 from .errors import ConfigError, DataError
-from .kernels import BaseKernel, kernel_of_distance
+from .kernels import BaseKernel, kernel_of_distance, squared_distances
 from .rng import stream
 
 ESTIMATORS = ("biased", "unbiased_balanced")
@@ -90,7 +89,8 @@ def mmd_scores(
 
     ``estimator="auto"`` takes the balanced U-statistic when n+ = n- and the
     biased form otherwise. Both estimators read the same squared distances,
-    computed once (``pdist`` within each class, ``cdist`` across) and
+    computed once (pairs i < j within each class, every pair across; see
+    :func:`~kernelmix.kernels.squared_distances`) and
     square-rooted once if any kernel is Laplacian; each kernel then costs one
     exp-and-sum. For the balanced estimator row i of ``pos`` pairs with row i
     of ``neg``, so its cross sum runs over the off-diagonal of the cross
@@ -120,29 +120,30 @@ def mmd_scores(
             return [MmdScore(0.0, estimator) for _ in kernels]
 
     # within-class pairs i < j, then every cross pair
-    blocks = (
-        pdist(pos, "sqeuclidean"),
-        pdist(neg, "sqeuclidean"),
-        cdist(pos, neg, "sqeuclidean"),
-    )
+    blocks = (squared_distances(pos), squared_distances(neg), squared_distances(pos, neg))
     distances = {"sqeuclidean": blocks}
     if any(k.metric == "euclidean" for k in kernels):
         distances["euclidean"] = tuple(np.sqrt(b) for b in blocks)
 
     scores = []
     for kernel in kernels:
-        K = [kernel_of_distance(kernel, b) for b in distances[kernel.metric]]
+        sums = []
+        for block in distances[kernel.metric]:
+            K = kernel_of_distance(kernel, block)
+            if K.ndim == 2 and estimator == "unbiased_balanced":
+                # k(x_i,y_j) + k(x_j,y_i) summed over i < j is the cross block
+                # summed off its diagonal
+                np.fill_diagonal(K, 0.0)
+            sums.append(K.sum())
+            del K  # one block of kernel values alive at a time
         if estimator == "biased":
             squared = (
-                2.0 * K[0].sum() / (n_plus * (n_plus - 1))
-                + 2.0 * K[1].sum() / (n_minus * (n_minus - 1))
-                - 2.0 * K[2].sum() / (n_plus * n_minus)
+                2.0 * sums[0] / (n_plus * (n_plus - 1))
+                + 2.0 * sums[1] / (n_minus * (n_minus - 1))
+                - 2.0 * sums[2] / (n_plus * n_minus)
             )
         else:
-            # k(x_i,y_j) + k(x_j,y_i) summed over i < j is the cross block
-            # summed off its diagonal
-            np.fill_diagonal(K[2], 0.0)
-            squared = 2.0 * (K[0].sum() + K[1].sum() - K[2].sum()) / (n_plus * (n_plus - 1))
+            squared = 2.0 * (sums[0] + sums[1] - sums[2]) / (n_plus * (n_plus - 1))
         scores.append(MmdScore(float(squared), estimator))
     return scores
 

@@ -63,19 +63,12 @@ def sample_frequencies(
     return xi, b
 
 
-def feature_block(
-    X: np.ndarray, xi: np.ndarray, b: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """All D features of one kernel for every row of X (n x D), in one buffer.
-
-    With ``out`` (a float64 n x D array or view, such as a column slice of
-    Phi) every step runs in place there and ``out`` is returned; without it
-    the block is a fresh array.
-    """
+def feature_block(X: np.ndarray, xi: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """All D features of one kernel for every row of X (n x D), in one buffer."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != xi.shape[1]:
         raise ConfigError(f"dimension mismatch {X.shape[1]} vs {xi.shape[1]}")
-    return _feature_map(np.matmul(X, xi.T, out=out), b)
+    return _feature_map(X @ xi.T, b)
 
 
 def _feature_map(theta: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -712,6 +712,33 @@ def test_import_leaves_out_scipy_stats_and_exports_resolve():
     assert result.returncode == 0, result.stderr
 
 
+def test_only_diagnose_loads_scipy(tmp_path):
+    # every command but diagnose runs on numpy alone; diagnose imports
+    # scipy's erfc and eigsh on its first call
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    data = write_dataset(tmp_path / "d.csv", n=30)
+    check = (
+        "import sys\n"
+        "from kernelmix import cli\n"
+        "def run(*args):\n"
+        "    assert cli.main(list(args)) == 0, args\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        f"data = {data!r}\n"
+        "run('score', '--data', data, '--families', 'laplacian,gaussian', '--gammas', '0.5,2', '--out', 'score')\n"
+        "run('train', '--data', data, '--gammas', '0.5,2', '--draws', '8', '--epochs', '2', '--out', 'model.json')\n"
+        "run('predict', '--model', 'model.json', '--data', data, '--out', 'pred.csv')\n"
+        "run('select', '--data', data, '--gammas', '0.5,2', '--folds', '2', '--draws', '8', '--epochs', '2', '--out', 'sel')\n"
+        "assert not scipy_modules(), scipy_modules()\n"
+        "run('diagnose', '--data', data, '--gammas', '0.5,2', '--draws', '16', '--trials', '2', '--pairs', '5', '--out', 'diag')\n"
+        "missing = {'scipy.special', 'scipy.sparse.linalg'} - set(sys.modules)\n"
+        "assert not missing, missing\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", check], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
 def load_tracing():
     """perfbench/tracing.py, loaded by path (perfbench is not a package)."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -740,7 +767,7 @@ def test_benchmark_tracer_targets_resolve():
 @pytest.mark.parametrize("seed, seeds_built", [(0, 3), (1, 3), (7, 3)])
 def test_traced_diagnose_builds_each_phi_once(tmp_path, capsys, seed, seeds_built):
     # one Phi per (D, trial seed), whatever --seed is, and one mixture Gram
-    # (one kernel_matrix call per kernel) per run
+    # per run, built from one shared distance pass (no kernel_matrix call)
     tracing = load_tracing()
     data = write_dataset(tmp_path / "d.csv", n=30)
     args = [
@@ -752,4 +779,5 @@ def test_traced_diagnose_builds_each_phi_once(tmp_path, capsys, seed, seeds_buil
     assert code == 0
     metrics = tracing.layer_metrics(tracer.spans[first:], first, 30, 0)
     assert metrics["rff.phi_builds"] == 2 * seeds_built
-    assert metrics["kernels.kernel_matrix_calls"] == 3
+    assert sum(span[0] == "kernels.mixture_gram" for span in tracer.spans[first:]) == 1
+    assert metrics["kernels.kernel_matrix_calls"] == 0

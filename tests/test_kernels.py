@@ -2,10 +2,21 @@ import math
 
 import numpy as np
 import pytest
-from scipy.spatial.distance import cdist
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.spatial.distance import cdist, pdist
 
 from kernelmix.errors import ConfigError
-from kernelmix.kernels import FAMILIES, BaseKernel, kernel_matrix, kernel_of_distance, mixture_gram
+from kernelmix.kernels import (
+    _EXP_IS_ZERO_BELOW,
+    FAMILIES,
+    BaseKernel,
+    kernel_matrix,
+    kernel_of_distance,
+    mixture_gram,
+    squared_distances,
+)
 from kernelmix.rng import stream
 from oracles import naive_gram, oracle_kernel
 
@@ -68,6 +79,83 @@ class TestEvalKernel:
             assert v == pytest.approx(oracle_kernel(family, 1.3, x, y), abs=1e-15)
             assert v == pytest.approx(pair(kernel, y, x), abs=1e-15)
             assert abs(v - pair(kernel, x + t, y + t)) <= 1e-12
+
+
+def _points(seed, rows, dim, scale, on_grid, layout):
+    """rows x dim floats, some rows repeated when on a grid, in ``layout``."""
+    rng = stream(seed, rows, dim)
+    X = rng.integers(-3, 4, size=(rows, dim)) * scale if on_grid else rng.normal(scale=scale, size=(rows, dim))
+    if layout == "fortran":
+        return np.asfortranarray(X)
+    if layout == "strided":  # every other row and column of a larger array
+        wide = np.full((2 * rows, 2 * dim), np.nan)
+        wide[::2, ::2] = X
+        return wide[::2, ::2]
+    return X
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestSquaredDistances:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 70),
+        m=st.integers(1, 70),
+        dim=st.integers(1, 24),
+        seed=st.integers(0, 2**16),
+        scale=st.sampled_from([1e-3, 1.0, 7.5, 1e3]),
+        on_grid=st.booleans(),
+        layouts=st.tuples(*[st.sampled_from(["c", "fortran", "strided"])] * 2),
+    )
+    def test_bit_identical_to_scipy(self, n, m, dim, seed, scale, on_grid, layouts):
+        X = _points(seed, n, dim, scale, on_grid, layouts[0])
+        Y = _points(seed + 1, m, dim, scale, on_grid, layouts[1])
+        cross, within = squared_distances(X, Y), squared_distances(X)
+        assert _same_bits(cross, cdist(X, Y, "sqeuclidean"))
+        assert _same_bits(within, pdist(X, "sqeuclidean"))
+        assert _same_bits(np.sqrt(cross), cdist(X, Y, "euclidean"))
+        assert _same_bits(np.sqrt(within), pdist(X, "euclidean"))
+
+    @pytest.mark.parametrize("dim", [8, 9, 16, 24])
+    def test_long_rows_sum_in_column_order(self, dim):
+        # from 8 coordinates on, a pairwise sum would group the squares
+        # differently; blocks of 32 rows and a ragged last block
+        X = _points(dim, 75, dim, 3.0, False, "c")
+        Y = _points(dim + 1, 41, dim, 3.0, False, "c")
+        assert _same_bits(squared_distances(X, Y), cdist(X, Y, "sqeuclidean"))
+        assert _same_bits(squared_distances(X), pdist(X, "sqeuclidean"))
+
+
+#: exp arguments that straddle the underflow threshold, with the specials
+_EXP_ARGUMENTS = arrays(
+    np.float64,
+    st.integers(1, 300),
+    elements=st.one_of(
+        st.floats(-800.0, 50.0),
+        st.floats(-746.0, -744.0),
+        st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, _EXP_IS_ZERO_BELOW, -708.4]),
+    ),
+)
+
+
+class TestExpPaths:
+    def masked(self, arg):
+        return np.exp(arg, out=np.zeros_like(arg), where=~(arg < _EXP_IS_ZERO_BELOW))
+
+    @settings(max_examples=200, deadline=None)
+    @given(arg=_EXP_ARGUMENTS)
+    def test_plain_exp_equals_masked(self, arg):
+        assert _same_bits(np.exp(arg), self.masked(arg))
+
+    @settings(max_examples=200, deadline=None)
+    @given(arg=_EXP_ARGUMENTS, rows=st.sampled_from([1, 3]))
+    def test_kernel_of_distance_equals_masked(self, arg, rows):
+        # a Laplacian with rho = 1 takes -dist as the exp argument
+        dist = -np.tile(arg, (rows, 1)) if rows > 1 else -arg
+        got = kernel_of_distance(BaseKernel("laplacian", 1.0), dist)
+        assert _same_bits(got, self.masked(dist / -1.0))
 
 
 class TestGram:
@@ -134,6 +222,17 @@ class TestMixture:
         k1, k2 = BaseKernel("gaussian", 1.0), BaseKernel("gaussian", 2.0)
         expected = 0.3 * kernel_matrix(k1, X) + 0.7 * kernel_matrix(k2, X)
         assert np.abs(mixture_gram([k1, k2], [0.3, 0.7], X) - expected).max() <= 1e-14
+
+    def test_bit_identical_to_summed_kernel_matrices(self):
+        # one shared distance pass per metric gives the bits of one
+        # kernel_matrix per kernel
+        X = stream(19).normal(scale=2.0, size=(37, 4))
+        kernels = [BaseKernel("gaussian", 0.4), BaseKernel("laplacian", 1.5), BaseKernel("anova", 3.0), BaseKernel("laplacian", 0.05)]
+        w = np.array([0.1, 0.2, 0.3, 0.4])
+        expected = np.zeros((37, 37))
+        for wl, k in zip(w, kernels):
+            expected += wl * kernel_matrix(k, X)
+        assert _same_bits(mixture_gram(kernels, w, X), expected)
 
     def test_length_mismatch(self):
         with pytest.raises(ConfigError):

@@ -223,10 +223,6 @@ class TestFeatureMatrix:
         assert np.array_equal(got, build_feature_matrix(X, bank))
         stacked = [math.sqrt(w) * feature_block(X, xi, b) for w, xi, b in zip(bank.weights.weights, bank.frequencies, bank.phases)]
         assert np.array_equal(got, np.hstack(stacked))
-        column = np.full((n, 2 * draws), np.nan)[:, draws:]
-        block = feature_block(X, bank.frequencies[0], bank.phases[0], out=column)
-        assert block is column
-        assert np.array_equal(block, feature_block(X, bank.frequencies[0], bank.phases[0]))
 
     @pytest.mark.parametrize("out", [np.empty((5, 63)), np.empty((4, 64)), np.empty((5, 64), dtype=np.float32)])
     def test_out_of_wrong_shape_or_dtype_refused(self, out):
