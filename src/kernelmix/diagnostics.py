@@ -14,10 +14,13 @@ Phi^T Phi, with no SVD:
   Tr((Phi Phi^T)^2)    = ||G||_F^2
 
 Only the top eigenvalue of any matrix is ever needed, so lambda_max comes
-from Lanczos (ARPACK's ``eigsh``) started from a fixed vector, never from
-the full spectrum. :func:`probe_pass` builds each (D, seed) bank and Phi
-once, and the mixture Gram K^w once per run. K^w is a dense n x n matrix,
-so the pass refuses n > 2000 before building anything.
+from a numpy Lanczos iteration started from a fixed vector, never from the
+full spectrum; the top eigenvalue of each small tridiagonal comes from
+Sturm-sequence bisection. erfc is needed only in its far tail (every
+argument is at least sqrt(192)), where Cephes' rational approximation,
+ported here, gives scipy.special.erfc's bits. :func:`probe_pass` builds each
+(D, seed) bank and Phi once, and the mixture Gram K^w once per run. K^w is a
+dense n x n matrix, so the pass refuses n > 2000 before building anything.
 
 The non-asymptotic spectral bounds for radial kernels carry e^{2n log 3}
 factors and are vacuous at any usable n; they are documented here and not
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,22 +58,118 @@ class ComplexityReport:
     gaussian_bound: float
 
 
+# Cephes ndtr.c, the x >= 8 branch of erfc: exp(-x^2) R(x) / S(x), where S
+# is monic (p1evl's leading 1) and the coefficients are the doubles Cephes
+# stores; scipy.special.erfc runs this branch, so the bits agree.
+_ERFC_R = (
+    5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+    6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0,
+)
+_ERFC_S = (
+    2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+    1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0,
+)
+_MAXLOG = 7.09782712893383996843e2  # Cephes' log(DBL_MAX): erfc is 0.0 once x^2 exceeds it
+
+
+def _erfc_tail(x: float) -> float:
+    """erfc(x) for x >= 8, bit for bit as Cephes computes it; refuses smaller x and NaN."""
+    if not x >= 8.0:
+        raise ValueError(f"the erfc tail holds for x >= 8, got {x!r}")
+    z = -x * x
+    if z < -_MAXLOG:
+        return 0.0
+    p = _ERFC_R[0]
+    for c in _ERFC_R[1:]:
+        p = p * x + c
+    q = x + _ERFC_S[0]
+    for c in _ERFC_S[1:]:
+        q = q * x + c
+    return math.exp(z) * p / q
+
+
+#: Lanczos vectors kept before a restart from the top Ritz vector.
+_LANCZOS_BASIS = 100
+
+
 def _top_eigenvalue(G: np.ndarray) -> float:
-    """lambda_max of a symmetric matrix by implicitly restarted Lanczos.
+    """lambda_max of a symmetric positive semidefinite matrix by Lanczos.
 
-    The start vector is fixed, so reruns are bit-identical; it is a positive
-    pseudo-random vector rather than ones, which fails when G 1 = 0. ARPACK
-    needs k < n, so a 1 x 1 matrix is its own eigenvalue.
+    Each step reorthogonalizes against the whole basis (classical
+    Gram-Schmidt, twice), so the Ritz residual beta_j |s_j| (the step's
+    norm times the last entry of the top eigenvector of the tridiagonal
+    T_j) bounds the error; the iteration stops when it falls to rounding,
+    eps * theta. A run that fills ``_LANCZOS_BASIS`` vectors first restarts
+    from its top Ritz vector. The start vector is fixed, so reruns are
+    bit-identical; it is a positive pseudo-random vector rather than ones,
+    which fails when G 1 = 0.
     """
-    # imported here: scipy.sparse.linalg adds ~1.3 MB and ~13 ms to every
-    # command, and only diagnose reads an eigenvalue
-    from scipy.sparse.linalg import eigsh
-
     n = G.shape[0]
     if n == 1:
         return float(G[0, 0])
-    v0 = stream(0).uniform(0.5, 1.5, n)
-    return float(eigsh(G, k=1, which="LA", v0=v0, tol=0, return_eigenvectors=False)[0])
+    start = stream(0).uniform(0.5, 1.5, n)
+    V = np.empty((min(n, _LANCZOS_BASIS), n))
+    while True:
+        V[0] = start / np.linalg.norm(start)
+        alpha, beta = [], []
+        for j in range(V.shape[0]):
+            w = G @ V[j]
+            alpha.append(float(V[j] @ w))
+            for _ in range(2):
+                w -= (V[: j + 1] @ w) @ V[: j + 1]
+            norm = float(np.linalg.norm(w))
+            if not math.isfinite(norm):  # a NaN residual would never fall to rounding
+                raise ConfigError("lambda_max is undefined for a matrix with a non-finite entry")
+            theta, ritz = _top_ritz_pair(alpha, beta)
+            if norm * abs(ritz[-1]) <= np.finfo(float).eps * abs(theta):
+                return theta
+            if j + 1 < V.shape[0]:
+                beta.append(norm)
+                V[j + 1] = w / norm
+        start = ritz @ V
+
+
+def _pivots(diag: list[float], squares: list[float]) -> list[float]:
+    """Pivots of the LDL^T factorization of the tridiagonal (diag, off-diagonal^2 = squares).
+
+    A zero pivot counts as a tiny negative one, as in LAPACK's Sturm counts.
+    """
+    pivots = [diag[0]]
+    for a, b2 in zip(diag[1:], squares):
+        pivots.append(a - b2 / (pivots[-1] or -sys.float_info.min))
+    return pivots
+
+
+def _top_ritz_pair(alpha: list[float], beta: list[float]) -> tuple[float, np.ndarray]:
+    """Largest eigenvalue and unit eigenvector of the tridiagonal (alpha, beta).
+
+    The eigenvalue comes from bisection on Sturm counts: T - x I has as many
+    positive pivots as T has eigenvalues above x. The eigenvector comes
+    from the twisted factorization at that eigenvalue (Dhillon & Parlett):
+    it is anchored at the index where the two one-sided factorizations
+    meet best, so its small entries, among them the last one that sets the
+    Ritz residual, are products of well-determined pivot ratios.
+    """
+    squares = [b * b for b in beta]
+    lo = max(alpha)
+    hi = max(a + left + right for a, left, right in zip(alpha, [0.0, *beta], [*beta, 0.0]))
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if any(d > 0.0 for d in _pivots([a - mid for a in alpha], squares)):
+            lo = mid
+        else:
+            hi = mid
+    diag = [a - hi for a in alpha]
+    down = _pivots(diag, squares)
+    up = _pivots(diag[::-1], squares[::-1])[::-1]
+    k = len(diag)
+    twist = min(range(k), key=lambda i: abs(down[i] + up[i] - diag[i]))
+    y = np.zeros(k)
+    y[twist] = 1.0
+    for i in range(twist - 1, -1, -1):
+        y[i] = -beta[i] * y[i + 1] / (down[i] or -sys.float_info.min)
+    for i in range(twist, k - 1):
+        y[i + 1] = -beta[i] * y[i] / (up[i + 1] or -sys.float_info.min)
+    return hi, y / np.linalg.norm(y)
 
 
 def complexity_bounds(Phi: np.ndarray, R: float, draws: int, m: int) -> ComplexityReport:
@@ -80,9 +180,6 @@ def complexity_bounds(Phi: np.ndarray, R: float, draws: int, m: int) -> Complexi
     khintchine_bound   (R / (n D sqrt(m))) sqrt(23/44) ||Phi||_F
     gaussian_bound     (R / (n D)) (2 sqrt(pi T4)/fro + fro/(2 spec^2) e^{-fro^4/(4 T4)})
     """
-    # imported here, like eigsh: only diagnose reads a bound
-    from scipy.special import erfc
-
     Phi = np.asarray(Phi, dtype=float)
     if Phi.ndim != 2:
         raise ConfigError("Phi must be a matrix")
@@ -94,8 +191,8 @@ def complexity_bounds(Phi: np.ndarray, R: float, draws: int, m: int) -> Complexi
     trace_quartic = float(np.einsum("ij,ij->", G, G))
     n = Phi.shape[0]
     pre = R / (n * draws)
-    erfc_bound = pre * math.sqrt(math.pi / 192.0) * spec * float(erfc(math.sqrt(192.0) * fro / spec))
-    erfc_display = pre * math.sqrt(math.pi / 192.0) * spec * float(erfc(math.sqrt(192.0 * draws)))
+    erfc_bound = pre * math.sqrt(math.pi / 192.0) * spec * _erfc_tail(math.sqrt(192.0) * fro / spec)
+    erfc_display = pre * math.sqrt(math.pi / 192.0) * spec * _erfc_tail(math.sqrt(192.0 * draws))
     khintchine = (R / (n * draws * math.sqrt(m))) * math.sqrt(23.0 / 44.0) * fro
     gaussian = pre * (
         2.0 * math.sqrt(math.pi * trace_quartic) / fro

@@ -154,7 +154,8 @@ def build_feature_matrix(X: np.ndarray, bank: FeatureBank, out: np.ndarray | Non
     block's projection is written into its column slice of Phi, which is
     ``out`` when given (a float64 n x mD array or view; it is returned) and
     a fresh array otherwise; the feature map and the weights then run once
-    over the whole of Phi, in place.
+    over the whole of Phi, in place. The weight pass is skipped when every
+    weight is 1, as for a single kernel: x * 1.0 == x.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != bank.dim:
@@ -167,5 +168,7 @@ def build_feature_matrix(X: np.ndarray, bank: FeatureBank, out: np.ndarray | Non
     for l, xi in enumerate(bank.frequencies):
         np.matmul(X, xi.T, out=Phi[:, l * D : (l + 1) * D])
     _feature_map(Phi, np.concatenate(bank.phases))
-    Phi *= np.repeat(np.sqrt(bank.weights.weights), D)
+    scale = np.sqrt(bank.weights.weights)
+    if np.any(scale != 1.0):
+        Phi *= np.repeat(scale, D)
     return Phi

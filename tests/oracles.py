@@ -247,6 +247,19 @@ def svd_complexity_bounds(Phi, R, draws, m) -> dict:
     }
 
 
+def eigsh_top_eigenvalue(G) -> float:
+    """lambda_max by ARPACK's implicitly restarted Lanczos, as the package first computed it."""
+    from scipy.sparse.linalg import eigsh
+
+    from kernelmix.rng import stream
+
+    n = G.shape[0]
+    if n == 1:
+        return float(G[0, 0])
+    v0 = stream(0).uniform(0.5, 1.5, n)
+    return float(eigsh(G, k=1, which="LA", v0=v0, tol=0, return_eigenvectors=False)[0])
+
+
 def _per_seed_probe(X, kernels, weights, draws, seeds, square_norm, reference_of_gram):
     from kernelmix.mmd import MixtureWeights
     from kernelmix.rff import FeatureBank, build_feature_matrix

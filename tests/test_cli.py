@@ -712,9 +712,8 @@ def test_import_leaves_out_scipy_stats_and_exports_resolve():
     assert result.returncode == 0, result.stderr
 
 
-def test_only_diagnose_loads_scipy(tmp_path):
-    # every command but diagnose runs on numpy alone; diagnose imports
-    # scipy's erfc and eigsh on its first call
+def test_no_command_loads_scipy(tmp_path):
+    # every command, diagnose included, runs on numpy and the standard library
     src = os.path.dirname(os.path.dirname(cli.__file__))
     data = write_dataset(tmp_path / "d.csv", n=30)
     check = (
@@ -722,17 +721,14 @@ def test_only_diagnose_loads_scipy(tmp_path):
         "from kernelmix import cli\n"
         "def run(*args):\n"
         "    assert cli.main(list(args)) == 0, args\n"
-        "def scipy_modules():\n"
-        "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
         f"data = {data!r}\n"
         "run('score', '--data', data, '--families', 'laplacian,gaussian', '--gammas', '0.5,2', '--out', 'score')\n"
         "run('train', '--data', data, '--gammas', '0.5,2', '--draws', '8', '--epochs', '2', '--out', 'model.json')\n"
         "run('predict', '--model', 'model.json', '--data', data, '--out', 'pred.csv')\n"
         "run('select', '--data', data, '--gammas', '0.5,2', '--folds', '2', '--draws', '8', '--epochs', '2', '--out', 'sel')\n"
-        "assert not scipy_modules(), scipy_modules()\n"
         "run('diagnose', '--data', data, '--gammas', '0.5,2', '--draws', '16', '--trials', '2', '--pairs', '5', '--out', 'diag')\n"
-        "missing = {'scipy.special', 'scipy.sparse.linalg'} - set(sys.modules)\n"
-        "assert not missing, missing\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "assert not loaded, loaded\n"
     )
     env = {**os.environ, "PYTHONPATH": src}
     result = subprocess.run([sys.executable, "-c", check], cwd=tmp_path, env=env, capture_output=True, text=True)

@@ -10,6 +10,7 @@ from scipy.special import erfc
 
 from kernelmix import diagnostics
 from kernelmix.diagnostics import (
+    _erfc_tail,
     _top_eigenvalue,
     complexity_bounds,
     empirical_sup_error,
@@ -20,10 +21,12 @@ from kernelmix.diagnostics import (
 )
 from kernelmix.errors import ConfigError
 from kernelmix.kernels import FAMILIES, BaseKernel, mixture_gram
-from kernelmix.mmd import MixtureWeights
+from kernelmix.mmd import MixtureWeights, mixing_weights
 from kernelmix.rff import FeatureBank, build_feature_matrix, sample_frequencies, spectral_second_moment
 from kernelmix.rng import stream
+from kernelmix.synthetic import two_gaussian_dataset
 from oracles import (
+    eigsh_top_eigenvalue,
     feature_map,
     oracle_frobenius_concentration,
     oracle_kernel,
@@ -102,6 +105,69 @@ class TestTopEigenvalue:
         G = A @ A.T
         assert _top_eigenvalue(G) == _top_eigenvalue(G)
 
+    @pytest.mark.parametrize("gram", ["Kw", "PhiPhiT-512", "PhiPhiT-2048"])
+    def test_matches_arpack_on_benchmark_grams(self, benchmark_grams, gram):
+        # the diagnose benchmark's Grams: n = 800, gammas 0.05/0.5/5, D = 512 and 2048
+        G = benchmark_grams[gram]
+        assert math.isclose(_top_eigenvalue(G), eigsh_top_eigenvalue(G), rel_tol=1e-14)
+
+    @pytest.mark.parametrize("basis", [2, 5])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_restarts_converge_with_a_small_basis(self, monkeypatch, basis, seed):
+        monkeypatch.setattr(diagnostics, "_LANCZOS_BASIS", basis)
+        A = stream(115, seed).normal(size=(60, 60))
+        G = A @ A.T
+        assert math.isclose(_top_eigenvalue(G), np.linalg.eigvalsh(G)[-1], rel_tol=1e-12)
+
+    def test_restarts_when_the_basis_fills(self, monkeypatch):
+        # eigenvalues evenly spaced on [0, 1]: the top one is only 1/399 from
+        # the next, so Lanczos needs more steps than the basis holds
+        G = np.diag(np.linspace(0.0, 1.0, 400))
+        steps = []
+        ritz_pair = diagnostics._top_ritz_pair
+        monkeypatch.setattr(diagnostics, "_top_ritz_pair", lambda a, b: steps.append(len(a)) or ritz_pair(a, b))
+        assert math.isclose(_top_eigenvalue(G), 1.0, rel_tol=1e-12)
+        assert max(steps) == diagnostics._LANCZOS_BASIS
+        assert steps.count(1) >= 2, "no restart"
+
+
+@pytest.fixture(scope="module")
+def benchmark_grams():
+    ds = two_gaussian_dataset(n=800, dim=5, seed=3)
+    kernels = [BaseKernel.from_gamma("gaussian", g) for g in (0.05, 0.5, 5.0)]
+    y = ds.labels
+    weights = mixing_weights(kernels, ds.features[y == 1], ds.features[y == -1])
+    grams = {"Kw": mixture_gram(kernels, weights.weights, ds.features)}
+    for draws in (512, 2048):
+        Phi = build_feature_matrix(ds.features, FeatureBank.generate(kernels, weights, draws, 5, seed=3))
+        grams[f"PhiPhiT-{draws}"] = Phi @ Phi.T
+    return grams
+
+
+class TestErfcTail:
+    @settings(max_examples=500, deadline=None)
+    @given(x=st.floats(math.sqrt(192.0), 27.0))
+    def test_bit_identical_to_scipy(self, x):
+        assert _erfc_tail(x) == erfc(x)
+
+    def test_bit_identical_at_every_display_argument(self):
+        # erfc_bound_display's argument sqrt(192 D) for D = 1 ... 10^4
+        arguments = [math.sqrt(192.0 * draws) for draws in range(1, 10_001)]
+        assert [_erfc_tail(x) for x in arguments] == erfc(arguments).tolist()
+
+    def test_underflow_cutoff(self):
+        # exp(-x^2) is taken as 0.0 once x^2 exceeds Cephes' MAXLOG
+        cutoff = math.sqrt(709.782712893384)
+        for x in (math.nextafter(cutoff, 0.0), cutoff, math.nextafter(cutoff, math.inf), 40.0, math.inf):
+            assert _erfc_tail(x) == erfc(x), x
+        assert _erfc_tail(math.nextafter(cutoff, 0.0)) > 0.0
+        assert _erfc_tail(math.nextafter(cutoff, math.inf)) == 0.0
+
+    @pytest.mark.parametrize("x", [math.nextafter(8.0, 0.0), 1.0, 0.0, -9.0, math.nan, -math.inf])
+    def test_refuses_outside_the_tail(self, x):
+        with pytest.raises(ValueError):
+            _erfc_tail(x)
+
 
 class TestComplexityBounds:
     def test_scalar_matrix(self):
@@ -149,6 +215,15 @@ class TestComplexityBounds:
     def test_zero_matrix_rejected(self):
         with pytest.raises(ConfigError):
             complexity_bounds(np.zeros((3, 3)), R=1.0, draws=3, m=1)
+
+    # numpy warns about inf * 0 and an overflowing Gram on its way to the refusal
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning", "ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, 1e200])
+    def test_non_finite_matrix_rejected(self, entry):
+        Phi = np.zeros((3, 3))
+        Phi[1, 2] = entry
+        with pytest.raises(ConfigError):
+            complexity_bounds(Phi, R=1.0, draws=3, m=1)
 
     @settings(max_examples=200, deadline=None)
     @given(case=feature_matrices(), R=st.floats(0.1, 100.0))

@@ -198,6 +198,12 @@ class TestFeatureMatrix:
         )
         assert np.array_equal(build_feature_matrix(X, bank), stacked)
 
+    def test_unit_weight_leaves_the_features(self):
+        # a single kernel has weight 1, so Phi is its feature block bit for bit
+        bank = _bank([BaseKernel("laplacian", 0.5)], [1.0], draws=32)
+        X = stream(65).normal(size=(25, 2))
+        assert np.array_equal(build_feature_matrix(X, bank), feature_block(X, bank.frequencies[0], bank.phases[0]))
+
     @settings(max_examples=60, deadline=None)
     @given(
         families=st.lists(st.sampled_from(["gaussian", "laplacian"]), min_size=1, max_size=4),

@@ -1,14 +1,13 @@
 """Static checks over the package source."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
-SOURCE = sorted(
-    p for p in (Path(__file__).parent.parent / "src" / "kernelmix").glob("*.py")
-    if p.name != "__init__.py"
-)
+PACKAGE = sorted((Path(__file__).parent.parent / "src" / "kernelmix").glob("*.py"))
+SOURCE = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 @pytest.mark.parametrize("path", SOURCE, ids=lambda p: p.name)
@@ -25,6 +24,22 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_imports_only_stdlib_numpy_and_kernelmix(path):
+    # numpy is the only runtime dependency; function-local imports count too
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules = [
+        (alias.name, node.lineno) for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names
+    ] + [
+        (node.module or "", node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 0
+    ]
+    allowed = sys.stdlib_module_names | {"numpy", "kernelmix"}
+    foreign = sorted(f"{name} (line {line})" for name, line in modules if name.split(".")[0] not in allowed)
+    assert not foreign, f"{path.name} imports outside the standard library, numpy and kernelmix: {', '.join(foreign)}"
 
 
 FULL_SPECTRUM = {"eigvalsh", "eigh", "svd", "eigvals"}
