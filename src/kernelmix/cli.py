@@ -334,10 +334,11 @@ def _add_bank(p: _Parser) -> None:
         "--families",
         type=_FAMILIES,
         default="gaussian",
-        help="kernel family, or comma list matching --gammas (gaussian|laplacian|anova)",
+        help=f"kernel family, or comma list matching --gammas ({'|'.join(FAMILIES)})",
     )
     p.add_argument("--gammas", type=_GAMMAS, default="1.0", help="comma list of gamma = 1/(2 rho^2) values")
-    p.add_argument("--estimator", choices=("auto", "biased", "unbiased_balanced"), default="auto")
+    p.add_argument("--estimator", choices=("auto", "biased", "unbiased_balanced"), default="auto",
+                   help="biased: the unbiased two-sample U-statistic MMD^2_u; unbiased_balanced: the paired statistic, which depends on row order; auto: unbiased_balanced exactly when n+ = n-")
 
 
 def _add_training(p: _Parser, draws: int, R: float, lam: float, epochs: int) -> None:

@@ -224,10 +224,11 @@ def probe_pass(
     """(bounds report, Frobenius probe, spectral probe) for each D in ``sweep``.
 
     One bank, one Phi and one :func:`complexity_bounds` report per seed in
-    ``seeds``; the probes reduce those reports against the K^w reference,
-    and the first seed's report is the bounds row. Every Phi is built in
-    place into a C-contiguous view of one buffer sized for the largest D,
-    so the pass holds one n x m max(sweep) Phi and one Gram at a time.
+    ``seeds``; the probes reduce those reports against tr(K^w) = n (unit
+    diagonals, simplex weights) and lambda_max(K^w), and the first seed's
+    report is the bounds row. Every Phi is built in place into a
+    C-contiguous view of one buffer sized for the largest D, so the pass
+    holds one n x m max(sweep) Phi and one Gram at a time.
     """
     if not seeds:
         raise ConfigError("need at least one seed (trial)")
@@ -238,9 +239,7 @@ def probe_pass(
         raise ConfigError("the mixture Gram K^w is a dense n x n matrix; diagnose is limited to n <= 2000")
     if not isinstance(weights, MixtureWeights):
         weights = MixtureWeights(np.asarray(weights, dtype=float))
-    Kw = mixture_gram(kernels, weights.weights, X)
-    trace_kw, spectral_kw = float(np.trace(Kw)), _top_eigenvalue(Kw)
-    del Kw
+    spectral_kw = _top_eigenvalue(mixture_gram(kernels, weights.weights, X))
     n, m = X.shape[0], len(kernels)
     buffer = np.empty(n * m * max(sweep))
     out = []
@@ -250,7 +249,7 @@ def probe_pass(
             bank = FeatureBank.generate(kernels, weights, draws, X.shape[1], seed)
             Phi = build_feature_matrix(X, bank, out=buffer[: n * m * draws].reshape(n, m * draws))
             reports.append(complexity_bounds(Phi, R, draws, m))
-        fro = frobenius_concentration(reports, trace_kw)
+        fro = frobenius_concentration(reports, float(n))
         out.append((reports[0], fro, spectral_concentration(reports, spectral_kw)))
     return out
 

@@ -3,9 +3,8 @@
 All built-in families are bounded by 1, attain 1 on the diagonal, and are
 translation invariant. Every value comes from :func:`kernel_of_distance` on
 a distance in the family's ``metric``: gaussian exp(-||x-y||^2 / (2 rho^2)),
-laplacian exp(-||x-y|| / rho). ANOVA, the product of per-coordinate Gaussian
-factors with one shared rho, is the Gaussian kernel under its own name.
-gamma = 1/(2 rho^2) is accepted as an alternative parameterization.
+laplacian exp(-||x-y|| / rho). gamma = 1/(2 rho^2) is accepted as an
+alternative parameterization.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError
 
-FAMILIES = ("gaussian", "laplacian", "anova")
+FAMILIES = ("gaussian", "laplacian")
 
 
 @dataclass(frozen=True)

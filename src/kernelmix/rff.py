@@ -8,11 +8,10 @@ at the classifier, never here, so the two factors are not double-counted.
 
 Spectral (Bochner dual) laws per family, for bandwidth rho:
 
-  gaussian, anova  xi_k ~ Normal(0, 1/rho^2) per coordinate
-  laplacian        xi = z / (rho |g|), z ~ Normal(0, I_d), g ~ Normal(0, 1)
+  gaussian   xi_k ~ Normal(0, 1/rho^2) per coordinate
+  laplacian  xi = z / (rho |g|), z ~ Normal(0, I_d), g ~ Normal(0, 1)
 
-ANOVA with one shared rho is the Gaussian kernel, so it shares the Gaussian
-law. The Laplacian law is the multivariate Cauchy, with density
+The Laplacian law is the multivariate Cauchy, with density
 proportional to (1 + rho^2 ||xi||^2)^(-(d+1)/2), the dual of the Euclidean
 Laplacian exp(-||x - y|| / rho) in every dimension; each coordinate is
 Cauchy(0, 1/rho). It has no second moment (sigma_p^2 = inf, so the

@@ -17,11 +17,6 @@ def oracle_kernel(family: str, rho: float, x, y) -> float:
         return math.exp(-sum((a - b) ** 2 for a, b in zip(x, y)) / (2 * rho**2))
     if family == "laplacian":
         return math.exp(-math.sqrt(sum((a - b) ** 2 for a, b in zip(x, y))) / rho)
-    if family == "anova":
-        out = 1.0
-        for a, b in zip(x, y):
-            out *= math.exp(-((a - b) ** 2) / (2 * rho**2))
-        return out
     raise ValueError(family)
 
 

@@ -73,7 +73,7 @@ TRAINING = {"--draws": COUNT, "--R": ("0", "-1", "x"), "--lam": ("-1", "x"),
             "--epochs": COUNT, "--step-size": ("0", "-1", "x")}
 SYNTHETIC = {"--synthetic-n": ("0", "x"), "--synthetic-dim": ("-1", "x")}
 SEED = ("-1", "x")
-FAMILIES = ("nope", "gaussian,bogus", ",")
+FAMILIES = ("nope", "gaussian,bogus", ",", "anova")
 
 # Bad values per command and value flag. The nan/inf training values, the
 # test fraction's range, diagnose's --R/--eps/--pairs/--trials/--draw-sweep
@@ -172,7 +172,7 @@ class TestScore:
         monkeypatch.setattr(cli, "mmd_scores", spy)
         data = write_dataset(tmp_path / "d.csv")
         out = str(tmp_path / "scores")
-        args = ["score", "--data", data, "--families", "gaussian,laplacian,anova",
+        args = ["score", "--data", data, "--families", "gaussian,laplacian,gaussian",
                 "--gammas", "0.1,1.0,3.0", "--out", out]
         assert cli.main(args) == 0
         assert calls == [3]
@@ -393,6 +393,21 @@ class TestTrainPredict:
         out = tmp_path / "p.csv"
         code = cli.main(["predict", "--model", model_path, "--data", data, "--out", str(out)])
         assert code == 4
+        assert not out.exists()
+
+    def test_anova_model_exit_4(self, tmp_path, capsys):
+        """A model naming the removed ``anova`` family fails to load, even with a
+        consistent checksum (the alias drew the Gaussian kernel's frequencies)."""
+        data, model_path = self.run_train(tmp_path)
+        payload = json.loads((tmp_path / "model.json").read_text())
+        bank = FeatureBank.from_dict(payload["bank"])
+        payload["bank"]["kernels"][0]["family"] = "anova"
+        payload["frequency_checksum"] = _checksum(payload, bank)
+        (tmp_path / "model.json").write_text(json.dumps(payload))
+        out = tmp_path / "p.csv"
+        code = cli.main(["predict", "--model", model_path, "--data", data, "--out", str(out)])
+        assert code == 4
+        assert "malformed model document: unknown kernel family 'anova'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_model_bytes_deterministic(self, tmp_path):

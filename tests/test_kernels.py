@@ -57,13 +57,6 @@ class TestEvalKernel:
         got = pair(k, np.array([0.0, 0.0]), np.array([3.0, 4.0]))
         assert got == pytest.approx(math.exp(-5.0), abs=1e-15)
 
-    def test_anova_matches_gaussian_shared_rho(self):
-        # the oracle's ANOVA is the per-coordinate product formula
-        x, y = np.array([0.1, 0.9]), np.array([-0.4, 1.3])
-        a = pair(BaseKernel("anova", 0.8), x, y)
-        assert a == pair(BaseKernel("gaussian", 0.8), x, y)
-        assert a == pytest.approx(oracle_kernel("anova", 0.8, x, y), abs=1e-15)
-
     def test_dimension_mismatch(self):
         with pytest.raises(ConfigError):
             pair(BaseKernel("gaussian", 1.0), np.zeros(2), np.zeros(3))
@@ -227,7 +220,7 @@ class TestMixture:
         # one shared distance pass per metric gives the bits of one
         # kernel_matrix per kernel
         X = stream(19).normal(scale=2.0, size=(37, 4))
-        kernels = [BaseKernel("gaussian", 0.4), BaseKernel("laplacian", 1.5), BaseKernel("anova", 3.0), BaseKernel("laplacian", 0.05)]
+        kernels = [BaseKernel("gaussian", 0.4), BaseKernel("laplacian", 1.5), BaseKernel("gaussian", 3.0), BaseKernel("laplacian", 0.05)]
         w = np.array([0.1, 0.2, 0.3, 0.4])
         expected = np.zeros((37, 37))
         for wl, k in zip(w, kernels):

@@ -31,11 +31,6 @@ class TestSamplers:
         xi, _b = sample_frequencies(BaseKernel("gaussian", 2.0), 10**5, 2, seed=1)
         assert np.all(np.abs(xi.var(axis=0) - 0.25) <= 0.05 * 0.25)
 
-    def test_anova_shares_gaussian_spectral_law(self):
-        a, ba = sample_frequencies(BaseKernel("anova", 1.5), 100, 2, seed=4)
-        g, bg = sample_frequencies(BaseKernel("gaussian", 1.5), 100, 2, seed=4)
-        assert np.array_equal(a, g) and np.array_equal(ba, bg)
-
     def test_laplacian_cauchy_quantiles(self):
         xi, _b = sample_frequencies(BaseKernel("laplacian", 1.0), 10**5, 2, seed=2)
         med = np.median(xi, axis=0)
@@ -145,7 +140,7 @@ class TestFeatureBank:
             assert np.array_equal(xa, xb)
 
     def test_serialization_roundtrip(self):
-        bank = _bank([GAUSS1, BaseKernel("anova", 0.5)], [0.3, 0.7], seed=11)
+        bank = _bank([GAUSS1, BaseKernel("gaussian", 0.5)], [0.3, 0.7], seed=11)
         clone = FeatureBank.from_dict(bank.to_dict())
         for xa, xb in zip(bank.frequencies, clone.frequencies):
             assert np.array_equal(xa, xb)
@@ -187,7 +182,7 @@ class TestFeatureMatrix:
         assert np.abs(approx - exact).max() <= 0.1
 
     def test_bit_identical_to_stacked_blocks(self):
-        kernels = [GAUSS1, BaseKernel("laplacian", 0.5), BaseKernel("anova", 2.0)]
+        kernels = [GAUSS1, BaseKernel("laplacian", 0.5), BaseKernel("gaussian", 2.0)]
         bank = _bank(kernels, [0.2, 0.5, 0.3], draws=32)
         X = stream(64).normal(size=(25, 2))
         stacked = np.hstack(

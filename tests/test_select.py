@@ -251,7 +251,7 @@ class TestFeatureSelect:
             y = np.where(rng.uniform(size=n) < 0.5, 1.0, -1.0)
             kernels = [
                 BaseKernel.from_gamma(f, g)
-                for f, g in (("gaussian", 0.2), ("laplacian", 0.5), ("anova", 1.0))
+                for f, g in (("gaussian", 0.2), ("laplacian", 0.5), ("gaussian", 1.0))
             ]
             weights = MixtureWeights(rng.uniform(0.1, 1.0, size=3))
             bank = FeatureBank.generate(kernels, weights, 24, dim, seed)
