@@ -50,7 +50,7 @@ class BaseKernel:
 
 
 #: Rows of X per block of :func:`squared_distances`.
-_BLOCK_ROWS = 32
+_BLOCK_ROWS = 64
 
 
 def squared_distances(X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
@@ -115,7 +115,9 @@ def kernel_matrix(kernel: BaseKernel, X: np.ndarray, Y: np.ndarray | None = None
 _EXP_IS_ZERO_BELOW = -745.2
 
 
-def kernel_of_distance(kernel: BaseKernel, dist: np.ndarray) -> np.ndarray:
+def kernel_of_distance(
+    kernel: BaseKernel, dist: np.ndarray, largest: float | None = None
+) -> np.ndarray:
     """Kernel values from distances in the family's ``metric``.
 
     When no argument underflows, exp runs in place on the scaled distances.
@@ -123,10 +125,18 @@ def kernel_of_distance(kernel: BaseKernel, dist: np.ndarray) -> np.ndarray:
     into exp, and the rest are written as the 0.0 that exp would return.
     exp is elementwise, so both paths give the bits of exp on every
     argument.
+
+    The path follows from the smallest argument, ``largest / -scale``, where
+    ``largest`` is ``dist.max(initial=0.0)``: correctly rounded division by
+    a positive constant is monotone, so that is the minimum of the
+    arguments, and a NaN distance takes the gather path. A caller that scores many kernels on
+    the same distances passes ``largest`` once for all of them.
     """
     scale = kernel.rho if kernel.family == "laplacian" else 2.0 * kernel.rho**2
+    if largest is None:
+        largest = dist.max(initial=0.0)
     arg = dist / -scale
-    if arg.min(initial=0.0) >= _EXP_IS_ZERO_BELOW:
+    if largest / -scale >= _EXP_IS_ZERO_BELOW:
         return np.exp(arg, out=arg)
     kept = np.flatnonzero(~(arg < _EXP_IS_ZERO_BELOW))
     values = np.exp(np.take(arg, kept))

@@ -92,9 +92,13 @@ def mmd_scores(
     computed once (pairs i < j within each class, every pair across; see
     :func:`~kernelmix.kernels.squared_distances`) and
     square-rooted once if any kernel is Laplacian; each kernel then costs one
-    exp-and-sum. For the balanced estimator row i of ``pos`` pairs with row i
-    of ``neg``, so its cross sum runs over the off-diagonal of the cross
-    block, and identical classes score exactly 0.0.
+    exp-and-sum. Each block's largest distance is taken once, and every
+    kernel's exp path (in place, or gathering the arguments that do not
+    underflow) follows from it; see
+    :func:`~kernelmix.kernels.kernel_of_distance`. For the balanced
+    estimator row i of ``pos`` pairs with row i of ``neg``, so its cross sum
+    runs over the off-diagonal of the cross block, and identical classes
+    score exactly 0.0.
     """
     if not kernels:
         raise ConfigError("need at least one base kernel")
@@ -122,14 +126,17 @@ def mmd_scores(
     # within-class pairs i < j, then every cross pair
     blocks = (squared_distances(pos), squared_distances(neg), squared_distances(pos, neg))
     distances = {"sqeuclidean": blocks}
+    # each block's largest entry, which sets every kernel's exp path
+    largest = {"sqeuclidean": [b.max(initial=0.0) for b in blocks]}
     if any(k.metric == "euclidean" for k in kernels):
         distances["euclidean"] = tuple(np.sqrt(b) for b in blocks)
+        largest["euclidean"] = [np.sqrt(v) for v in largest["sqeuclidean"]]
 
     scores = []
     for kernel in kernels:
         sums = []
-        for block in distances[kernel.metric]:
-            K = kernel_of_distance(kernel, block)
+        for block, block_max in zip(distances[kernel.metric], largest[kernel.metric]):
+            K = kernel_of_distance(kernel, block, block_max)
             if K.ndim == 2 and estimator == "unbiased_balanced":
                 # k(x_i,y_j) + k(x_j,y_i) summed over i < j is the cross block
                 # summed off its diagonal

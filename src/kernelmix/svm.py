@@ -104,25 +104,36 @@ def hinge_subgradient(
     lam: float,
     draws: int,
     scores: np.ndarray | None = None,
+    hinge: dict | None = None,
 ) -> tuple[np.ndarray, float]:
     """Subgradient of the full objective at (beta, offset).
 
     ``scores`` is ``Phi @ beta`` when the caller already has it. At points
     where every margin is away from the hinge kink this is the gradient
     proper (checked against finite differences in the tests).
+
+    The hinge part depends on the active set alone. ``hinge`` is a dict the
+    caller keeps across calls on the same Phi and y: it holds the last
+    active set with its hinge part, which is formed again only when the set
+    changes. The result has the same bits either way.
     """
     n = Phi.shape[0]
     if scores is None:
         scores = Phi @ beta
     active = _margins(scores, y, offset, draws) > 0.0
-    g_beta = lam * beta
-    g_offset = 0.0
-    if active.any():
-        # zeros in place of the inactive rows: no copy of the active part of Phi
-        ya = np.where(active, y, 0.0)
-        g_beta = g_beta - (ya @ Phi) / (n * math.sqrt(draws))
-        g_offset = -float(ya.sum()) / n
-    return g_beta, g_offset
+    if hinge is not None and np.array_equal(active, hinge.get("active")):
+        term = hinge["term"]
+    else:
+        term = None
+        if active.any():
+            # zeros in place of the inactive rows: no copy of the active part of Phi
+            ya = np.where(active, y, 0.0)
+            term = (ya @ Phi) / (n * math.sqrt(draws)), -float(ya.sum()) / n
+        if hinge is not None:
+            hinge.update(active=active, term=term)
+    if term is None:
+        return lam * beta, 0.0
+    return lam * beta - term[0], term[1]
 
 
 def _project(beta: np.ndarray, radius: float) -> np.ndarray:
@@ -166,6 +177,8 @@ def train(
     # linear in beta, their running average, which equals Phi @ beta_avg.
     scores = np.zeros(n)
     scores_avg = np.zeros(n)
+    # Full batch: the last active set and its hinge part (see hinge_subgradient)
+    hinge = {} if full_batch else None
     steps = 0
     max_norm = 0.0  # largest ||beta|| of a projected iterate
     objective_history: list[float] = []
@@ -179,7 +192,7 @@ def train(
         for batch in batches:
             g_beta, g_offset = hinge_subgradient(
                 Phi[batch], y[batch], beta, offset, cfg.lam, draws,
-                scores=scores if full_batch else None,
+                scores=scores if full_batch else None, hinge=hinge,
             )
             steps += 1
             eta = cfg.step_size / math.sqrt(steps)

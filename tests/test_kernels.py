@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import cdist, pdist
 
+from kernelmix import kernels
 from kernelmix.errors import ConfigError
 from kernelmix.kernels import (
     _EXP_IS_ZERO_BELOW,
@@ -114,23 +115,40 @@ class TestSquaredDistances:
     @pytest.mark.parametrize("dim", [8, 9, 16, 24])
     def test_long_rows_sum_in_column_order(self, dim):
         # from 8 coordinates on, a pairwise sum would group the squares
-        # differently; blocks of 32 rows and a ragged last block
+        # differently; blocks of 64 rows and a ragged last block
         X = _points(dim, 75, dim, 3.0, False, "c")
         Y = _points(dim + 1, 41, dim, 3.0, False, "c")
         assert _same_bits(squared_distances(X, Y), cdist(X, Y, "sqeuclidean"))
         assert _same_bits(squared_distances(X), pdist(X, "sqeuclidean"))
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 70),
+        m=st.integers(1, 40),
+        dim=st.integers(1, 12),
+        seed=st.integers(0, 2**16),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+        on_grid=st.booleans(),
+    )
+    def test_block_size_leaves_the_bits(self, n, m, dim, seed, scale, on_grid):
+        # every entry is summed the same way in any block
+        X = _points(seed, n, dim, scale, on_grid, "c")
+        Y = _points(seed + 1, m, dim, scale, on_grid, "c")
+        cross, within = squared_distances(X, Y), squared_distances(X)
+        for rows in (1, 7, 32, n + 1):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(kernels, "_BLOCK_ROWS", rows)
+                assert _same_bits(squared_distances(X, Y), cross)
+                assert _same_bits(squared_distances(X), within)
+
 
 #: exp arguments that straddle the underflow threshold, with the specials
-_EXP_ARGUMENTS = arrays(
-    np.float64,
-    st.integers(1, 300),
-    elements=st.one_of(
-        st.floats(-800.0, 50.0),
-        st.floats(-746.0, -744.0),
-        st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, _EXP_IS_ZERO_BELOW, -708.4]),
-    ),
+_EXP_ELEMENTS = st.one_of(
+    st.floats(-800.0, 50.0),
+    st.floats(-746.0, -744.0),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, _EXP_IS_ZERO_BELOW, -708.4]),
 )
+_EXP_ARGUMENTS = arrays(np.float64, st.integers(1, 300), elements=_EXP_ELEMENTS)
 
 
 class TestExpPaths:
@@ -149,6 +167,27 @@ class TestExpPaths:
         dist = -np.tile(arg, (rows, 1)) if rows > 1 else -arg
         got = kernel_of_distance(BaseKernel("laplacian", 1.0), dist)
         assert _same_bits(got, self.masked(dist / -1.0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        arg=arrays(np.float64, st.integers(0, 300), elements=_EXP_ELEMENTS),
+        rows=st.sampled_from([1, 3]),
+        family=st.sampled_from(FAMILIES),
+        gamma=st.sampled_from([1e-4, 0.37, 1.0, 100.0, 1e4]),
+    )
+    def test_block_max_decides_like_the_smallest_argument(self, arg, rows, family, gamma):
+        # distances that straddle -745.2 * scale, with NaN, +-inf, zeros and
+        # empty blocks; the largest distance over -scale is the smallest
+        # argument, so one max per block serves every kernel
+        kernel = BaseKernel.from_gamma(family, gamma)
+        scale = kernel.rho if family == "laplacian" else 2.0 * kernel.rho**2
+        dist = np.tile(arg * -scale, (rows, 1)) if rows > 1 else arg * -scale
+        largest = dist.max(initial=0.0)
+        smallest = (dist / -scale).min(initial=0.0)
+        assert (math.isnan(largest / -scale) and math.isnan(smallest)) or largest / -scale == smallest
+        expected = self.masked(dist / -scale)
+        assert _same_bits(kernel_of_distance(kernel, dist), expected)
+        assert _same_bits(kernel_of_distance(kernel, dist, largest), expected)
 
 
 class TestGram:

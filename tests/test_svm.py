@@ -30,6 +30,10 @@ from kernelmix.svm import (
 from oracles import reference_train
 
 
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def separable_feature_matrix(n=60, seed=42):
     rng = stream(seed)
     x = np.concatenate([rng.uniform(0.5, 1.5, n // 2), rng.uniform(-1.5, -0.5, n // 2)])
@@ -129,6 +133,35 @@ class TestTrain:
         assert np.linalg.norm(model.beta - beta) <= 1e-12 * np.linalg.norm(beta)
         assert abs(model.offset - offset) <= 1e-12 * max(abs(offset), 1e-300)
         np.testing.assert_allclose(model.meta["objective_history"], history, rtol=1e-12, atol=0)
+
+    def test_hinge_part_reuse_is_bit_identical(self, monkeypatch):
+        # full batch forms ya @ Phi once per active set; on two well-separated
+        # Gaussians with a wide ball the set shrinks as margins reach 1
+        rng = stream(90)
+        X = np.vstack([rng.normal(size=(40, 2)) + 3.0, rng.normal(size=(40, 2)) - 3.0])
+        y = np.concatenate([np.ones(40), -np.ones(40)])
+        bank = FeatureBank.generate([BaseKernel("gaussian", 2.0)], MixtureWeights(np.ones(1)), 32, 2, 0)
+        Phi = build_feature_matrix(X, bank)
+        cfg = TrainConfig(R=300.0, lam=1e-3, epochs=200)
+        real = svm.hinge_subgradient
+        masks = []
+
+        def recording(*args, hinge=None, **kwargs):
+            result = real(*args, hinge=hinge, **kwargs)
+            masks.append(hinge["active"])
+            return result
+
+        monkeypatch.setattr(svm, "hinge_subgradient", recording)
+        cached = train(Phi, y, cfg, bank=bank)
+        monkeypatch.setattr(svm, "hinge_subgradient", lambda *a, hinge=None, **k: real(*a, **k))
+        bypassed = train(Phi, y, cfg, bank=bank)
+
+        changes = sum(not np.array_equal(a, b) for a, b in zip(masks, masks[1:]))
+        assert len(masks) == 200 and 10 <= changes < 199
+        assert _same_bits(cached.beta, bypassed.beta)
+        assert _same_bits(np.float64(cached.offset), np.float64(bypassed.offset))
+        for key in ("objective_history", "max_post_step_norm"):
+            assert _same_bits(np.array(cached.meta[key]), np.array(bypassed.meta[key]))
 
     def test_single_class_rejected(self):
         with pytest.raises(DataError):
