@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .kernels import BaseKernel, kernel_of_distance, mixture_gram
+from .kernels import BaseKernel, kernel_values, mixture_gram
 from .mmd import MixtureWeights
 from .rff import FeatureBank, build_feature_matrix, feature_block, sample_frequencies
 from .rng import stream
@@ -323,7 +323,5 @@ def empirical_sup_error(
     phi_i, phi_j = feature_block(X[i], xi, b), feature_block(X[j], xi, b)
     estimate = np.einsum("pk,pk->p", phi_i, phi_j) / draws
     diff = X[i] - X[j]
-    dist = np.einsum("pk,pk->p", diff, diff)
-    if kernel.metric == "euclidean":
-        dist = np.sqrt(dist)
-    return float(np.abs(estimate - kernel_of_distance(kernel, dist)).max())
+    squared = np.einsum("pk,pk->p", diff, diff)
+    return float(np.abs(estimate - next(kernel_values([kernel], squared))).max())

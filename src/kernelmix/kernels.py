@@ -1,15 +1,16 @@
 """Shift-invariant base kernels, Gram matrices and their mixtures.
 
 All built-in families are bounded by 1, attain 1 on the diagonal, and are
-translation invariant. Every value comes from :func:`kernel_of_distance` on
-a distance in the family's ``metric``: gaussian exp(-||x-y||^2 / (2 rho^2)),
-laplacian exp(-||x-y|| / rho). gamma = 1/(2 rho^2) is accepted as an
-alternative parameterization.
+translation invariant. Every value comes from :func:`kernel_values` on
+squared distances: gaussian exp(-||x-y||^2 / (2 rho^2)), laplacian
+exp(-||x-y|| / rho), whose distance is the square root. gamma = 1/(2 rho^2)
+is accepted as an alternative parameterization.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,12 +42,6 @@ class BaseKernel:
     @property
     def gamma(self) -> float:
         return 1.0 / (2.0 * self.rho**2)
-
-    @property
-    def metric(self) -> str:
-        """The distance the family is a function of: ``"sqeuclidean"``, or
-        ``"euclidean"``, its square root."""
-        return "euclidean" if self.family == "laplacian" else "sqeuclidean"
 
 
 #: Rows of X per block of :func:`squared_distances`.
@@ -106,8 +101,7 @@ def kernel_matrix(kernel: BaseKernel, X: np.ndarray, Y: np.ndarray | None = None
     With Y omitted this is the Gram matrix of X, exactly symmetric with
     exact 1.0 on the diagonal (for finite X; see :func:`squared_distances`).
     """
-    squared = squared_distances(X, X if Y is None else Y)
-    return kernel_of_distance(kernel, np.sqrt(squared) if kernel.metric == "euclidean" else squared)
+    return next(kernel_values([kernel], squared_distances(X, X if Y is None else Y)))
 
 
 #: exp(x) rounds to exactly 0.0 for every x below this, and numpy's exp is
@@ -115,34 +109,45 @@ def kernel_matrix(kernel: BaseKernel, X: np.ndarray, Y: np.ndarray | None = None
 _EXP_IS_ZERO_BELOW = -745.2
 
 
-def kernel_of_distance(
-    kernel: BaseKernel, dist: np.ndarray, largest: float | None = None
-) -> np.ndarray:
-    """Kernel values from distances in the family's ``metric``.
+def _exp(arg: np.ndarray, smallest: float) -> np.ndarray:
+    """exp of ``arg``, written into ``arg``; ``smallest`` is its minimum.
 
-    When no argument underflows, exp runs in place on the scaled distances.
-    Otherwise only the arguments whose exp does not underflow are gathered
-    into exp, and the rest are written as the 0.0 that exp would return.
-    exp is elementwise, so both paths give the bits of exp on every
-    argument.
-
-    The path follows from the smallest argument, ``largest / -scale``, where
-    ``largest`` is ``dist.max(initial=0.0)``: correctly rounded division by
-    a positive constant is monotone, so that is the minimum of the
-    arguments, and a NaN distance takes the gather path. A caller that scores many kernels on
-    the same distances passes ``largest`` once for all of them.
+    When no argument underflows, exp runs in place. Otherwise only the
+    arguments whose exp does not underflow are gathered into exp, and the
+    rest are written as the 0.0 that exp would return. exp is elementwise,
+    so both paths give the bits of exp on every argument. A NaN
+    ``smallest`` takes the gather path.
     """
-    scale = kernel.rho if kernel.family == "laplacian" else 2.0 * kernel.rho**2
-    if largest is None:
-        largest = dist.max(initial=0.0)
-    arg = dist / -scale
-    if largest / -scale >= _EXP_IS_ZERO_BELOW:
+    if smallest >= _EXP_IS_ZERO_BELOW:
         return np.exp(arg, out=arg)
     kept = np.flatnonzero(~(arg < _EXP_IS_ZERO_BELOW))
     values = np.exp(np.take(arg, kept))
     arg.fill(0.0)
     np.put(arg, kept, values)
     return arg
+
+
+def kernel_values(kernels: list[BaseKernel], squared: np.ndarray) -> Iterator[np.ndarray]:
+    """Yield each kernel's values on the squared distances, in order.
+
+    The largest squared distance is taken once. The square root, of the
+    array and of that entry, is taken once, at the first Laplacian kernel.
+    A kernel's smallest exp argument is the largest distance over -scale:
+    the square root and correctly rounded division by a positive constant
+    are monotone. That argument picks the path of :func:`_exp`. Each array
+    is yielded fresh and not kept, so a caller that drops it before asking
+    for the next holds one kernel's values at a time.
+    """
+    largest = squared.max(initial=0.0)
+    dist = None
+    for kernel in kernels:
+        if kernel.family == "laplacian":
+            if dist is None:
+                dist, largest_dist = np.sqrt(squared), np.sqrt(largest)
+            yield _exp(dist / -kernel.rho, largest_dist / -kernel.rho)
+        else:
+            scale = 2.0 * kernel.rho**2
+            yield _exp(squared / -scale, largest / -scale)
 
 
 def mixture_gram(kernels: list[BaseKernel], weights: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -152,11 +157,9 @@ def mixture_gram(kernels: list[BaseKernel], weights: np.ndarray, X: np.ndarray) 
         raise ConfigError(
             f"{len(kernels)} kernels but {weights.shape[0]} weights"
         )
-    # one distance matrix per metric, shared by every kernel
-    distances = {"sqeuclidean": squared_distances(X, X)}
-    if any(k.metric == "euclidean" for k in kernels):
-        distances["euclidean"] = np.sqrt(distances["sqeuclidean"])
-    out = np.zeros_like(distances["sqeuclidean"])
-    for w, kernel in zip(weights, kernels):
-        out += w * kernel_of_distance(kernel, distances[kernel.metric])
+    squared = squared_distances(X, X)
+    values = kernel_values(kernels, squared)
+    out = np.zeros_like(squared)
+    for w in weights:
+        out += w * next(values)
     return out

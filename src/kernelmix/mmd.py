@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .kernels import BaseKernel, kernel_of_distance, squared_distances
+from .kernels import BaseKernel, kernel_values, squared_distances
 from .rng import stream
 
 ESTIMATORS = ("biased", "unbiased_balanced")
@@ -88,17 +88,15 @@ def mmd_scores(
     """Score every kernel from one shared pass of pairwise distances.
 
     ``estimator="auto"`` takes the balanced U-statistic when n+ = n- and the
-    biased form otherwise. Both estimators read the same squared distances,
-    computed once (pairs i < j within each class, every pair across; see
-    :func:`~kernelmix.kernels.squared_distances`) and
-    square-rooted once if any kernel is Laplacian; each kernel then costs one
-    exp-and-sum. Each block's largest distance is taken once, and every
-    kernel's exp path (in place, or gathering the arguments that do not
-    underflow) follows from it; see
-    :func:`~kernelmix.kernels.kernel_of_distance`. For the balanced
-    estimator row i of ``pos`` pairs with row i of ``neg``, so its cross sum
-    runs over the off-diagonal of the cross block, and identical classes
-    score exactly 0.0.
+    biased form otherwise. Both estimators read the same three blocks of
+    squared distances (pairs i < j within each class, every pair across;
+    see :func:`~kernelmix.kernels.squared_distances`), computed one block
+    at a time. Every kernel's values on a block come from
+    :func:`~kernelmix.kernels.kernel_values` and cost one exp-and-sum, so
+    one distance block and one kernel's values are alive at a time. For
+    the balanced estimator row i of ``pos`` pairs with row i of ``neg``, so
+    its cross sum runs over the off-diagonal of the cross block, and
+    identical classes score exactly 0.0.
     """
     if not kernels:
         raise ConfigError("need at least one base kernel")
@@ -123,34 +121,29 @@ def mmd_scores(
         if np.array_equal(pos, neg):
             return [MmdScore(0.0, estimator) for _ in kernels]
 
-    # within-class pairs i < j, then every cross pair
-    blocks = (squared_distances(pos), squared_distances(neg), squared_distances(pos, neg))
-    distances = {"sqeuclidean": blocks}
-    # each block's largest entry, which sets every kernel's exp path
-    largest = {"sqeuclidean": [b.max(initial=0.0) for b in blocks]}
-    if any(k.metric == "euclidean" for k in kernels):
-        distances["euclidean"] = tuple(np.sqrt(b) for b in blocks)
-        largest["euclidean"] = [np.sqrt(v) for v in largest["sqeuclidean"]]
-
-    scores = []
-    for kernel in kernels:
-        sums = []
-        for block, block_max in zip(distances[kernel.metric], largest[kernel.metric]):
-            K = kernel_of_distance(kernel, block, block_max)
+    # within-class pairs i < j, then every cross pair; one sum per kernel each
+    sums = []
+    for pair in ((pos,), (neg,), (pos, neg)):
+        block = []
+        for K in kernel_values(kernels, squared_distances(*pair)):
             if K.ndim == 2 and estimator == "unbiased_balanced":
                 # k(x_i,y_j) + k(x_j,y_i) summed over i < j is the cross block
                 # summed off its diagonal
                 np.fill_diagonal(K, 0.0)
-            sums.append(K.sum())
-            del K  # one block of kernel values alive at a time
+            block.append(K.sum())
+            del K  # one array of kernel values alive at a time
+        sums.append(block)
+
+    scores = []
+    for within_pos, within_neg, cross in zip(*sums):
         if estimator == "biased":
             squared = (
-                2.0 * sums[0] / (n_plus * (n_plus - 1))
-                + 2.0 * sums[1] / (n_minus * (n_minus - 1))
-                - 2.0 * sums[2] / (n_plus * n_minus)
+                2.0 * within_pos / (n_plus * (n_plus - 1))
+                + 2.0 * within_neg / (n_minus * (n_minus - 1))
+                - 2.0 * cross / (n_plus * n_minus)
             )
         else:
-            squared = 2.0 * (sums[0] + sums[1] - sums[2]) / (n_plus * (n_plus - 1))
+            squared = 2.0 * (within_pos + within_neg - cross) / (n_plus * (n_plus - 1))
         scores.append(MmdScore(float(squared), estimator))
     return scores
 

@@ -136,11 +136,14 @@ def hinge_subgradient(
     return lam * beta - term[0], term[1]
 
 
-def _project(beta: np.ndarray, radius: float) -> np.ndarray:
+def _project(beta: np.ndarray, radius: float) -> tuple[np.ndarray, float]:
+    """beta projected onto the ball of ``radius``, and the measured norm of
+    the result (taken again only when the ball fired)."""
     norm = float(np.linalg.norm(beta))
     if norm > radius:
-        return beta * (radius / norm)
-    return beta
+        beta = beta * (radius / norm)
+        norm = float(np.linalg.norm(beta))
+    return beta, norm
 
 
 def train(
@@ -196,9 +199,9 @@ def train(
             )
             steps += 1
             eta = cfg.step_size / math.sqrt(steps)
-            beta = _project(beta - eta * g_beta, radius)
+            beta, norm = _project(beta - eta * g_beta, radius)
             offset -= eta * g_offset
-            max_norm = max(max_norm, float(np.linalg.norm(beta)))
+            max_norm = max(max_norm, norm)
             beta_avg += (beta - beta_avg) / steps
             offset_avg += (offset - offset_avg) / steps
             if full_batch:

@@ -14,7 +14,7 @@ from kernelmix.kernels import (
     FAMILIES,
     BaseKernel,
     kernel_matrix,
-    kernel_of_distance,
+    kernel_values,
     mixture_gram,
     squared_distances,
 )
@@ -149,6 +149,7 @@ _EXP_ELEMENTS = st.one_of(
     st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, _EXP_IS_ZERO_BELOW, -708.4]),
 )
 _EXP_ARGUMENTS = arrays(np.float64, st.integers(1, 300), elements=_EXP_ELEMENTS)
+_GAMMAS = [1e-4, 0.37, 1.0, 100.0, 1e4]
 
 
 class TestExpPaths:
@@ -162,18 +163,19 @@ class TestExpPaths:
 
     @settings(max_examples=200, deadline=None)
     @given(arg=_EXP_ARGUMENTS, rows=st.sampled_from([1, 3]))
-    def test_kernel_of_distance_equals_masked(self, arg, rows):
-        # a Laplacian with rho = 1 takes -dist as the exp argument
-        dist = -np.tile(arg, (rows, 1)) if rows > 1 else -arg
-        got = kernel_of_distance(BaseKernel("laplacian", 1.0), dist)
-        assert _same_bits(got, self.masked(dist / -1.0))
+    def test_kernel_values_equals_masked(self, arg, rows):
+        # a Gaussian with rho = 1 takes -squared / 2 as the exp argument,
+        # and halving is exact
+        squared = -2.0 * (np.tile(arg, (rows, 1)) if rows > 1 else arg)
+        got = next(kernel_values([BaseKernel("gaussian", 1.0)], squared))
+        assert _same_bits(got, self.masked(squared / -2.0))
 
     @settings(max_examples=200, deadline=None)
     @given(
         arg=arrays(np.float64, st.integers(0, 300), elements=_EXP_ELEMENTS),
         rows=st.sampled_from([1, 3]),
         family=st.sampled_from(FAMILIES),
-        gamma=st.sampled_from([1e-4, 0.37, 1.0, 100.0, 1e4]),
+        gamma=st.sampled_from(_GAMMAS),
     )
     def test_block_max_decides_like_the_smallest_argument(self, arg, rows, family, gamma):
         # distances that straddle -745.2 * scale, with NaN, +-inf, zeros and
@@ -182,12 +184,37 @@ class TestExpPaths:
         kernel = BaseKernel.from_gamma(family, gamma)
         scale = kernel.rho if family == "laplacian" else 2.0 * kernel.rho**2
         dist = np.tile(arg * -scale, (rows, 1)) if rows > 1 else arg * -scale
+        squared = dist
+        if family == "laplacian":  # the square of a distance not below zero
+            squared = dist * dist
+            dist = np.sqrt(squared)
         largest = dist.max(initial=0.0)
         smallest = (dist / -scale).min(initial=0.0)
         assert (math.isnan(largest / -scale) and math.isnan(smallest)) or largest / -scale == smallest
-        expected = self.masked(dist / -scale)
-        assert _same_bits(kernel_of_distance(kernel, dist), expected)
-        assert _same_bits(kernel_of_distance(kernel, dist, largest), expected)
+        assert _same_bits(next(kernel_values([kernel], squared)), self.masked(dist / -scale))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        arg=arrays(np.float64, st.integers(0, 120), elements=_EXP_ELEMENTS),
+        drawn=st.lists(
+            st.builds(BaseKernel.from_gamma, st.sampled_from(FAMILIES), st.sampled_from(_GAMMAS)),
+            max_size=4,
+        ),
+    )
+    def test_shared_pass_equals_each_kernel_alone(self, arg, drawn):
+        # two or more Laplacians share one square root and one max, mixed
+        # in with Gaussians; gamma = 1e4 gathers for both families
+        kernels = [
+            BaseKernel.from_gamma("laplacian", 1e4),
+            BaseKernel.from_gamma("gaussian", 1.0),
+            BaseKernel.from_gamma("laplacian", 0.37),
+            *drawn,
+        ]
+        squared = np.abs(arg)
+        shared = list(kernel_values(kernels, squared))
+        assert len(shared) == len(kernels)
+        for kernel, values in zip(kernels, shared):
+            assert _same_bits(values, next(kernel_values([kernel], squared)))
 
 
 class TestGram:
@@ -218,16 +245,17 @@ class TestGram:
         # triu(K) + triu(K, 1).T with a unit diagonal
         kernel = BaseKernel(family, rho)
         scale = rho if family == "laplacian" else 2.0 * rho**2
+        metric = {"gaussian": "sqeuclidean", "laplacian": "euclidean"}[family]
         for seed in range(6):
             X = 3.0 * stream(15, seed).normal(size=(20 + 7 * seed, 1 + seed))
-            K = np.exp(-cdist(X, X, kernel.metric) / scale)
+            K = np.exp(-cdist(X, X, metric) / scale)
             mirrored = np.triu(K) + np.triu(K, 1).T
             np.fill_diagonal(mirrored, 1.0)
             assert np.array_equal(kernel_matrix(kernel, X), mirrored)
 
     def test_non_finite_distances_propagate(self):
-        dist = np.array([np.nan, np.inf, 0.0, 1e6])
-        K = kernel_of_distance(BaseKernel("gaussian", 1.0), dist)
+        squared = np.array([np.nan, np.inf, 0.0, 1e6])
+        K = next(kernel_values([BaseKernel("gaussian", 1.0)], squared))
         assert np.isnan(K[0]) and K[1:].tolist() == [0.0, 1.0, 0.0]
 
     @pytest.mark.parametrize("family", FAMILIES)

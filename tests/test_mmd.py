@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from kernelmix.errors import ConfigError, DataError
 from kernelmix.kernels import FAMILIES, BaseKernel
 from kernelmix.mmd import (
+    ESTIMATORS,
     MixtureWeights,
     gaussian_mmd_closed_form,
     gaussian_mmd_squared_closed_form,
@@ -228,6 +230,26 @@ class TestListScorer:
         for a, b in zip(base, mmd_scores(kernels, shuffled_pos, shuffled_neg, "biased")):
             # kernel values lie in [0, 1], so the squared MMD lies in [-2, 2]
             assert abs(a.squared - b.squared) <= 1e-12 * max(abs(a.squared), 1.0)
+
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    def test_memory_holds_one_distance_block_and_one_kernel(self, estimator):
+        # small-gamma Gaussians never gather, so a kernel's values are one
+        # array the size of the block they come from
+        n = 400
+        rng = stream(49)
+        pos, neg = rng.normal(size=(n, 5)), rng.normal(size=(n, 5)) + 0.3
+        kernels = [BaseKernel.from_gamma("gaussian", g) for g in (1e-3, 1e-2, 0.1)]
+        mmd_scores(kernels, pos[:4], neg[:4], estimator)  # caches outside the measurement
+        tracemalloc.start()
+        try:
+            mmd_scores(kernels, pos, neg, estimator)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the cross block plus one kernel's values on it is 2x; all three
+        # blocks at once would be about 2x before any kernel value
+        cross_block = 8 * n * n
+        assert peak < 2.5 * cross_block, (peak, cross_block)
 
     def test_rejects_empty_list_and_dimension_mismatch(self):
         with pytest.raises(ConfigError):

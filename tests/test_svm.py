@@ -69,6 +69,18 @@ class TestTrain:
         assert model.meta["max_post_step_norm"] <= radius + 1e-9
         assert np.linalg.norm(model.beta) <= radius + 1e-9
 
+    @pytest.mark.parametrize("batch_size", [None, 16])
+    def test_one_norm_per_step_when_the_ball_never_fires(self, batch_size, monkeypatch):
+        # the norm _project measures is the post-step norm when beta stays inside
+        Phi, y = separable_feature_matrix()
+        norm, calls = np.linalg.norm, []
+        monkeypatch.setattr(np.linalg, "norm", lambda a: calls.append(a) or norm(a))
+        cfg = TrainConfig(R=1e6, lam=0.1, epochs=5, batch_size=batch_size, step_size=0.5)
+        model = train(Phi, y, cfg)
+        steps = cfg.epochs * (1 if batch_size is None else math.ceil(len(y) / batch_size))
+        assert model.meta["max_post_step_norm"] < cfg.R / math.sqrt(Phi.shape[1])
+        assert len(calls) == steps
+
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),

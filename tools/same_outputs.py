@@ -4,7 +4,7 @@
 
 Exports REF's ``src`` with ``git archive`` into a temporary directory, writes
 one fixed CSV and one fixed LIBSVM training file from a seeded NumPy draw,
-and runs the same fourteen commands (score, train, predict, select and diagnose)
+and runs the same fifteen commands (score, train, predict, select and diagnose)
 against REF's package and against the working tree's ``src``. Each side runs
 in its own directory with relative paths, so messages compare too. Every
 output file, exit code, stdout and stderr is compared; the selector timings
@@ -35,6 +35,8 @@ COMMANDS = [
     "score --data train.csv --families laplacian,gaussian --gammas 0.1,1 --out score_mixed",
     # most kernel values underflow, so exp gathers the arguments that do not
     "score --data train.csv --gammas 100,1000,10000 --out score_gather",
+    # several Laplacian kernels share one square root; gamma = 1e6 gathers
+    "score --data train.csv --families laplacian --gammas 0.1,1,1000000 --out score_laplacian",
     "train --data train.csv --gammas 0.1,1 --draws 64 --epochs 30 --out full.json",
     # a wide ball and a weak penalty: the active set changes between epochs
     "train --data train.csv --gammas 0.1,1 --draws 64 --epochs 60 --R 300 --lam 0.001 --out hinge.json",
