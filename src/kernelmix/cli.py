@@ -12,13 +12,12 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
 from .data import (
     LabeledDataset,
-    apply_standardization,
     diameter,
     load_dataset,
     load_features,
@@ -36,7 +35,7 @@ from .kernels import FAMILIES, BaseKernel
 from .mmd import MixtureWeights, mixing_weights, mmd_scores
 from .rff import FeatureBank, build_feature_matrix, spectral_second_moment
 from .select import compare_selection
-from .svm import TrainConfig, _outputs, load_model, save_model, train
+from .svm import TrainConfig, _outputs, load_model, outputs, save_model, train
 from .synthetic import two_gaussian_dataset
 
 SCHEMA_VERSION = 1
@@ -166,8 +165,8 @@ def cmd_train(args) -> int:
     weights = mixing_weights(kernels, *split_by_label(ds), estimator=args.estimator)
     bank = FeatureBank.generate(kernels, weights, args.draws, ds.dim, args.seed)
     Phi = build_feature_matrix(ds.features, bank)
-    model = train(Phi, ds.labels, cfg, bank=bank)
-    save_model(model, args.out, standardization=standardization)
+    model = replace(train(Phi, ds.labels, cfg, bank=bank), standardization=standardization)
+    save_model(model, args.out)
     log = {
         "command": "train",
         "seed": args.seed,
@@ -184,13 +183,7 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     model = load_model(args.model)
-    features = load_features(args.data, args.format, model.bank.dim)
-    standardization = model.meta.get("standardization")
-    if standardization is not None:
-        features = apply_standardization(
-            features, standardization["mean"], standardization["std"]
-        )
-    dv, labels, soft = _outputs(model, build_feature_matrix(features, model.bank))
+    dv, labels, soft = outputs(model, load_features(args.data, args.format, model.bank.dim))
     rows = [
         {
             "index": i,
@@ -198,7 +191,7 @@ def cmd_predict(args) -> int:
             "soft_output": float(soft[i]),
             "label": int(labels[i]),
         }
-        for i in range(features.shape[0])
+        for i in range(len(dv))
     ]
     _write_csv(args.out, ["index", "decision_value", "soft_output", "label"], rows)
     print(f"wrote {args.out} ({len(rows)} predictions)")
@@ -230,18 +223,9 @@ def cmd_diagnose(args) -> int:
     weights = mixing_weights(kernels, *split_by_label(ds), estimator=args.estimator)
     rows = probe_pass(ds.features, kernels, weights, sweep, list(range(args.seed, args.seed + args.trials)), args.R)
 
-    complexity_rows = [asdict(report) for report, _fro, _spec in rows]
+    complexity_rows = [asdict(report) for report, _row in rows]
     violation = any(r["erfc_bound"] > r["khintchine_bound"] for r in complexity_rows)
-    concentration_rows = [
-        {
-            "draws": report.draws,
-            "frobenius_max_deviation": fro["max_deviation"],
-            "frobenius_mean_deviation": fro["mean_deviation"],
-            "spectral_max_deviation": spec["max_deviation"],
-            "spectral_mean_deviation": spec["mean_deviation"],
-        }
-        for report, fro, spec in rows
-    ]
+    concentration_rows = [row for _report, row in rows]
 
     first = kernels[0]
     sigma_p = math.sqrt(spectral_second_moment(first, ds.dim))

@@ -220,13 +220,14 @@ def probe_pass(
     sweep: list[int],
     seeds: list[int],
     R: float,
-) -> list[tuple[ComplexityReport, dict, dict]]:
-    """(bounds report, Frobenius probe, spectral probe) for each D in ``sweep``.
+) -> list[tuple[ComplexityReport, dict]]:
+    """(bounds report, concentration row) for each D in ``sweep``.
 
     One bank, one Phi and one :func:`complexity_bounds` report per seed in
-    ``seeds``; the probes reduce those reports against tr(K^w) = n (unit
-    diagonals, simplex weights) and lambda_max(K^w), and the first seed's
-    report is the bounds row. Every Phi is built in place into a
+    ``seeds``; the first seed's report is the bounds row. The concentration
+    row, ``{"draws": D, **frobenius, **spectral}``, is a row of ``diagnose``'s
+    table: the reports' deviations from tr(K^w) = n (unit diagonals, simplex
+    weights) and from lambda_max(K^w). Every Phi is built in place into a
     C-contiguous view of one buffer sized for the largest D, so the pass
     holds one n x m max(sweep) Phi and one Gram at a time.
     """
@@ -249,27 +250,27 @@ def probe_pass(
             bank = FeatureBank.generate(kernels, weights, draws, X.shape[1], seed)
             Phi = build_feature_matrix(X, bank, out=buffer[: n * m * draws].reshape(n, m * draws))
             reports.append(complexity_bounds(Phi, R, draws, m))
-        fro = frobenius_concentration(reports, float(n))
-        out.append((reports[0], fro, spectral_concentration(reports, spectral_kw)))
+        fro, spec = frobenius_concentration(reports, float(n)), spectral_concentration(reports, spectral_kw)
+        out.append((reports[0], {"draws": draws, **fro, **spec}))
     return out
 
 
 def _deviations(squares: list[float], reference: float, name: str) -> dict:
     devs = np.array([abs(value - reference) / reference for value in squares])
-    return {name: reference, "max_deviation": float(devs.max()), "mean_deviation": float(devs.mean())}
+    return {f"{name}_max_deviation": float(devs.max()), f"{name}_mean_deviation": float(devs.mean())}
 
 
 # Two named reductions rather than one: perfbench/tracing.py times each by name.
 def frobenius_concentration(reports: list[ComplexityReport], trace_kw: float) -> dict:
     """Relative deviation | ||Phi||_F^2 - D tr(K^w) | / (D tr(K^w)), one report per seed."""
     squares = [r.frobenius_norm**2 for r in reports]
-    return _deviations(squares, reports[0].draws * trace_kw, "trace_reference")
+    return _deviations(squares, reports[0].draws * trace_kw, "frobenius")
 
 
 def spectral_concentration(reports: list[ComplexityReport], spectral_kw: float) -> dict:
     """Relative deviation | |||Phi|||_2^2 - D |||K^w|||_2 | / (D |||K^w|||_2), one report per seed."""
     squares = [r.spectral_norm**2 for r in reports]
-    return _deviations(squares, reports[0].draws * spectral_kw, "spectral_reference")
+    return _deviations(squares, reports[0].draws * spectral_kw, "spectral")
 
 
 def pointwise_error_bound(

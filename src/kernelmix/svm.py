@@ -9,6 +9,9 @@ the ball ||beta||_2 <= R / sqrt(mD) after every step of size
 step_size / sqrt(t). The offset b0 is trained unregularized and
 unconstrained. The returned model carries the averaged iterate, which is
 feasible by convexity of the ball.
+
+A model scores raw rows: :func:`outputs`, which every prediction goes
+through, replays the model's column standardization before it builds Phi.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import LabeledDataset
+from .data import LabeledDataset, apply_standardization
 from .errors import ConfigError, DataError, ModelIntegrityError
 from .rff import FeatureBank, build_feature_matrix
 from .rng import stream
@@ -64,7 +67,9 @@ class SvmModel:
     lam: float
     draws: int  # D, draws per base kernel
     bank: FeatureBank | None = None
-    meta: dict = field(default_factory=dict)
+    # {"mean": [...], "std": [...]} of the training columns, replayed on raw rows; None when trained unscaled
+    standardization: dict | None = None
+    meta: dict = field(default_factory=dict)  # training telemetry; never written to the model file
 
 
 def _margins(scores: np.ndarray, y: np.ndarray, offset: float, draws: int) -> np.ndarray:
@@ -225,12 +230,6 @@ def train(
     )
 
 
-def _features(model: SvmModel, X: np.ndarray) -> np.ndarray:
-    if model.bank is None:
-        raise ConfigError("model has no feature bank; score feature rows directly")
-    return build_feature_matrix(np.atleast_2d(X), model.bank)
-
-
 def _outputs(model: SvmModel, Phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Decision values, labels and soft outputs of the rows of a prebuilt Phi.
 
@@ -244,19 +243,32 @@ def _outputs(model: SvmModel, Phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     return dv, labels, soft
 
 
+def outputs(model: SvmModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Decision values, labels and soft outputs of the raw rows of X, after
+    the model's standardization, when it has one, is replayed on them."""
+    if model.bank is None:
+        raise ConfigError("model has no feature bank; score feature rows directly")
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.shape[1] != model.bank.dim:  # checked before the replay, which would broadcast
+        raise ConfigError(f"data dim {X.shape[1]} does not match bank dim {model.bank.dim}")
+    if model.standardization is not None:
+        X = apply_standardization(X, model.standardization["mean"], model.standardization["std"])
+    return _outputs(model, build_feature_matrix(X, model.bank))
+
+
 def decision_values(model: SvmModel, X: np.ndarray) -> np.ndarray:
-    """f(x) = beta^T phi^w(x) / sqrt(D) + b0 for every row of X."""
-    return _outputs(model, _features(model, X))[0]
+    """f(x) = beta^T phi^w(x) / sqrt(D) + b0 for every raw row of X."""
+    return outputs(model, X)[0]
 
 
 def predict(model: SvmModel, X: np.ndarray) -> np.ndarray:
-    """Labels in {-1, +1}; a decision value of exactly 0 maps to +1."""
-    return _outputs(model, _features(model, X))[1]
+    """Labels in {-1, +1} of the raw rows of X; a decision value of exactly 0 maps to +1."""
+    return outputs(model, X)[1]
 
 
 def accuracy(model: SvmModel, ds: LabeledDataset) -> float:
-    """Fraction of the rows of ``ds`` whose predicted label is correct."""
-    return float((_outputs(model, _features(model, ds.features))[1] == ds.labels).mean())
+    """Fraction of the raw rows of ``ds`` whose predicted label is correct."""
+    return float((outputs(model, ds.features)[1] == ds.labels).mean())
 
 
 # -- persistence -------------------------------------------------------------
@@ -279,7 +291,7 @@ def _checksum(document: dict, bank: FeatureBank) -> str:
     return digest.hexdigest()
 
 
-def model_to_dict(model: SvmModel, standardization: dict | None = None) -> dict:
+def model_to_dict(model: SvmModel) -> dict:
     if model.bank is None:
         raise ConfigError("only bank-backed models are serializable")
     document = {
@@ -289,7 +301,7 @@ def model_to_dict(model: SvmModel, standardization: dict | None = None) -> dict:
         "lambda": model.lam,
         "beta": model.beta.tolist(),
         "offset": model.offset,
-        "standardization": standardization,
+        "standardization": model.standardization,
     }
     document["frequency_checksum"] = _checksum(document, model.bank)
     return document
@@ -300,6 +312,14 @@ def model_from_dict(payload: dict) -> SvmModel:
         bank = FeatureBank.from_dict(payload["bank"])
         expected = payload["frequency_checksum"]
         beta = np.asarray(payload["beta"], dtype=float)
+        record = payload["standardization"]
+        if record is not None:
+            if not isinstance(record, dict) or record.keys() != {"mean", "std"}:
+                raise ValueError("standardization must be null or hold exactly mean and std")
+            mean_std = np.asarray([record["mean"], record["std"]], dtype=float)
+            if mean_std.shape != (2, bank.dim) or not np.isfinite(mean_std).all() or (mean_std[1] < 0).any():
+                raise ValueError(f"standardization must hold finite vectors of length {bank.dim}, std >= 0")
+            record = {"mean": mean_std[0].tolist(), "std": mean_std[1].tolist()}
         model = SvmModel(
             beta=beta,
             offset=float(payload["offset"]),
@@ -307,7 +327,7 @@ def model_from_dict(payload: dict) -> SvmModel:
             lam=float(payload["lambda"]),
             draws=bank.draws,
             bank=bank,
-            meta={"standardization": payload.get("standardization")},
+            standardization=record,
         )
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise ModelIntegrityError(f"malformed model document: {exc}") from None
@@ -324,9 +344,9 @@ def model_from_dict(payload: dict) -> SvmModel:
     return model
 
 
-def save_model(model: SvmModel, path: str, standardization: dict | None = None) -> None:
+def save_model(model: SvmModel, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(model_to_dict(model, standardization), fh, sort_keys=True, indent=2)
+        json.dump(model_to_dict(model), fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 

@@ -151,12 +151,13 @@ def test_criterion_05_frobenius_concentration():
     kernel = BaseKernel("gaussian", 1.0)
     seeds = list(range(10))
     rows = probe_pass(X, [kernel], [1.0], [1024, 4096, 16384], seeds, R=1.0)
-    at_1024, at_4096, at_16384 = (fro for _report, fro, _spec in rows)
-    assert at_4096["max_deviation"] <= 0.05
-    assert at_16384["mean_deviation"] < at_1024["mean_deviation"]
+    at_1024, at_4096, at_16384 = (row for _report, row in rows)
+    assert at_4096["frobenius_max_deviation"] <= 0.05
+    assert at_16384["frobenius_mean_deviation"] < at_1024["frobenius_mean_deviation"]
     print(
-        f"[criterion 5] Frobenius concentration: max@4096={at_4096['max_deviation']:.4f}, "
-        f"mean@1024={at_1024['mean_deviation']:.4f} > mean@16384={at_16384['mean_deviation']:.4f} PASS"
+        f"[criterion 5] Frobenius concentration: max@4096={at_4096['frobenius_max_deviation']:.4f}, "
+        f"mean@1024={at_1024['frobenius_mean_deviation']:.4f} > "
+        f"mean@16384={at_16384['frobenius_mean_deviation']:.4f} PASS"
     )
 
 

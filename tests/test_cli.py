@@ -4,13 +4,17 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kernelmix import cli, diagnostics, select
+from kernelmix import cli, diagnostics, select, svm
 from kernelmix.data import load_dataset, split_by_label, standardize
+from kernelmix.errors import ModelIntegrityError
 from kernelmix.kernels import BaseKernel
 from kernelmix.mmd import mixing_weights
 from kernelmix.rff import FeatureBank, build_feature_matrix
@@ -228,16 +232,8 @@ class TestTrainPredict:
 
     def test_model_roundtrip_matches_in_process(self, tmp_path):
         data, model_path = self.run_train(tmp_path)
-        model = load_model(model_path)
-        ds = load_dataset(data)
-        # CLI standardized before training; replay the stored transform
-        std = model.meta["standardization"]
-        feats = (ds.features - np.array(std["mean"])) / np.where(
-            np.array(std["std"]) > 0, np.array(std["std"]), 1.0
-        )
-        from kernelmix.svm import decision_values
-
-        dv = decision_values(model, feats)
+        # the CLI standardized before training; the loaded model replays it on raw rows
+        dv = svm.decision_values(load_model(model_path), load_dataset(data).features)
 
         pred_path = str(tmp_path / "pred.csv")
         assert cli.main(["predict", "--model", model_path, "--data", data, "--out", pred_path]) == 0
@@ -285,7 +281,7 @@ class TestTrainPredict:
     def test_no_standardize_roundtrip(self, tmp_path):
         data, model_path = self.run_train(tmp_path, **{"--no-standardize": ""})
         model = load_model(model_path)
-        assert model.meta["standardization"] is None
+        assert model.standardization is None
         assert cli.main([
             "predict", "--model", model_path, "--data", data, "--out", str(tmp_path / "p.csv"),
         ]) == 0
@@ -416,6 +412,77 @@ class TestTrainPredict:
         self.run_train(tmp_path)
         assert (tmp_path / "model.json").read_bytes() == first
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            [[0.0, 0.0], [1.0, 1.0]],
+            {"mean": [0.0, 0.0]},
+            {"mean": [0.0, 0.0, 0.0], "std": [1.0, 1.0, 1.0]},
+            {"mean": [0.0], "std": [1.0]},
+            {"mean": [math.nan, 0.0], "std": [1.0, 1.0]},
+            {"mean": [0.0, 0.0], "std": [-1.0, 1.0]},
+            {"mean": [0.0, 0.0], "std": [1.0, 1.0], "scale": 2.0},
+        ],
+        ids=["list", "no-std", "too-long", "too-short", "nan-mean", "negative-std", "extra-key"],
+    )
+    def test_malformed_standardization_exit_4(self, tmp_path, capsys, record):
+        data, model_path = self.run_train(tmp_path)
+        payload = json.loads((tmp_path / "model.json").read_text())
+        payload["standardization"] = record
+        # a consistent checksum, so only the record can fail the load
+        payload["frequency_checksum"] = _checksum(payload, FeatureBank.from_dict(payload["bank"]))
+        (tmp_path / "model.json").write_text(json.dumps(payload))
+        with pytest.raises(ModelIntegrityError, match="malformed model document"):
+            load_model(model_path)
+        out = tmp_path / "p.csv"
+        code = cli.main(["predict", "--model", model_path, "--data", data, "--out", str(out)])
+        assert code == 4
+        assert "malformed model document" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@st.composite
+def small_csvs(draw):
+    """(CSV text, rows) of a two-class problem with 1-3 columns, some of them constant."""
+    n, dim = draw(st.integers(4, 16)), draw(st.integers(1, 3))
+    labels = [1, 1, -1, -1] + draw(st.lists(st.sampled_from([1, -1]), min_size=n - 4, max_size=n - 4))
+    value = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
+    columns = []
+    for _ in range(dim):
+        if draw(st.booleans()):
+            columns.append([draw(value)] * n)
+        else:
+            columns.append(draw(st.lists(value, min_size=n, max_size=n)))
+    rows = [[column[i] for column in columns] for i in range(n)]
+    header = ",".join(f"f{j}" for j in range(dim)) + ",label"
+    lines = [header] + [",".join(map(repr, row)) + f",{label}" for row, label in zip(rows, labels)]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=25, deadline=None)
+@given(text=small_csvs(), standardized=st.booleans())
+def test_library_outputs_on_raw_rows_equal_cli_predict(text, standardized):
+    # a loaded model scores raw rows: the library replays the model's
+    # standardization exactly as `kernelmix predict` does, bit for bit
+    with tempfile.TemporaryDirectory() as tmp:
+        data, model_path, pred = (os.path.join(tmp, name) for name in ("d.csv", "m.json", "p.csv"))
+        with open(data, "w") as fh:
+            fh.write(text)
+        args = ["train", "--data", data, "--gammas", "0.5,2", "--draws", "8", "--epochs", "3", "--out", model_path]
+        assert cli.main(args + ([] if standardized else ["--no-standardize"])) == 0
+        assert cli.main(["predict", "--model", model_path, "--data", data, "--out", pred]) == 0
+        with open(pred) as fh:
+            table = [line.split(",") for line in fh.read().splitlines()[1:]]
+        model = load_model(model_path)
+        assert (model.standardization is not None) == standardized
+        raw = load_dataset(data).features
+        dv, labels, soft = svm.outputs(model, raw)
+        assert [repr(float(v)) for v in dv] == [row[1] for row in table]
+        assert [repr(float(v)) for v in soft] == [row[2] for row in table]
+        assert [str(int(v)) for v in labels] == [row[3] for row in table]
+        assert svm.decision_values(model, raw).tobytes() == dv.tobytes()
+        assert svm.predict(model, raw).tobytes() == labels.tobytes()
+
 
 @pytest.mark.parametrize("command", ["train", "select"])
 @pytest.mark.parametrize("flag", ["--R", "--lam", "--step-size"])
@@ -544,17 +611,7 @@ class TestDiagnose:
         kernels = [BaseKernel.from_gamma("gaussian", gamma) for gamma in (0.5, 2.0)]
         weights = mixing_weights(kernels, *split_by_label(ds))
         rows = diagnostics.probe_pass(ds.features, kernels, weights, [32, 64], [7, 8], 10.0)
-        want = [
-            {
-                "draws": report.draws,
-                "frobenius_max_deviation": fro["max_deviation"],
-                "frobenius_mean_deviation": fro["mean_deviation"],
-                "spectral_max_deviation": spec["max_deviation"],
-                "spectral_mean_deviation": spec["mean_deviation"],
-            }
-            for report, fro, spec in rows
-        ]
-        assert payloads[7]["concentration"] == want
+        assert payloads[7]["concentration"] == [row for _report, row in rows]
         assert payloads[7]["concentration"] != payloads[0]["concentration"]
         for draws, row in zip((32, 64), payloads[7]["complexity"]):
             Phi = build_feature_matrix(ds.features, FeatureBank.generate(kernels, weights, draws, 2, 7))

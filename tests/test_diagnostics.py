@@ -38,7 +38,7 @@ GAUSS1 = BaseKernel("gaussian", 1.0)
 
 
 def probe(X, kernels, weights, draws, seeds):
-    """(report, Frobenius probe, spectral probe) of one D, bounds on the first seed."""
+    """(report, concentration row) of one D, bounds on the first seed."""
     return probe_pass(X, kernels, weights, [draws], seeds, 1.0)[0]
 
 
@@ -239,29 +239,37 @@ class TestComplexityBounds:
 
 class TestConcentration:
     def test_trace_reference_is_n_for_unit_diagonal(self):
+        # tr(K^w) = n, so each seed's ||Phi||_F^2 deviates from D n
         X = stream(104).normal(size=(12, 3))
         kernels = [GAUSS1, BaseKernel("gaussian", 2.0)]
         w = MixtureWeights(np.array([0.25, 0.75]))
-        _report, fro, _spec = probe(X, kernels, w, draws=16, seeds=[0, 1])
-        assert fro["trace_reference"] == 16 * 12
+        _report, row = probe(X, kernels, w, draws=16, seeds=[0, 1])
+        devs = [
+            abs(float((build_feature_matrix(X, FeatureBank.generate(kernels, w, 16, 3, seed)) ** 2).sum()) - 16 * 12)
+            / (16 * 12)
+            for seed in (0, 1)
+        ]
+        assert row["frobenius_max_deviation"] == pytest.approx(max(devs), rel=1e-12)
+        assert row["frobenius_mean_deviation"] == pytest.approx(np.mean(devs), rel=1e-12)
 
     def test_frobenius_deviation_small_at_large_draws(self):
         X = stream(105).normal(size=(30, 2))
-        _report, fro, _spec = probe(X, [GAUSS1], [1.0], draws=4096, seeds=[0, 1, 2])
-        assert fro["max_deviation"] <= 0.05
+        _report, row = probe(X, [GAUSS1], [1.0], draws=4096, seeds=[0, 1, 2])
+        assert row["frobenius_max_deviation"] <= 0.05
 
     def test_single_draw_runs_without_assertion(self):
         X = stream(106).normal(size=(10, 2))
-        _report, fro, spec = probe(X, [GAUSS1], [1.0], draws=1, seeds=[0, 1])
+        _report, row = probe(X, [GAUSS1], [1.0], draws=1, seeds=[0, 1])
         # deviations are large here; report only
-        assert math.isfinite(fro["max_deviation"]) and math.isfinite(spec["max_deviation"])
+        assert math.isfinite(row["frobenius_max_deviation"]) and math.isfinite(row["spectral_max_deviation"])
 
     def test_spectral_one_hot_matches_single_kernel(self):
         X = stream(107).normal(size=(15, 2))
         kernels = [GAUSS1, BaseKernel("gaussian", 3.0)]
-        one_hot = probe(X, kernels, [1.0, 0.0], draws=256, seeds=[3])[2]
-        single = probe(X, [GAUSS1], [1.0], draws=256, seeds=[3])[2]
-        assert one_hot["spectral_reference"] == pytest.approx(single["spectral_reference"])
+        one_hot = probe(X, kernels, [1.0, 0.0], draws=256, seeds=[3])[1]
+        single = probe(X, [GAUSS1], [1.0], draws=256, seeds=[3])[1]
+        for key in ("spectral_max_deviation", "spectral_mean_deviation"):
+            assert one_hot[key] == pytest.approx(single[key])
 
     def test_spectral_size_guard(self):
         with pytest.raises(ConfigError):
@@ -278,13 +286,13 @@ class TestConcentration:
         weights = [0.3, 0.7]
         rows = probe_pass(X, kernels, weights, sweep, seeds, 2.0)
         assert len(rows) == len(sweep)
-        for draws, (report, fro, spec) in zip(sweep, rows):
+        for draws, (report, row) in zip(sweep, rows):
+            assert row["draws"] == draws
             want_fro = oracle_frobenius_concentration(X, kernels, weights, draws, seeds)
             want_spec = oracle_spectral_concentration(X, kernels, weights, draws, seeds)
-            for got, want, key in ((fro, want_fro, "trace_reference"), (spec, want_spec, "spectral_reference")):
-                assert got[key] == pytest.approx(want["reference"], rel=1e-12)
-                assert got["max_deviation"] == pytest.approx(want["max_deviation"], rel=1e-12)
-                assert got["mean_deviation"] == pytest.approx(want["mean_deviation"], rel=1e-12)
+            for name, want in (("frobenius", want_fro), ("spectral", want_spec)):
+                assert row[f"{name}_max_deviation"] == pytest.approx(want["max_deviation"], rel=1e-12)
+                assert row[f"{name}_mean_deviation"] == pytest.approx(want["mean_deviation"], rel=1e-12)
             bank = FeatureBank.generate(kernels, MixtureWeights(np.array(weights)), draws, 3, seeds[0])
             Phi = build_feature_matrix(X, bank)
             assert asdict(report) == pytest.approx(svd_complexity_bounds(Phi, 2.0, draws, 2), rel=1e-10)
@@ -307,7 +315,7 @@ class TestConcentration:
         rows = probe_pass(X, kernels, weights, sweep, seeds, 2.0)
         Kw = mixture_gram(kernels, weights.weights, X)
         trace_kw, spectral_kw = float(np.trace(Kw)), _top_eigenvalue(Kw)
-        for draws, (report, fro, spec) in zip(sweep, rows):
+        for draws, (report, row) in zip(sweep, rows):
             trials = [
                 complexity_bounds(
                     build_feature_matrix(X, FeatureBank.generate(kernels, weights, draws, 3, seed)), 2.0, draws, 3
@@ -315,8 +323,11 @@ class TestConcentration:
                 for seed in seeds
             ]
             assert report == trials[0]
-            assert fro == frobenius_concentration(trials, trace_kw)
-            assert spec == spectral_concentration(trials, spectral_kw)
+            assert row == {
+                "draws": draws,
+                **frobenius_concentration(trials, trace_kw),
+                **spectral_concentration(trials, spectral_kw),
+            }
 
     def test_memory_holds_one_phi_at_the_largest_draws_and_one_gram(self):
         n, d, sweep = 100, 5, [64, 1024]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -312,6 +313,16 @@ class TestPrediction:
         bound = model.R * math.sqrt(2.0) + abs(model.offset)  # max_l w_l <= 1
         assert np.abs(decision_values(model, X)).max() <= bound
 
+    def test_standardization_replayed_on_raw_rows(self):
+        model, X, _y, _Phi = fitted_model()
+        mean, std = np.array([0.5, -1.0]), np.array([2.0, 0.0])  # std 0: that column becomes 0
+        scaled = replace(model, standardization={"mean": mean.tolist(), "std": std.tolist()})
+        Z = np.column_stack([(X[:, 0] - 0.5) / 2.0, np.zeros(len(X))])
+        assert _same_bits(svm.outputs(scaled, X)[0], decision_values(model, Z))
+        # a one-column X would broadcast against the two-column record: refused first
+        with pytest.raises(ConfigError, match="does not match bank dim"):
+            svm.outputs(scaled, X[:, :1])
+
     def test_sign_and_tie_rule(self):
         model, X, _y, _Phi = fitted_model()
         dv = decision_values(model, X)
@@ -389,6 +400,6 @@ class TestPersistence:
     def test_standardization_embedded(self, tmp_path):
         model, _X, _y, _Phi = fitted_model()
         path = str(tmp_path / "model.json")
-        save_model(model, path, standardization={"mean": [0.0, 0.0], "std": [1.0, 1.0]})
+        save_model(replace(model, standardization={"mean": [0.0, 0.0], "std": [1.0, 1.0]}), path)
         loaded = load_model(path)
-        assert loaded.meta["standardization"] == {"mean": [0.0, 0.0], "std": [1.0, 1.0]}
+        assert loaded.standardization == {"mean": [0.0, 0.0], "std": [1.0, 1.0]}

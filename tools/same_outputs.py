@@ -4,7 +4,7 @@
 
 Exports REF's ``src`` with ``git archive`` into a temporary directory, writes
 one fixed CSV and one fixed LIBSVM training file from a seeded NumPy draw,
-and runs the same fifteen commands (score, train, predict, select and diagnose)
+and runs the same seventeen commands (score, train, predict, select and diagnose)
 against REF's package and against the working tree's ``src``. Each side runs
 in its own directory with relative paths, so messages compare too. Every
 output file, exit code, stdout and stderr is compared; the selector timings
@@ -41,8 +41,11 @@ COMMANDS = [
     # a wide ball and a weak penalty: the active set changes between epochs
     "train --data train.csv --gammas 0.1,1 --draws 64 --epochs 60 --R 300 --lam 0.001 --out hinge.json",
     "train --data train.csv --gammas 0.01,0.1,1,10 --draws 32 --epochs 10 --batch-size 16 --out mini.json",
+    # a model without a standardization record: predict scores the rows as they are
+    "train --data train.csv --gammas 0.1,1 --draws 64 --epochs 30 --no-standardize --out raw.json",
     "predict --model full.json --data train.svm --format libsvm --out full_pred.csv",
     "predict --model mini.json --data train.csv --out mini_pred.csv",
+    "predict --model raw.json --data train.csv --out raw_pred.csv",
     "select --data train.csv --gammas 0.01,0.1,1,10 --folds 3 --draws 32 --epochs 10 --out select_data",
     "select --synthetic two-gaussian --synthetic-n 120 --gammas 0.1,1,10 --folds 3 --draws 32 --epochs 10 --out select_syn",
     "diagnose --data train.csv --gammas 0.5,2 --draws 64,256 --trials 2 --pairs 20 --out diag_sweep",
