@@ -13,14 +13,19 @@ Phi^T Phi, with no SVD:
   |||Phi|||_2^2        = lambda_max(G)
   Tr((Phi Phi^T)^2)    = ||G||_F^2
 
+Phi's m kernel blocks Phi_l (n x D each) estimate D w_l K^l, so when n <= mD
+G = sum_l Phi_l Phi_l^T is summed block by block in kernel order, the
+finite-D twin of K^w = sum_l w_l K^l.
+
 Only the top eigenvalue of any matrix is ever needed, so lambda_max comes
 from a numpy Lanczos iteration started from a fixed vector, never from the
 full spectrum; the top eigenvalue of each small tridiagonal comes from
 Sturm-sequence bisection. erfc is needed only in its far tail (every
 argument is at least sqrt(192)), where Cephes' rational approximation,
 ported here, gives scipy.special.erfc's bits. :func:`probe_pass` builds each
-(D, seed) bank and Phi once, and the mixture Gram K^w once per run. K^w is a
-dense n x n matrix, so the pass refuses n > 2000 before building anything.
+(D, seed) bank once and each of its kernel blocks once, never the whole Phi
+when n <= mD, and the mixture Gram K^w once per run. K^w is a dense n x n
+matrix, so the pass refuses n > 2000 before building anything.
 
 The non-asymptotic spectral bounds for radial kernels carry e^{2n log 3}
 factors and are vacuous at any usable n; they are documented here and not
@@ -172,6 +177,22 @@ def _top_ritz_pair(alpha: list[float], beta: list[float]) -> tuple[float, np.nda
     return hi, y / np.linalg.norm(y)
 
 
+def _kernel_block_gram(blocks, out: np.ndarray | None = None, term: np.ndarray | None = None) -> np.ndarray:
+    """G = sum_l Phi_l Phi_l^T over the kernel blocks Phi_l, in kernel order.
+
+    The first block's Gram is G itself, written into ``out`` when given, and
+    each later block's, written into ``term`` when given, is added to it. A
+    block is used before the next is asked for, so ``blocks`` may be a
+    generator that rebuilds one buffer.
+    """
+    blocks = iter(blocks)
+    first = next(blocks)
+    G = np.matmul(first, first.T, out=out)
+    for block in blocks:
+        G += np.matmul(block, block.T, out=term)
+    return G
+
+
 def complexity_bounds(Phi: np.ndarray, R: float, draws: int, m: int) -> ComplexityReport:
     """Rademacher/Gaussian complexity upper bounds for one feature matrix.
 
@@ -179,17 +200,31 @@ def complexity_bounds(Phi: np.ndarray, R: float, draws: int, m: int) -> Complexi
     erfc_bound_display same prefactor with erfc(sqrt(192 D))
     khintchine_bound   (R / (n D sqrt(m))) sqrt(23/44) ||Phi||_F
     gaussian_bound     (R / (n D)) (2 sqrt(pi T4)/fro + fro/(2 spec^2) e^{-fro^4/(4 T4)})
+
+    Phi holds m kernel blocks of ``draws`` columns each. When n <= mD the
+    Gram is the sum of the blocks' Grams, as :func:`probe_pass` forms it
+    one block at a time, so both give the same bits; otherwise it is
+    Phi^T Phi.
     """
     Phi = np.asarray(Phi, dtype=float)
     if Phi.ndim != 2:
         raise ConfigError("Phi must be a matrix")
-    G = Phi @ Phi.T if Phi.shape[0] <= Phi.shape[1] else Phi.T @ Phi
+    if m < 1 or draws < 1 or Phi.shape[1] != m * draws:
+        raise ConfigError(f"Phi has {Phi.shape[1]} columns, not m * draws = {m} * {draws} with m, draws >= 1")
+    if Phi.shape[0] <= Phi.shape[1]:
+        G = _kernel_block_gram(Phi[:, l * draws : (l + 1) * draws] for l in range(m))
+    else:
+        G = Phi.T @ Phi
+    return _report(G, Phi.shape[0], R, draws, m)
+
+
+def _report(G: np.ndarray, n: int, R: float, draws: int, m: int) -> ComplexityReport:
+    """The complexity report of the n-row feature matrix whose Gram is G."""
     fro = math.sqrt(float(np.trace(G)))
     if fro == 0.0:
         raise ConfigError("complexity bounds undefined for a zero matrix")
     spec = math.sqrt(_top_eigenvalue(G))
     trace_quartic = float(np.einsum("ij,ij->", G, G))
-    n = Phi.shape[0]
     pre = R / (n * draws)
     erfc_bound = pre * math.sqrt(math.pi / 192.0) * spec * _erfc_tail(math.sqrt(192.0) * fro / spec)
     erfc_display = pre * math.sqrt(math.pi / 192.0) * spec * _erfc_tail(math.sqrt(192.0 * draws))
@@ -223,13 +258,20 @@ def probe_pass(
 ) -> list[tuple[ComplexityReport, dict]]:
     """(bounds report, concentration row) for each D in ``sweep``.
 
-    One bank, one Phi and one :func:`complexity_bounds` report per seed in
-    ``seeds``; the first seed's report is the bounds row. The concentration
-    row, ``{"draws": D, **frobenius, **spectral}``, is a row of ``diagnose``'s
+    One bank and one complexity report per seed in ``seeds``; the first
+    seed's report is the bounds row. The concentration row,
+    ``{"draws": D, **frobenius, **spectral}``, is a row of ``diagnose``'s
     table: the reports' deviations from tr(K^w) = n (unit diagonals, simplex
-    weights) and from lambda_max(K^w). Every Phi is built in place into a
-    C-contiguous view of one buffer sized for the largest D, so the pass
-    holds one n x m max(sweep) Phi and one Gram at a time.
+    weights) and from lambda_max(K^w).
+
+    When n <= mD, the Gram G = Phi Phi^T is summed one kernel block at a
+    time: each block sqrt(w_l) Phi_l is built in place into one n x D
+    buffer and its Gram, written into one n x n buffer, added to G, itself
+    one n x n buffer. So Phi is never held, and the pass holds one block, G
+    and one block's Gram, whatever m is. When n > mD, Phi is
+    smaller than the n x n K^w: it is built whole, into the same buffer, and
+    :func:`complexity_bounds` reads Phi^T Phi. The reports equal
+    :func:`complexity_bounds` on a fresh Phi bit for bit.
     """
     if not seeds:
         raise ConfigError("need at least one seed (trial)")
@@ -242,14 +284,28 @@ def probe_pass(
         weights = MixtureWeights(np.asarray(weights, dtype=float))
     spectral_kw = _top_eigenvalue(mixture_gram(kernels, weights.weights, X))
     n, m = X.shape[0], len(kernels)
-    buffer = np.empty(n * m * max(sweep))
+    scales = np.sqrt(weights.weights)
+    buffer = np.empty(n * max(m * D if n > m * D else D for D in sweep))
+    # G and one block's Gram, allocated once and reused by every bank summed
+    # block by block: fresh n x n arrays per bank fragment the heap and raise
+    # the peak RSS
+    grams = (np.empty((n, n)), np.empty((n, n))) if any(n <= m * D for D in sweep) else None
     out = []
     for draws in sweep:
         reports = []
         for seed in seeds:
             bank = FeatureBank.generate(kernels, weights, draws, X.shape[1], seed)
-            Phi = build_feature_matrix(X, bank, out=buffer[: n * m * draws].reshape(n, m * draws))
-            reports.append(complexity_bounds(Phi, R, draws, m))
+            if n > m * draws:
+                Phi = build_feature_matrix(X, bank, out=buffer[: n * m * draws].reshape(n, m * draws))
+                reports.append(complexity_bounds(Phi, R, draws, m))
+            else:
+                block = buffer[: n * draws].reshape(n, draws)
+                blocks = (
+                    np.multiply(feature_block(X, xi, b, out=block), scale, out=block)
+                    for xi, b, scale in zip(bank.frequencies, bank.phases, scales)
+                )
+                G = _kernel_block_gram(blocks, *grams)
+                reports.append(_report(G, n, R, draws, m))
         fro, spec = frobenius_concentration(reports, float(n)), spectral_concentration(reports, spectral_kw)
         out.append((reports[0], {"draws": draws, **fro, **spec}))
     return out

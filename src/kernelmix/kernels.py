@@ -151,15 +151,25 @@ def kernel_values(kernels: list[BaseKernel], squared: np.ndarray) -> Iterator[np
 
 
 def mixture_gram(kernels: list[BaseKernel], weights: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Entrywise mixture sum_l w_l K^l over the base kernels."""
+    """Entrywise mixture sum_l w_l K^l over the base kernels.
+
+    The sum starts from the first kernel's values and adds each later
+    kernel's in kernel order, every one scaled in place, so besides the
+    distances the sum holds one kernel's values at a time. With
+    nonnegative weights the bits are those of adding each w_l K^l into
+    zeros, since 0 + x == x.
+    """
     weights = np.asarray(weights, dtype=float)
     if len(kernels) != weights.shape[0] or len(kernels) == 0:
         raise ConfigError(
             f"{len(kernels)} kernels but {weights.shape[0]} weights"
         )
-    squared = squared_distances(X, X)
-    values = kernel_values(kernels, squared)
-    out = np.zeros_like(squared)
-    for w in weights:
-        out += w * next(values)
+    values = kernel_values(kernels, squared_distances(X, X))
+    out = next(values)
+    out *= weights[0]
+    for w in weights[1:]:
+        K = next(values)
+        K *= w
+        out += K
+        del K  # dropped before the next kernel's values are made
     return out

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import json_int, json_number, json_numbers
 from .errors import ConfigError
 from .kernels import BaseKernel
 from .mmd import MixtureWeights
@@ -62,12 +63,19 @@ def sample_frequencies(
     return xi, b
 
 
-def feature_block(X: np.ndarray, xi: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """All D features of one kernel for every row of X (n x D), in one buffer."""
+def feature_block(X: np.ndarray, xi: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """All D features of one kernel for every row of X (n x D), in one buffer.
+
+    The buffer is ``out`` when given (a float64 n x D array, returned) and a
+    fresh array otherwise: the projection is written into it and the feature
+    map runs over it in place, so a caller that builds one kernel's block at
+    a time, as :func:`kernelmix.diagnostics.probe_pass` does, reuses one
+    n x D buffer for every kernel and bank.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != xi.shape[1]:
         raise ConfigError(f"dimension mismatch {X.shape[1]} vs {xi.shape[1]}")
-    return _feature_map(X @ xi.T, b)
+    return _feature_map(np.matmul(X, xi.T, out=out), b)
 
 
 def _feature_map(theta: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -137,12 +145,19 @@ class FeatureBank:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "FeatureBank":
-        kernels = [BaseKernel(k["family"], k["rho"]) for k in payload["kernels"]]
-        weights = MixtureWeights(
-            np.asarray(payload["weights"], dtype=float),
-            degenerate=bool(payload.get("degenerate", False)),
-        )
-        return cls.generate(kernels, weights, payload["draws"], payload["dim"], payload["seed"])
+        """The bank a parsed :meth:`to_dict` document names, regenerated.
+
+        Every field must have its JSON type: rho and the weights numbers,
+        draws, dim and seed integers, and ``degenerate`` a boolean, so that a
+        string, a bool or a float is refused (ValueError) rather than coerced.
+        """
+        kernels = [BaseKernel(k["family"], json_number(k["rho"], "rho")) for k in payload["kernels"]]
+        degenerate = payload["degenerate"]
+        if type(degenerate) is not bool:
+            raise ValueError(f"degenerate must be true or false, got {degenerate!r}")
+        weights = MixtureWeights(json_numbers(payload["weights"], "weights"), degenerate=degenerate)
+        draws, dim, seed = (json_int(payload[key], key) for key in ("draws", "dim", "seed"))
+        return cls.generate(kernels, weights, draws, dim, seed)
 
 
 def build_feature_matrix(X: np.ndarray, bank: FeatureBank, out: np.ndarray | None = None) -> np.ndarray:

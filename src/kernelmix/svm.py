@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import LabeledDataset, apply_standardization
+from .data import LabeledDataset, apply_standardization, json_number, json_numbers
 from .errors import ConfigError, DataError, ModelIntegrityError
 from .rff import FeatureBank, build_feature_matrix
 from .rng import stream
@@ -311,20 +311,20 @@ def model_from_dict(payload: dict) -> SvmModel:
     try:
         bank = FeatureBank.from_dict(payload["bank"])
         expected = payload["frequency_checksum"]
-        beta = np.asarray(payload["beta"], dtype=float)
+        beta = json_numbers(payload["beta"], "beta")
         record = payload["standardization"]
         if record is not None:
             if not isinstance(record, dict) or record.keys() != {"mean", "std"}:
                 raise ValueError("standardization must be null or hold exactly mean and std")
-            mean_std = np.asarray([record["mean"], record["std"]], dtype=float)
-            if mean_std.shape != (2, bank.dim) or not np.isfinite(mean_std).all() or (mean_std[1] < 0).any():
+            mean, std = (json_numbers(record[key], key) for key in ("mean", "std"))
+            if not mean.shape == std.shape == (bank.dim,) or not np.isfinite([mean, std]).all() or (std < 0).any():
                 raise ValueError(f"standardization must hold finite vectors of length {bank.dim}, std >= 0")
-            record = {"mean": mean_std[0].tolist(), "std": mean_std[1].tolist()}
+            record = {"mean": mean.tolist(), "std": std.tolist()}
         model = SvmModel(
             beta=beta,
-            offset=float(payload["offset"]),
-            R=float(payload["R"]),
-            lam=float(payload["lambda"]),
+            offset=json_number(payload["offset"], "offset"),
+            R=json_number(payload["R"], "R"),
+            lam=json_number(payload["lambda"], "lambda"),
             draws=bank.draws,
             bank=bank,
             standardization=record,

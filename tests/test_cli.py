@@ -17,7 +17,7 @@ from kernelmix.data import load_dataset, split_by_label, standardize
 from kernelmix.errors import ModelIntegrityError
 from kernelmix.kernels import BaseKernel
 from kernelmix.mmd import mixing_weights
-from kernelmix.rff import FeatureBank, build_feature_matrix
+from kernelmix.rff import FeatureBank, build_feature_matrix, sample_frequencies
 from kernelmix.rng import stream
 from kernelmix.svm import _checksum, load_model
 
@@ -440,6 +440,51 @@ class TestTrainPredict:
         assert "malformed model document" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "path, bad",
+        [
+            (("offset",), "text"),
+            (("R",), "text"),
+            (("beta", 0), "text"),
+            (("lambda",), True),
+            (("standardization", "mean", 0), "text"),
+            (("standardization", "std", 1), "text"),
+            (("bank", "kernels", 1, "rho"), "text"),
+            (("bank", "weights", 0), "text"),
+            (("bank", "draws"), 64.0),
+            (("bank", "dim"), 2.0),
+            (("bank", "seed"), True),
+            (("bank", "degenerate"), "no"),
+            (("bank", "degenerate"), "missing"),
+        ],
+        ids=lambda value: "-".join(map(str, value)) if isinstance(value, tuple) else str(value),
+    )
+    def test_json_types_are_strict_exit_4(self, tmp_path, capsys, path, bad):
+        # numbers must be JSON numbers and draws, dim and seed JSON integers,
+        # never a bool or a string holding a number; degenerate must be a
+        # JSON bool. The bank's seed is 1, so "seed": true regenerates it.
+        data, model_path = self.run_train(tmp_path, **{"--gammas": "0.5,2.0", "--seed": 1})
+        payload = json.loads((tmp_path / "model.json").read_text())
+        bank = FeatureBank.from_dict(payload["bank"])
+        *parents, key = path
+        owner = payload
+        for step in parents:
+            owner = owner[step]
+        if bad == "missing":
+            del owner[key]
+        else:
+            owner[key] = repr(owner[key]) if bad == "text" else bad
+        # a consistent checksum, so only the field's type can fail the load
+        payload["frequency_checksum"] = _checksum(payload, bank)
+        (tmp_path / "model.json").write_text(json.dumps(payload))
+        with pytest.raises(ModelIntegrityError, match="malformed model document"):
+            load_model(model_path)
+        out = tmp_path / "p.csv"
+        code = cli.main(["predict", "--model", model_path, "--data", data, "--out", str(out)])
+        assert code == 4
+        assert "malformed model document" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @st.composite
 def small_csvs(draw):
@@ -833,19 +878,48 @@ def test_benchmark_tracer_targets_resolve():
 
 
 @pytest.mark.parametrize("seed, seeds_built", [(0, 3), (1, 3), (7, 3)])
-def test_traced_diagnose_builds_each_phi_once(tmp_path, capsys, seed, seeds_built):
-    # one Phi per (D, trial seed), whatever --seed is, and one mixture Gram
-    # per run, built from one shared distance pass (no kernel_matrix call)
+def test_traced_diagnose_builds_each_phi_once(tmp_path, monkeypatch, seed, seeds_built):
+    # the probe pass builds each (D, trial seed, kernel) block once, in that
+    # order, whatever --seed is, and never a whole Phi (n = 30 <= mD); one
+    # mixture Gram per run, built from one shared distance pass (no
+    # kernel_matrix call)
     tracing = load_tracing()
     data = write_dataset(tmp_path / "d.csv", n=30)
+    gammas, sweep = (0.5, 2.0, 8.0), (16, 32)
     args = [
         "diagnose", "--data", data, "--gammas", "0.5,2,8", "--draw-sweep", "16,32",
-        "--trials", "3", "--pairs", "5", "--seed", str(seed), "--out", str(tmp_path / "diag"),
+        "--trials", str(seeds_built), "--pairs", "5", "--seed", str(seed), "--out", str(tmp_path / "diag"),
     ]
+    probing, blocks = [], []
+    real_pass, real_block = cli.probe_pass, diagnostics.feature_block
+
+    def counted_pass(*pass_args):
+        probing.append(True)
+        try:
+            return real_pass(*pass_args)
+        finally:
+            probing.pop()
+
+    def counted_block(X, xi, b, out=None):
+        if probing:
+            blocks.append((xi.shape[0], b.tobytes()))
+        return real_block(X, xi, b, out=out)
+
+    monkeypatch.setattr(cli, "probe_pass", counted_pass)
+    monkeypatch.setattr(diagnostics, "feature_block", counted_block)
     tracer = tracing.Tracer()
     code, first = tracer.run_op(lambda: cli.main(args))
     assert code == 0
     metrics = tracing.layer_metrics(tracer.spans[first:], first, 30, 0)
-    assert metrics["rff.phi_builds"] == 2 * seeds_built
+    kernels = [BaseKernel.from_gamma("gaussian", gamma) for gamma in gammas]
+    want = [
+        (draws, sample_frequencies(kernel, draws, 2, trial, kernel_index=l)[1].tobytes())
+        for draws in sweep
+        for trial in range(seed, seed + seeds_built)
+        for l, kernel in enumerate(kernels)
+    ]
+    assert len(want) == len(kernels) * len(sweep) * seeds_built
+    assert blocks == want
+    assert metrics["rff.phi_builds"] == 0
     assert sum(span[0] == "kernels.mixture_gram" for span in tracer.spans[first:]) == 1
     assert metrics["kernels.kernel_matrix_calls"] == 0

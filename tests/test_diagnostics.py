@@ -212,6 +212,11 @@ class TestComplexityBounds:
         gram_spec = np.linalg.eigvalsh(Phi @ Phi.T)[-1]
         assert report.spectral_norm**2 == pytest.approx(gram_spec, rel=1e-10)
 
+    @pytest.mark.parametrize("columns, draws, m", [(8, 3, 2), (8, 7, 1), (8, 2, 3), (0, 5, 0), (3, -3, -1)])
+    def test_columns_other_than_m_blocks_rejected(self, columns, draws, m):
+        with pytest.raises(ConfigError, match="m \\* draws"):
+            complexity_bounds(stream(105).normal(size=(4, columns)), R=1.0, draws=draws, m=m)
+
     def test_zero_matrix_rejected(self):
         with pytest.raises(ConfigError):
             complexity_bounds(np.zeros((3, 3)), R=1.0, draws=3, m=1)
@@ -345,6 +350,24 @@ class TestConcentration:
         # the 512 KiB covers the banks and numpy's fixed ufunc buffers on strided views
         bound = 8 * (n * len(kernels) * max(sweep) + n * n) + 512 * 1024
         assert peak <= bound, (peak, bound)
+
+    def test_memory_does_not_grow_with_the_kernel_count(self):
+        # n <= mD, so the Gram is summed one n x D kernel block at a time:
+        # five more kernels add their banks and less than one block
+        n, draws = 200, 512
+        X = stream(115).normal(size=(n, 5))
+        peaks = []
+        for m in (1, 6):
+            kernels = [BaseKernel("gaussian", rho) for rho in np.geomspace(0.3, 3.0, m)]
+            weights = np.full(m, 1.0 / m)
+            probe_pass(X, kernels, weights, [4], [0], 1.0)  # lazy imports and caches outside the measurement
+            tracemalloc.start()
+            try:
+                probe_pass(X, kernels, weights, [draws], [0], 1.0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 8 * n * draws, peaks
 
 
 class TestPointwiseBound:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -293,6 +294,42 @@ class TestMixture:
         for wl, k in zip(w, kernels):
             expected += wl * kernel_matrix(k, X)
         assert _same_bits(mixture_gram(kernels, w, X), expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        families=st.lists(st.sampled_from(FAMILIES), min_size=1, max_size=4),
+        data=st.data(),
+        n=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bit_identical_to_weighted_sum_into_zeros(self, families, data, n, seed):
+        # the sum starts from the first kernel's scaled values, not from
+        # zeros; any nonnegative weights, zero among them, keep the bits
+        m = len(families)
+        rhos = data.draw(st.lists(st.floats(0.05, 10.0), min_size=m, max_size=m))
+        w = np.array(data.draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=m, max_size=m)))
+        bank = [BaseKernel(f, r) for f, r in zip(families, rhos)]
+        X = stream(seed, 2).normal(scale=2.0, size=(n, 3))
+        expected = np.zeros((n, n))
+        for wl, k in zip(w, bank):
+            expected += wl * kernel_matrix(k, X)
+        assert _same_bits(mixture_gram(bank, w, X), expected)
+
+    def test_memory_holds_one_kernel_beside_the_sum(self):
+        # the distances, the sum and one kernel's values: no zeros to start
+        # from and no scaled copy of each kernel's values
+        n = 300
+        X = stream(20).normal(size=(n, 3))
+        bank = [BaseKernel("gaussian", rho) for rho in (0.5, 1.0, 2.0)]
+        w = np.array([0.2, 0.3, 0.5])
+        mixture_gram(bank, w, X[:4])  # lazy set-up outside the measurement
+        tracemalloc.start()
+        try:
+            mixture_gram(bank, w, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * 8 * n * n, peak
 
     def test_length_mismatch(self):
         with pytest.raises(ConfigError):

@@ -4,7 +4,7 @@
 
 Exports REF's ``src`` with ``git archive`` into a temporary directory, writes
 one fixed CSV and one fixed LIBSVM training file from a seeded NumPy draw,
-and runs the same seventeen commands (score, train, predict, select and diagnose)
+and runs the same eighteen commands (score, train, predict, select and diagnose)
 against REF's package and against the working tree's ``src``. Each side runs
 in its own directory with relative paths, so messages compare too. Every
 output file, exit code, stdout and stderr is compared; the selector timings
@@ -52,6 +52,8 @@ COMMANDS = [
     "diagnose --synthetic two-gaussian --synthetic-n 80 --families laplacian --gammas 0.5,2 --draws 128 --trials 2 --out diag_laplacian",
     # trial banks 5 and 6: the concentration rows follow --seed
     "diagnose --data train.csv --families gaussian,laplacian,gaussian --gammas 0.5,2,8 --draws 32,128 --trials 2 --seed 5 --pairs 10 --out diag_mixed",
+    # 60 rows above mD = 16: the bounds read Phi^T Phi of the whole Phi
+    "diagnose --data train.csv --gammas 0.5,2 --draws 8 --trials 2 --pairs 5 --out diag_tall",
 ]
 
 # `select` reports how long each selector took; wall time is not an output
