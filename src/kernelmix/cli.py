@@ -110,7 +110,9 @@ def _load_input(args):
 
 
 def _synthetic_or_data(args) -> LabeledDataset:
-    """The built-in --synthetic benchmark (always standardized) or the --data file."""
+    """The built-in --synthetic benchmark (always standardized) or the --data file, never both."""
+    if args.synthetic and args.data is not None:
+        raise ConfigError(f"{args.command} takes --data or --synthetic, not both")
     if args.synthetic:
         ds = two_gaussian_dataset(n=args.synthetic_n, dim=args.synthetic_dim, seed=args.seed)
         return standardize(ds)[0]

@@ -1,5 +1,4 @@
-"""Dataset ingestion, class-conditional splitting, standardization and folds,
-and the strict readers of numbers in parsed JSON documents (model files).
+"""Dataset ingestion, class-conditional splitting, standardization and folds.
 
 Datasets are immutable after load: every operation returns new arrays and
 never mutates its input, so values are safe to share across workers.
@@ -232,27 +231,6 @@ def apply_standardization(features: np.ndarray, mean: np.ndarray, std: np.ndarra
     out = (features - mean) / np.where(std > 0, std, 1.0)
     out[:, std == 0] = 0.0
     return out
-
-
-def json_number(value, what: str) -> float:
-    """A number from a parsed JSON document: an int or a float, never a bool or a string."""
-    if type(value) not in (int, float):
-        raise ValueError(f"{what} must be a JSON number, got {value!r}")
-    return float(value)
-
-
-def json_numbers(values, what: str) -> np.ndarray:
-    """A list of JSON numbers (see :func:`json_number`) as a float vector."""
-    if not isinstance(values, list):
-        raise ValueError(f"{what} must be a list of JSON numbers, got {values!r}")
-    return np.array([json_number(value, what) for value in values], dtype=float)
-
-
-def json_int(value, what: str) -> int:
-    """An integer from a parsed JSON document, never a bool, a float or a string."""
-    if type(value) is not int:
-        raise ValueError(f"{what} must be a JSON integer, got {value!r}")
-    return value
 
 
 def _class_permutations(ds: LabeledDataset, seed: int, *path: int) -> list[np.ndarray]:

@@ -44,7 +44,7 @@ import numpy as np
 from .errors import ConfigError
 from .kernels import BaseKernel, kernel_values, mixture_gram
 from .mmd import MixtureWeights
-from .rff import FeatureBank, build_feature_matrix, feature_block, sample_frequencies
+from .rff import FeatureBank, build_feature_matrix, feature_block, sample_frequencies, weighted_block
 from .rng import stream
 
 
@@ -265,13 +265,13 @@ def probe_pass(
     weights) and from lambda_max(K^w).
 
     When n <= mD, the Gram G = Phi Phi^T is summed one kernel block at a
-    time: each block sqrt(w_l) Phi_l is built in place into one n x D
-    buffer and its Gram, written into one n x n buffer, added to G, itself
-    one n x n buffer. So Phi is never held, and the pass holds one block, G
-    and one block's Gram, whatever m is. When n > mD, Phi is
-    smaller than the n x n K^w: it is built whole, into the same buffer, and
-    :func:`complexity_bounds` reads Phi^T Phi. The reports equal
-    :func:`complexity_bounds` on a fresh Phi bit for bit.
+    time: :func:`kernelmix.rff.weighted_block` builds each block sqrt(w_l)
+    Phi_l into one n x D buffer, and its Gram, written into one n x n
+    buffer, is added to G, itself one n x n buffer. So Phi is never held,
+    and the pass holds one block, G and one block's Gram, whatever m is.
+    When n > mD, Phi is smaller than the n x n K^w: it is built whole, into
+    the same buffer, and :func:`complexity_bounds` reads Phi^T Phi. The
+    reports equal :func:`complexity_bounds` on a fresh Phi bit for bit.
     """
     if not seeds:
         raise ConfigError("need at least one seed (trial)")
@@ -284,7 +284,6 @@ def probe_pass(
         weights = MixtureWeights(np.asarray(weights, dtype=float))
     spectral_kw = _top_eigenvalue(mixture_gram(kernels, weights.weights, X))
     n, m = X.shape[0], len(kernels)
-    scales = np.sqrt(weights.weights)
     buffer = np.empty(n * max(m * D if n > m * D else D for D in sweep))
     # G and one block's Gram, allocated once and reused by every bank summed
     # block by block: fresh n x n arrays per bank fragment the heap and raise
@@ -300,10 +299,7 @@ def probe_pass(
                 reports.append(complexity_bounds(Phi, R, draws, m))
             else:
                 block = buffer[: n * draws].reshape(n, draws)
-                blocks = (
-                    np.multiply(feature_block(X, xi, b, out=block), scale, out=block)
-                    for xi, b, scale in zip(bank.frequencies, bank.phases, scales)
-                )
+                blocks = (weighted_block(X, bank, l, out=block) for l in range(m))
                 G = _kernel_block_gram(blocks, *grams)
                 reports.append(_report(G, n, R, draws, m))
         fro, spec = frobenius_concentration(reports, float(n)), spectral_concentration(reports, spectral_kw)

@@ -1,10 +1,13 @@
 """Spectral samplers, random feature blocks, and the weighted feature matrix.
 
 The per-draw feature is sqrt(2) * cos(<x, xi> + b) (Rahimi & Recht, 2007),
-written once, in the in-place map that :func:`feature_block` and
-:func:`build_feature_matrix` share; the kernel estimate of a pair (x, y) is the
-mean over draws of phi(x) phi(y). The 1/sqrt(D) normalization is applied
-at the classifier, never here, so the two factors are not double-counted.
+written once, in :func:`feature_block`; the kernel estimate of a pair (x, y)
+is the mean over draws of phi(x) phi(y). Kernel l's weighted block
+sqrt(w_l) * phi_l is written once too, in :func:`weighted_block`, which
+:func:`build_feature_matrix` and the probe pass of ``diagnose`` both call. The
+1/sqrt(D) normalization is applied at the classifier, never here, so the two
+factors are not double-counted. A bank is stored by its parameters alone;
+the model file that names them is read and written by :mod:`kernelmix.svm`.
 
 Spectral (Bochner dual) laws per family, for bandwidth rho:
 
@@ -25,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import json_int, json_number, json_numbers
 from .errors import ConfigError
 from .kernels import BaseKernel
 from .mmd import MixtureWeights
@@ -66,20 +68,16 @@ def sample_frequencies(
 def feature_block(X: np.ndarray, xi: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """All D features of one kernel for every row of X (n x D), in one buffer.
 
-    The buffer is ``out`` when given (a float64 n x D array, returned) and a
-    fresh array otherwise: the projection is written into it and the feature
-    map runs over it in place, so a caller that builds one kernel's block at
-    a time, as :func:`kernelmix.diagnostics.probe_pass` does, reuses one
-    n x D buffer for every kernel and bank.
+    The buffer is ``out`` when given (a float64 n x D array or view,
+    returned) and a fresh array otherwise: the projection X xi^T is written
+    into it and sqrt(2) cos(. + b) runs over it in place, so a caller reuses
+    one n x D buffer for every kernel and bank, or writes each block into
+    its column slice of Phi.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != xi.shape[1]:
         raise ConfigError(f"dimension mismatch {X.shape[1]} vs {xi.shape[1]}")
-    return _feature_map(np.matmul(X, xi.T, out=out), b)
-
-
-def _feature_map(theta: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """theta <- sqrt(2) cos(theta + b) in place, b broadcast over the rows."""
+    theta = np.matmul(X, xi.T, out=out)
     theta += b
     np.cos(theta, out=theta)
     theta *= math.sqrt(2.0)
@@ -91,8 +89,8 @@ class FeatureBank:
     """Sampled frequencies and phases for every base kernel.
 
     Reconstructible from (kernels, weights, draws, dim, seed) alone; the
-    arrays are regenerated deterministically, which is also how banks are
-    serialized (parameters only, never the frequencies).
+    arrays are regenerated deterministically, which is also how a model file
+    stores a bank (parameters only, never the frequencies).
     """
 
     kernels: tuple[BaseKernel, ...]
@@ -133,43 +131,28 @@ class FeatureBank:
     def total_features(self) -> int:
         return len(self.kernels) * self.draws
 
-    def to_dict(self) -> dict:
-        return {
-            "kernels": [{"family": k.family, "rho": k.rho} for k in self.kernels],
-            "weights": self.weights.weights.tolist(),
-            "degenerate": self.weights.degenerate,
-            "draws": self.draws,
-            "dim": self.dim,
-            "seed": self.seed,
-        }
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "FeatureBank":
-        """The bank a parsed :meth:`to_dict` document names, regenerated.
+def weighted_block(X: np.ndarray, bank: FeatureBank, l: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Kernel l's block of Phi, sqrt(w_l) * sqrt(2) cos(X xi_l^T + b_l) (n x D).
 
-        Every field must have its JSON type: rho and the weights numbers,
-        draws, dim and seed integers, and ``degenerate`` a boolean, so that a
-        string, a bool or a float is refused (ValueError) rather than coerced.
-        """
-        kernels = [BaseKernel(k["family"], json_number(k["rho"], "rho")) for k in payload["kernels"]]
-        degenerate = payload["degenerate"]
-        if type(degenerate) is not bool:
-            raise ValueError(f"degenerate must be true or false, got {degenerate!r}")
-        weights = MixtureWeights(json_numbers(payload["weights"], "weights"), degenerate=degenerate)
-        draws, dim, seed = (json_int(payload[key], key) for key in ("draws", "dim", "seed"))
-        return cls.generate(kernels, weights, draws, dim, seed)
+    Written into ``out`` as :func:`feature_block` does. The weight pass is
+    skipped when w_l = 1, as for a single kernel: x * 1.0 == x.
+    """
+    block = feature_block(X, bank.frequencies[l], bank.phases[l], out=out)
+    scale = math.sqrt(bank.weights.weights[l])
+    if scale != 1.0:
+        block *= scale
+    return block
 
 
 def build_feature_matrix(X: np.ndarray, bank: FeatureBank, out: np.ndarray | None = None) -> np.ndarray:
     """Concatenated weighted feature matrix Phi (n x mD).
 
-    Block l holds sqrt(w_l) * sqrt(2) * cos(X xi_l^T + b_l); blocks appear
-    in kernel order, so entries are bounded by sqrt(2 * max_l w_l). Each
-    block's projection is written into its column slice of Phi, which is
-    ``out`` when given (a float64 n x mD array or view; it is returned) and
-    a fresh array otherwise; the feature map and the weights then run once
-    over the whole of Phi, in place. The weight pass is skipped when every
-    weight is 1, as for a single kernel: x * 1.0 == x.
+    Block l is :func:`weighted_block`, sqrt(w_l) * sqrt(2) * cos(X xi_l^T +
+    b_l); blocks appear in kernel order, so entries are bounded by
+    sqrt(2 * max_l w_l). Each weighted block is written into its column
+    slice of Phi, which is ``out`` when given (a float64 n x mD array or
+    view; it is returned) and a fresh array otherwise.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != bank.dim:
@@ -179,10 +162,6 @@ def build_feature_matrix(X: np.ndarray, bank: FeatureBank, out: np.ndarray | Non
         raise ValueError(f"out must be a float64 array of shape {shape}, got {out.dtype} {out.shape}")
     Phi = np.empty(shape) if out is None else out
     D = bank.draws
-    for l, xi in enumerate(bank.frequencies):
-        np.matmul(X, xi.T, out=Phi[:, l * D : (l + 1) * D])
-    _feature_map(Phi, np.concatenate(bank.phases))
-    scale = np.sqrt(bank.weights.weights)
-    if np.any(scale != 1.0):
-        Phi *= np.repeat(scale, D)
+    for l in range(len(bank.kernels)):
+        weighted_block(X, bank, l, out=Phi[:, l * D : (l + 1) * D])
     return Phi

@@ -12,6 +12,7 @@ feasible by convexity of the ball.
 
 A model scores raw rows: :func:`outputs`, which every prediction goes
 through, replays the model's column standardization before it builds Phi.
+The model file's format, bank included, is read and written here alone.
 """
 
 from __future__ import annotations
@@ -23,8 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import LabeledDataset, apply_standardization, json_number, json_numbers
+from .data import LabeledDataset, apply_standardization
 from .errors import ConfigError, DataError, ModelIntegrityError
+from .kernels import BaseKernel
+from .mmd import MixtureWeights
 from .rff import FeatureBank, build_feature_matrix
 from .rng import stream
 
@@ -292,56 +295,85 @@ def _checksum(document: dict, bank: FeatureBank) -> str:
 
 
 def model_to_dict(model: SvmModel) -> dict:
-    if model.bank is None:
+    if (bank := model.bank) is None:
         raise ConfigError("only bank-backed models are serializable")
     document = {
         "schema_version": MODEL_SCHEMA_VERSION,
-        "bank": model.bank.to_dict(),
+        "bank": {
+            "kernels": [{"family": k.family, "rho": k.rho} for k in bank.kernels],
+            "weights": bank.weights.weights.tolist(),
+            "degenerate": bank.weights.degenerate,
+            "draws": bank.draws,
+            "dim": bank.dim,
+            "seed": bank.seed,
+        },
         "R": model.R,
         "lambda": model.lam,
         "beta": model.beta.tolist(),
         "offset": model.offset,
         "standardization": model.standardization,
     }
-    document["frequency_checksum"] = _checksum(document, model.bank)
+    document["frequency_checksum"] = _checksum(document, bank)
     return document
 
 
+def _number(value, what: str) -> float:
+    """A JSON number: an int or a float, never a bool or a string."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{what} must be a JSON number, got {value!r}")
+    return float(value)
+
+
+def _numbers(values, what: str) -> np.ndarray:
+    if not isinstance(values, list):
+        raise ValueError(f"{what} must be a list of JSON numbers, got {values!r}")
+    return np.array([_number(value, what) for value in values], dtype=float)
+
+
+def _integer(value, what: str) -> int:
+    if type(value) is not int:  # never a bool, a float or a string
+        raise ValueError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
 def model_from_dict(payload: dict) -> SvmModel:
+    """The model a parsed :func:`model_to_dict` document names.
+
+    First every field must have its JSON type (no bool, string or float is
+    coerced); then every stated size must match the arrays the document
+    carries (beta holds m * draws entries, a standardization record dim
+    each) and beta and the offset must be finite; only then is the bank
+    drawn and the checksum verified. Each failure is a ModelIntegrityError.
+    """
     try:
-        bank = FeatureBank.from_dict(payload["bank"])
+        spec = payload["bank"]
+        kernels = [BaseKernel(k["family"], _number(k["rho"], "rho")) for k in spec["kernels"]]
+        degenerate = spec["degenerate"]
+        if type(degenerate) is not bool:
+            raise ValueError(f"degenerate must be true or false, got {degenerate!r}")
+        weights = MixtureWeights(_numbers(spec["weights"], "weights"), degenerate=degenerate)
+        draws, dim, seed = (_integer(spec[key], key) for key in ("draws", "dim", "seed"))
+        beta = _numbers(payload["beta"], "beta")
+        offset, R, lam = (_number(payload[key], key) for key in ("offset", "R", "lambda"))
         expected = payload["frequency_checksum"]
-        beta = json_numbers(payload["beta"], "beta")
         record = payload["standardization"]
         if record is not None:
             if not isinstance(record, dict) or record.keys() != {"mean", "std"}:
                 raise ValueError("standardization must be null or hold exactly mean and std")
-            mean, std = (json_numbers(record[key], key) for key in ("mean", "std"))
-            if not mean.shape == std.shape == (bank.dim,) or not np.isfinite([mean, std]).all() or (std < 0).any():
-                raise ValueError(f"standardization must hold finite vectors of length {bank.dim}, std >= 0")
+            mean, std = (_numbers(record[key], key) for key in ("mean", "std"))
+            if not mean.shape == std.shape == (dim,) or not np.isfinite([mean, std]).all() or (std < 0).any():
+                raise ValueError(f"standardization must hold finite vectors of length {dim}, std >= 0")
             record = {"mean": mean.tolist(), "std": std.tolist()}
-        model = SvmModel(
-            beta=beta,
-            offset=json_number(payload["offset"], "offset"),
-            R=json_number(payload["R"], "R"),
-            lam=json_number(payload["lambda"], "lambda"),
-            draws=bank.draws,
-            bank=bank,
-            standardization=record,
-        )
+        if beta.size != len(kernels) * draws:
+            raise ValueError(f"beta has {beta.size} entries, not {len(kernels)} kernels * {draws} draws")
+        if not (np.isfinite(beta).all() and math.isfinite(offset)):
+            raise ValueError("beta and offset must be finite")
+        bank = FeatureBank.generate(kernels, weights, draws, dim, seed)
+        if _checksum(payload, bank) != expected:
+            raise ModelIntegrityError("model checksum mismatch: the file was changed or its bank does not regenerate")
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise ModelIntegrityError(f"malformed model document: {exc}") from None
-    if beta.shape != (bank.total_features,):
-        raise ModelIntegrityError(
-            f"beta shape {beta.shape} does not match bank size {bank.total_features}"
-        )
-    if not (np.isfinite(beta).all() and math.isfinite(model.offset)):
-        raise ModelIntegrityError("beta and offset must be finite")
-    if _checksum(payload, bank) != expected:
-        raise ModelIntegrityError(
-            "model checksum mismatch: the file was changed or its bank does not regenerate"
-        )
-    return model
+    return SvmModel(beta=beta, offset=offset, R=R, lam=lam, draws=draws, bank=bank, standardization=record)
 
 
 def save_model(model: SvmModel, path: str) -> None:

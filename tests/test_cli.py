@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernelmix import cli, diagnostics, select, svm
+from kernelmix import cli, diagnostics, rff, select, svm
 from kernelmix.data import load_dataset, split_by_label, standardize
 from kernelmix.errors import ModelIntegrityError
 from kernelmix.kernels import BaseKernel
@@ -380,8 +380,8 @@ class TestTrainPredict:
     @pytest.mark.parametrize("weights", [[0.0, 0.0], [math.nan, 1.0]])
     def test_degenerate_weights_exit_4(self, tmp_path, weights):
         data, model_path = self.run_train(tmp_path, **{"--gammas": "0.5,2.0"})
+        bank = load_model(model_path).bank
         payload = json.loads((tmp_path / "model.json").read_text())
-        bank = FeatureBank.from_dict(payload["bank"])
         payload["bank"]["weights"] = weights
         # a consistent checksum, so only the weights can fail the load
         payload["frequency_checksum"] = _checksum(payload, bank)
@@ -395,8 +395,8 @@ class TestTrainPredict:
         """A model naming the removed ``anova`` family fails to load, even with a
         consistent checksum (the alias drew the Gaussian kernel's frequencies)."""
         data, model_path = self.run_train(tmp_path)
+        bank = load_model(model_path).bank
         payload = json.loads((tmp_path / "model.json").read_text())
-        bank = FeatureBank.from_dict(payload["bank"])
         payload["bank"]["kernels"][0]["family"] = "anova"
         payload["frequency_checksum"] = _checksum(payload, bank)
         (tmp_path / "model.json").write_text(json.dumps(payload))
@@ -427,10 +427,11 @@ class TestTrainPredict:
     )
     def test_malformed_standardization_exit_4(self, tmp_path, capsys, record):
         data, model_path = self.run_train(tmp_path)
+        bank = load_model(model_path).bank
         payload = json.loads((tmp_path / "model.json").read_text())
         payload["standardization"] = record
         # a consistent checksum, so only the record can fail the load
-        payload["frequency_checksum"] = _checksum(payload, FeatureBank.from_dict(payload["bank"]))
+        payload["frequency_checksum"] = _checksum(payload, bank)
         (tmp_path / "model.json").write_text(json.dumps(payload))
         with pytest.raises(ModelIntegrityError, match="malformed model document"):
             load_model(model_path)
@@ -464,8 +465,8 @@ class TestTrainPredict:
         # never a bool or a string holding a number; degenerate must be a
         # JSON bool. The bank's seed is 1, so "seed": true regenerates it.
         data, model_path = self.run_train(tmp_path, **{"--gammas": "0.5,2.0", "--seed": 1})
+        bank = load_model(model_path).bank
         payload = json.loads((tmp_path / "model.json").read_text())
-        bank = FeatureBank.from_dict(payload["bank"])
         *parents, key = path
         owner = payload
         for step in parents:
@@ -483,6 +484,32 @@ class TestTrainPredict:
         code = cli.main(["predict", "--model", model_path, "--data", data, "--out", str(out)])
         assert code == 4
         assert "malformed model document" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, message",
+        [("draws", "beta has 128 entries, not 2 kernels * 1000000000000 draws"),
+         ("dim", "standardization must hold finite vectors of length 1000000000000, std >= 0")],
+        ids=["draws", "dim"],
+    )
+    def test_stated_sizes_checked_before_the_bank_is_drawn_exit_4(self, tmp_path, capsys, monkeypatch, key, message):
+        # a bank of 10^12 draws or dimensions cannot be allocated: the sizes
+        # the document states are checked against its own arrays first
+        data, model_path = self.run_train(tmp_path, **{"--gammas": "0.5,2.0"})
+        payload = json.loads((tmp_path / "model.json").read_text())
+        payload["bank"][key] = 10**12
+        (tmp_path / "model.json").write_text(json.dumps(payload))
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("drew the bank before checking the stated sizes")
+
+        monkeypatch.setattr(FeatureBank, "generate", refuse)
+        with pytest.raises(ModelIntegrityError, match="malformed model document"):
+            load_model(model_path)
+        out = tmp_path / "p.csv"
+        code = cli.main(["predict", "--model", model_path, "--data", data, "--out", str(out)])
+        assert code == 4
+        assert capsys.readouterr().err == f"model integrity error: malformed model document: {message}\n"
         assert not out.exists()
 
 
@@ -741,6 +768,16 @@ def test_synthetic_size_flags_exit_3(tmp_path, capsys, no_work, command, flag, v
     assert_refused_at_parse(tmp_path, capsys, command, flag, value)
 
 
+@pytest.mark.parametrize("command", ["select", "diagnose"])
+def test_data_and_synthetic_together_exit_3(tmp_path, capsys, no_work, command):
+    # one input or the other: neither is silently dropped
+    data = write_dataset(tmp_path / "d.csv", n=40)
+    args = [command, "--data", data, "--synthetic", "two-gaussian", "--out", str(tmp_path / "out")]
+    assert cli.main(args) == 3
+    assert capsys.readouterr().err == f"config error: {command} takes --data or --synthetic, not both\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]
+
+
 class TestConfigFile:
     def test_config_supplies_defaults_flags_override(self, tmp_path):
         data = write_dataset(tmp_path / "d.csv")
@@ -891,7 +928,7 @@ def test_traced_diagnose_builds_each_phi_once(tmp_path, monkeypatch, seed, seeds
         "--trials", str(seeds_built), "--pairs", "5", "--seed", str(seed), "--out", str(tmp_path / "diag"),
     ]
     probing, blocks = [], []
-    real_pass, real_block = cli.probe_pass, diagnostics.feature_block
+    real_pass, real_block = cli.probe_pass, rff.feature_block
 
     def counted_pass(*pass_args):
         probing.append(True)
@@ -906,7 +943,7 @@ def test_traced_diagnose_builds_each_phi_once(tmp_path, monkeypatch, seed, seeds
         return real_block(X, xi, b, out=out)
 
     monkeypatch.setattr(cli, "probe_pass", counted_pass)
-    monkeypatch.setattr(diagnostics, "feature_block", counted_block)
+    monkeypatch.setattr(rff, "feature_block", counted_block)
     tracer = tracing.Tracer()
     code, first = tracer.run_op(lambda: cli.main(args))
     assert code == 0

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from kernelmix.rff import (
     spectral_second_moment,
 )
 from kernelmix.rng import stream
+from kernelmix.svm import SvmModel, model_from_dict, model_to_dict
 from oracles import feature_map, oracle_kernel
 
 GAUSS1 = BaseKernel("gaussian", 1.0)
@@ -140,13 +142,16 @@ class TestFeatureBank:
             assert np.array_equal(xa, xb)
 
     def test_serialization_roundtrip(self):
+        # a bank is stored by its parameters in the model file and drawn again
         bank = _bank([GAUSS1, BaseKernel("gaussian", 0.5)], [0.3, 0.7], seed=11)
-        clone = FeatureBank.from_dict(bank.to_dict())
+        model = SvmModel(beta=np.zeros(bank.total_features), offset=0.0, R=1.0, lam=1.0, draws=bank.draws, bank=bank)
+        clone = model_from_dict(json.loads(json.dumps(model_to_dict(model)))).bank
         for xa, xb in zip(bank.frequencies, clone.frequencies):
             assert np.array_equal(xa, xb)
         for pa, pb in zip(bank.phases, clone.phases):
             assert np.array_equal(pa, pb)
         assert np.array_equal(bank.weights.weights, clone.weights.weights)
+        assert (clone.kernels, clone.draws, clone.dim, clone.seed) == (bank.kernels, bank.draws, bank.dim, bank.seed)
 
     def test_weight_count_mismatch(self):
         with pytest.raises(ConfigError):
@@ -209,8 +214,8 @@ class TestFeatureMatrix:
     )
     def test_in_place_bit_identical(self, families, data, draws, n, seed):
         # Phi written into a reshaped slice of a larger NaN-filled buffer, as
-        # probe_pass does, equals a fresh Phi and the stacked weighted blocks
-        # bit for bit, and is that slice
+        # probe_pass does when n > mD, equals a fresh Phi and the stacked
+        # weighted blocks bit for bit, and is that slice
         m = len(families)
         rhos = data.draw(st.lists(st.floats(0.1, 10.0), min_size=m, max_size=m))
         weights = data.draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m).filter(lambda w: sum(w) > 0))
