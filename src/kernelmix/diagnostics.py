@@ -15,7 +15,8 @@ Phi^T Phi, with no SVD:
 
 Phi's m kernel blocks Phi_l (n x D each) estimate D w_l K^l, so when n <= mD
 G = sum_l Phi_l Phi_l^T is summed block by block in kernel order, the
-finite-D twin of K^w = sum_l w_l K^l.
+finite-D twin of K^w = sum_l w_l K^l. A block wider than n is summed as
+about ceil(D / n) column panels of near-equal width, none wider than n.
 
 Only the top eigenvalue of any matrix is ever needed, so lambda_max comes
 from a numpy Lanczos iteration started from a fixed vector, never from the
@@ -23,8 +24,9 @@ full spectrum; the top eigenvalue of each small tridiagonal comes from
 Sturm-sequence bisection. erfc is needed only in its far tail (every
 argument is at least sqrt(192)), where Cephes' rational approximation,
 ported here, gives scipy.special.erfc's bits. :func:`probe_pass` builds each
-(D, seed) bank once and each of its kernel blocks once, never the whole Phi
-when n <= mD, and the mixture Gram K^w once per run. K^w is a dense n x n
+(D, seed) bank once and each column of its kernel blocks once, never the
+whole Phi when n <= mD, and the mixture Gram K^w once per run. So it holds
+at most three n x n arrays whatever m and D are. K^w is a dense n x n
 matrix, so the pass refuses n > 2000 before building anything.
 
 The non-asymptotic spectral bounds for radial kernels carry e^{2n log 3}
@@ -177,19 +179,42 @@ def _top_ritz_pair(alpha: list[float], beta: list[float]) -> tuple[float, np.nda
     return hi, y / np.linalg.norm(y)
 
 
-def _kernel_block_gram(blocks, out: np.ndarray | None = None, term: np.ndarray | None = None) -> np.ndarray:
-    """G = sum_l Phi_l Phi_l^T over the kernel blocks Phi_l, in kernel order.
+#: Panel edges fall on multiples of this many columns (of the largest power
+#: of two up to n when n is smaller), so BLAS tiles a panel's projection as
+#: it tiles the whole block's, and every entry of Phi keeps its bits.
+_PANEL_ALIGN = 16
 
-    The first block's Gram is G itself, written into ``out`` when given, and
-    each later block's, written into ``term`` when given, is added to it. A
-    block is used before the next is asked for, so ``blocks`` may be a
+
+def _panels(draws: int, n: int) -> list[slice]:
+    """A kernel block's ``draws`` columns as contiguous panels at most n wide.
+
+    A block of at most n columns is one panel. A wider one is split at
+    aligned edges into panels whose widths differ by at most one alignment
+    unit: ceil(draws / n) of them, or a few more when the widest aligned
+    width that fits is well under n.
+    """
+    if draws <= n:
+        return [slice(0, draws)]
+    unit = min(_PANEL_ALIGN, 1 << (n.bit_length() - 1))
+    units = -(-draws // unit)
+    count = -(-units // (n // unit))
+    edges = [min(unit * (units * i // count), draws) for i in range(count + 1)]
+    return [slice(start, stop) for start, stop in zip(edges, edges[1:])]
+
+
+def _kernel_block_gram(panels, out: np.ndarray | None = None, term: np.ndarray | None = None) -> np.ndarray:
+    """G = sum_p P_p P_p^T over the column panels P_p of Phi, in column order.
+
+    The first panel's Gram is G itself, written into ``out`` when given, and
+    each later panel's, written into ``term`` when given, is added to it. A
+    panel is used before the next is asked for, so ``panels`` may be a
     generator that rebuilds one buffer.
     """
-    blocks = iter(blocks)
-    first = next(blocks)
+    panels = iter(panels)
+    first = next(panels)
     G = np.matmul(first, first.T, out=out)
-    for block in blocks:
-        G += np.matmul(block, block.T, out=term)
+    for panel in panels:
+        G += np.matmul(panel, panel.T, out=term)
     return G
 
 
@@ -202,9 +227,9 @@ def complexity_bounds(Phi: np.ndarray, R: float, draws: int, m: int) -> Complexi
     gaussian_bound     (R / (n D)) (2 sqrt(pi T4)/fro + fro/(2 spec^2) e^{-fro^4/(4 T4)})
 
     Phi holds m kernel blocks of ``draws`` columns each. When n <= mD the
-    Gram is the sum of the blocks' Grams, as :func:`probe_pass` forms it
-    one block at a time, so both give the same bits; otherwise it is
-    Phi^T Phi.
+    Gram is the sum of the Grams of the blocks' column panels (see
+    :func:`_panels`), as :func:`probe_pass` forms it one panel at a time,
+    so both give the same bits; otherwise it is Phi^T Phi.
     """
     Phi = np.asarray(Phi, dtype=float)
     if Phi.ndim != 2:
@@ -212,7 +237,8 @@ def complexity_bounds(Phi: np.ndarray, R: float, draws: int, m: int) -> Complexi
     if m < 1 or draws < 1 or Phi.shape[1] != m * draws:
         raise ConfigError(f"Phi has {Phi.shape[1]} columns, not m * draws = {m} * {draws} with m, draws >= 1")
     if Phi.shape[0] <= Phi.shape[1]:
-        G = _kernel_block_gram(Phi[:, l * draws : (l + 1) * draws] for l in range(m))
+        panels = _panels(draws, Phi.shape[0])
+        G = _kernel_block_gram(Phi[:, l * draws : (l + 1) * draws][:, cols] for l in range(m) for cols in panels)
     else:
         G = Phi.T @ Phi
     return _report(G, Phi.shape[0], R, draws, m)
@@ -264,14 +290,17 @@ def probe_pass(
     table: the reports' deviations from tr(K^w) = n (unit diagonals, simplex
     weights) and from lambda_max(K^w).
 
-    When n <= mD, the Gram G = Phi Phi^T is summed one kernel block at a
-    time: :func:`kernelmix.rff.weighted_block` builds each block sqrt(w_l)
-    Phi_l into one n x D buffer, and its Gram, written into one n x n
+    When n <= mD, the Gram G = Phi Phi^T is summed one column panel at a
+    time: :func:`kernelmix.rff.weighted_block` builds each panel of each
+    block sqrt(w_l) Phi_l, at most n columns wide (see :func:`_panels`),
+    into one n x min(D_max, n) buffer, and its Gram, written into one n x n
     buffer, is added to G, itself one n x n buffer. So Phi is never held,
-    and the pass holds one block, G and one block's Gram, whatever m is.
-    When n > mD, Phi is smaller than the n x n K^w: it is built whole, into
-    the same buffer, and :func:`complexity_bounds` reads Phi^T Phi. The
-    reports equal :func:`complexity_bounds` on a fresh Phi bit for bit.
+    and besides the banks the pass holds at most three n x n arrays, about
+    8 * 3n^2 bytes, whatever m and D are. When n > mD, Phi is smaller than
+    the n x n K^w: it is built whole, into the same buffer, and
+    :func:`complexity_bounds` reads Phi^T Phi, one mD x mD array more while
+    it is read. The reports equal :func:`complexity_bounds` on a fresh Phi
+    bit for bit.
     """
     if not seeds:
         raise ConfigError("need at least one seed (trial)")
@@ -284,9 +313,9 @@ def probe_pass(
         weights = MixtureWeights(np.asarray(weights, dtype=float))
     spectral_kw = _top_eigenvalue(mixture_gram(kernels, weights.weights, X))
     n, m = X.shape[0], len(kernels)
-    buffer = np.empty(n * max(m * D if n > m * D else D for D in sweep))
-    # G and one block's Gram, allocated once and reused by every bank summed
-    # block by block: fresh n x n arrays per bank fragment the heap and raise
+    buffer = np.empty(n * max(m * D if n > m * D else min(D, n) for D in sweep))
+    # G and one panel's Gram, allocated once and reused by every bank summed
+    # panel by panel: fresh n x n arrays per bank fragment the heap and raise
     # the peak RSS
     grams = (np.empty((n, n)), np.empty((n, n))) if any(n <= m * D for D in sweep) else None
     out = []
@@ -298,10 +327,14 @@ def probe_pass(
                 Phi = build_feature_matrix(X, bank, out=buffer[: n * m * draws].reshape(n, m * draws))
                 reports.append(complexity_bounds(Phi, R, draws, m))
             else:
-                block = buffer[: n * draws].reshape(n, draws)
-                blocks = (weighted_block(X, bank, l, out=block) for l in range(m))
-                G = _kernel_block_gram(blocks, *grams)
+                panels = (
+                    weighted_block(X, bank, l, out=buffer[: n * (cols.stop - cols.start)].reshape(n, -1), cols=cols)
+                    for l in range(m)
+                    for cols in _panels(draws, n)
+                )
+                G = _kernel_block_gram(panels, *grams)
                 reports.append(_report(G, n, R, draws, m))
+            del bank  # dropped before the next trial's bank is drawn
         fro, spec = frobenius_concentration(reports, float(n)), spectral_concentration(reports, spectral_kw)
         out.append((reports[0], {"draws": draws, **fro, **spec}))
     return out

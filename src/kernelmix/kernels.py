@@ -72,7 +72,8 @@ def squared_distances(X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
     right = np.ones((d, 2, m))
     np.negative(Y.T, out=right[:, 1])
     out = np.empty(n * (n - 1) // 2) if within else np.empty((n, m))
-    scratch = np.empty(2 * _BLOCK_ROWS * m)
+    # a block's squared terms, and within X its sum too
+    scratch = np.empty((2 if within else 1) * min(_BLOCK_ROWS, n) * m)
     filled = 0
     for start in range(0, n, _BLOCK_ROWS):
         rows = slice(start, min(start + _BLOCK_ROWS, n))
@@ -80,8 +81,8 @@ def squared_distances(X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
         cols = slice(start + 1 if within else 0, m)
         shape = (rows.stop - start, m - cols.start)
         size = shape[0] * shape[1]
-        acc = scratch[:size].reshape(shape) if within else out[rows]
-        term = scratch[size : 2 * size].reshape(shape)
+        term = scratch[:size].reshape(shape)
+        acc = scratch[size : 2 * size].reshape(shape) if within else out[rows]
         np.matmul(left[0, rows], right[0, :, cols], out=acc)
         acc *= acc
         for k in range(1, d):
@@ -112,18 +113,21 @@ _EXP_IS_ZERO_BELOW = -745.2
 def _exp(arg: np.ndarray, smallest: float) -> np.ndarray:
     """exp of ``arg``, written into ``arg``; ``smallest`` is its minimum.
 
-    When no argument underflows, exp runs in place. Otherwise only the
-    arguments whose exp does not underflow are gathered into exp, and the
-    rest are written as the 0.0 that exp would return. exp is elementwise,
-    so both paths give the bits of exp on every argument. A NaN
-    ``smallest`` takes the gather path.
+    When no argument underflows, exp runs in place. Otherwise one boolean
+    mask picks the arguments whose exp does not underflow (NaN among them);
+    they are gathered, exp runs in place on them, and they are written back
+    over a zeroed ``arg``, the rest being the 0.0 that exp would return. exp
+    is elementwise, so both paths give the bits of exp on every argument. A
+    NaN ``smallest`` takes the gather path.
     """
     if smallest >= _EXP_IS_ZERO_BELOW:
         return np.exp(arg, out=arg)
-    kept = np.flatnonzero(~(arg < _EXP_IS_ZERO_BELOW))
-    values = np.exp(np.take(arg, kept))
+    kept = np.less(arg, _EXP_IS_ZERO_BELOW)
+    np.logical_not(kept, out=kept)
+    values = arg[kept]
+    np.exp(values, out=values)
     arg.fill(0.0)
-    np.put(arg, kept, values)
+    arg[kept] = values
     return arg
 
 
@@ -153,23 +157,32 @@ def kernel_values(kernels: list[BaseKernel], squared: np.ndarray) -> Iterator[np
 def mixture_gram(kernels: list[BaseKernel], weights: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Entrywise mixture sum_l w_l K^l over the base kernels.
 
-    The sum starts from the first kernel's values and adds each later
-    kernel's in kernel order, every one scaled in place, so besides the
-    distances the sum holds one kernel's values at a time. With
-    nonnegative weights the bits are those of adding each w_l K^l into
-    zeros, since 0 + x == x.
+    Filled ``_BLOCK_ROWS`` rows at a time from the block's distances to
+    every row of X. A block's sum starts from the first kernel's values
+    and adds each later kernel's in kernel order, every one scaled in
+    place, so besides the n x n sum, about 8 n^2 bytes, the pass holds one
+    row block's distances (and their square roots with a Laplacian kernel)
+    and one kernel's values on them. Every entry is computed as on the
+    whole matrix, so the bits do not depend on the blocks. With
+    nonnegative weights they are those of adding each w_l K^l into zeros,
+    since 0 + x == x.
     """
     weights = np.asarray(weights, dtype=float)
     if len(kernels) != weights.shape[0] or len(kernels) == 0:
         raise ConfigError(
             f"{len(kernels)} kernels but {weights.shape[0]} weights"
         )
-    values = kernel_values(kernels, squared_distances(X, X))
-    out = next(values)
-    out *= weights[0]
-    for w in weights[1:]:
-        K = next(values)
-        K *= w
-        out += K
-        del K  # dropped before the next kernel's values are made
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    n = X.shape[0]
+    out = np.empty((n, n))
+    for start in range(0, n, _BLOCK_ROWS):
+        block = out[start : start + _BLOCK_ROWS]
+        values = kernel_values(kernels, squared_distances(X[start : start + _BLOCK_ROWS], X))
+        np.multiply(next(values), weights[0], out=block)
+        for w in weights[1:]:
+            K = next(values)
+            K *= w
+            block += K
+            del K  # dropped before the next kernel's values are made
+        del values  # and the block's distances before the next block's
     return out

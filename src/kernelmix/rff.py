@@ -132,13 +132,16 @@ class FeatureBank:
         return len(self.kernels) * self.draws
 
 
-def weighted_block(X: np.ndarray, bank: FeatureBank, l: int, out: np.ndarray | None = None) -> np.ndarray:
+def weighted_block(
+    X: np.ndarray, bank: FeatureBank, l: int, out: np.ndarray | None = None, cols: slice = slice(None)
+) -> np.ndarray:
     """Kernel l's block of Phi, sqrt(w_l) * sqrt(2) cos(X xi_l^T + b_l) (n x D).
 
+    Only the draws in ``cols`` when given, a panel of the block's columns.
     Written into ``out`` as :func:`feature_block` does. The weight pass is
     skipped when w_l = 1, as for a single kernel: x * 1.0 == x.
     """
-    block = feature_block(X, bank.frequencies[l], bank.phases[l], out=out)
+    block = feature_block(X, bank.frequencies[l][cols], bank.phases[l][cols], out=out)
     scale = math.sqrt(bank.weights.weights[l])
     if scale != 1.0:
         block *= scale

@@ -917,9 +917,10 @@ def test_benchmark_tracer_targets_resolve():
 @pytest.mark.parametrize("seed, seeds_built", [(0, 3), (1, 3), (7, 3)])
 def test_traced_diagnose_builds_each_phi_once(tmp_path, monkeypatch, seed, seeds_built):
     # the probe pass builds each (D, trial seed, kernel) block once, in that
-    # order, whatever --seed is, and never a whole Phi (n = 30 <= mD); one
-    # mixture Gram per run, built from one shared distance pass (no
-    # kernel_matrix call)
+    # order, whatever --seed is, and never a whole Phi (n = 30 <= mD): a
+    # block of D = 32 > n columns as panels of at most n columns, covering
+    # its columns once, in order; one mixture Gram per run, built without
+    # a kernel_matrix call
     tracing = load_tracing()
     data = write_dataset(tmp_path / "d.csv", n=30)
     gammas, sweep = (0.5, 2.0, 8.0), (16, 32)
@@ -956,7 +957,15 @@ def test_traced_diagnose_builds_each_phi_once(tmp_path, monkeypatch, seed, seeds
         for l, kernel in enumerate(kernels)
     ]
     assert len(want) == len(kernels) * len(sweep) * seeds_built
-    assert blocks == want
+    calls = iter(blocks)
+    for draws, phases in want:
+        covered = []
+        while sum(width for width, _ in covered) < draws:
+            covered.append(next(calls))
+        assert all(width <= 30 for width, _ in covered)
+        assert sum(width for width, _ in covered) == draws
+        assert b"".join(panel for _, panel in covered) == phases
+    assert next(calls, None) is None
     assert metrics["rff.phi_builds"] == 0
     assert sum(span[0] == "kernels.mixture_gram" for span in tracer.spans[first:]) == 1
     assert metrics["kernels.kernel_matrix_calls"] == 0

@@ -22,7 +22,7 @@ from kernelmix.diagnostics import (
 from kernelmix.errors import ConfigError
 from kernelmix.kernels import FAMILIES, BaseKernel, mixture_gram
 from kernelmix.mmd import MixtureWeights, mixing_weights
-from kernelmix.rff import FeatureBank, build_feature_matrix, sample_frequencies, spectral_second_moment
+from kernelmix.rff import FeatureBank, build_feature_matrix, sample_frequencies, spectral_second_moment, weighted_block
 from kernelmix.rng import stream
 from kernelmix.synthetic import two_gaussian_dataset
 from oracles import (
@@ -335,8 +335,8 @@ class TestConcentration:
             }
 
     def test_memory_holds_one_block_and_two_grams(self):
-        # n <= mD at every D, so the pass holds one n x D_max kernel block, G
-        # and one block's Gram, never Phi
+        # n <= mD at every D, so the pass holds one panel of at most n
+        # columns, G and one panel's Gram, never Phi nor a whole n x D block
         n, d, sweep = 100, 5, [64, 1024]
         X = stream(114).normal(size=(n, d))
         kernels = [BaseKernel("gaussian", 0.5), BaseKernel("laplacian", 1.0), BaseKernel("gaussian", 2.0),
@@ -350,11 +350,32 @@ class TestConcentration:
         finally:
             tracemalloc.stop()
         # the 512 KiB covers the banks and numpy's fixed ufunc buffers
-        bound = 8 * (n * max(sweep) + 2 * n * n) + 512 * 1024
+        bound = 8 * 3 * n * n + 512 * 1024
         assert peak <= bound, (peak, bound)
 
+    def test_memory_does_not_grow_with_the_draw_count(self):
+        # a kernel block eight times wider than at D = 2n is summed in more
+        # panels of at most n columns: the peak grows by less than the wider
+        # bank, and stays within three n x n arrays
+        n, d = 200, 2
+        X = stream(116).normal(size=(n, d))
+        kernels = [BaseKernel("gaussian", 0.8), BaseKernel("laplacian", 2.0)]
+        weights = [0.4, 0.6]
+        probe_pass(X, kernels, weights, [4], [0], 1.0)  # lazy imports and caches outside the measurement
+        peaks = []
+        for draws in (2 * n, 16 * n):
+            tracemalloc.start()
+            try:
+                probe_pass(X, kernels, weights, [draws], [3, 0], 1.0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        bank = len(kernels) * 16 * n * (d + 1) * 8  # frequencies and phases at D = 16n
+        assert peaks[1] - peaks[0] <= bank, (peaks, bank)
+        assert peaks[1] <= 8 * 3 * n * n + 512 * 1024, peaks
+
     def test_memory_does_not_grow_with_the_kernel_count(self):
-        # n <= mD, so the Gram is summed one n x D kernel block at a time:
+        # n <= mD, so the Gram is summed one panel of a kernel block at a time:
         # five more kernels add their banks and less than one block
         n, draws = 200, 512
         X = stream(115).normal(size=(n, 5))
@@ -370,6 +391,36 @@ class TestConcentration:
             finally:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] < 8 * n * draws, peaks
+
+
+class TestPanels:
+    @settings(max_examples=300, deadline=None)
+    @given(draws=st.integers(1, 5000), n=st.integers(1, 2000))
+    def test_aligned_panels_cover_the_block_once(self, draws, n):
+        panels = diagnostics._panels(draws, n)
+        assert panels[0].start == 0 and panels[-1].stop == draws
+        assert all(a.stop == b.start for a, b in zip(panels, panels[1:]))
+        widths = [p.stop - p.start for p in panels]
+        assert 0 < min(widths) and max(widths) <= n
+        if draws <= n:
+            assert len(panels) == 1
+        else:
+            unit = min(diagnostics._PANEL_ALIGN, 1 << (n.bit_length() - 1))
+            assert all(p.start % unit == 0 for p in panels)
+            assert max(widths[:-1]) - min(widths[:-1]) <= unit
+            if n % diagnostics._PANEL_ALIGN == 0:
+                assert len(panels) == -(-draws // n)
+
+    def test_panels_keep_the_bits_of_the_whole_block(self):
+        # aligned edges tile each panel's projection as the whole block's
+        X = stream(117).normal(size=(800, 5))
+        kernels = [BaseKernel.from_gamma("gaussian", g) for g in (0.05, 0.5, 5.0)]
+        bank = FeatureBank.generate(kernels, MixtureWeights(np.array([0.2, 0.3, 0.5])), 2048, 5, 0)
+        panels = diagnostics._panels(2048, 800)
+        assert len(panels) == 3
+        for l in range(3):
+            whole = weighted_block(X, bank, l)
+            assert np.array_equal(np.hstack([weighted_block(X, bank, l, cols=cols) for cols in panels]), whole)
 
 
 class TestPointwiseBound:

@@ -331,6 +331,38 @@ class TestMixture:
             tracemalloc.stop()
         assert peak < 3.5 * 8 * n * n, peak
 
+    @pytest.mark.parametrize("n", [37, 150])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_row_blocks_keep_the_bits_of_the_whole_matrix(self, n, family):
+        # n is not a multiple of the block; rho = 0.02 takes exp's gather
+        # path in every block, the other kernels the in-place one
+        X = stream(21, n).normal(scale=2.0, size=(n, 3))
+        bank = [BaseKernel(family, 0.02), BaseKernel("gaussian", 0.7), BaseKernel(family, 3.0)]
+        w = np.array([0.3, 0.5, 0.2])
+        values = kernel_values(bank, squared_distances(X, X))
+        expected = next(values) * w[0]
+        for wl, K in zip(w[1:], values):
+            expected += wl * K
+        assert _same_bits(mixture_gram(bank, w, X), expected)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_memory_holds_the_sum_and_one_row_block(self, family):
+        # a row block's distances, their square roots (Laplacian) and one
+        # kernel's values beside the n x n sum; 64 KiB for numpy's buffers
+        n = 300
+        X = stream(22).normal(size=(n, 3))
+        bank = [BaseKernel(family, rho) for rho in (0.5, 1.0, 2.0)]
+        w = np.array([0.2, 0.3, 0.5])
+        mixture_gram(bank, w, X[:4])  # lazy set-up outside the measurement
+        tracemalloc.start()
+        try:
+            mixture_gram(bank, w, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = 8 * n * n + 3 * 8 * kernels._BLOCK_ROWS * n + 64 * 1024
+        assert peak <= bound, (peak, bound)
+
     def test_length_mismatch(self):
         with pytest.raises(ConfigError):
             mixture_gram([BaseKernel("gaussian", 1.0)], [0.5, 0.5], np.zeros((2, 1)))

@@ -251,6 +251,27 @@ class TestListScorer:
         cross_block = 8 * n * n
         assert peak < 2.5 * cross_block, (peak, cross_block)
 
+    def test_gathering_gaussians_hold_no_more_than_a_laplacian_grid(self):
+        # large-gamma Gaussians gather the arguments whose exp does not
+        # underflow: besides the block and the arguments, one boolean mask
+        # and the gathered values, which a Laplacian grid's square roots
+        # outweigh
+        n = 2000
+        rng = stream(50)
+        pos, neg = rng.normal(size=(n, 10)), rng.normal(size=(n, 10)) + 0.5
+        peaks = {}
+        for family in FAMILIES:
+            kernels = [BaseKernel.from_gamma(family, g) for g in np.logspace(-3, 1, 8)]
+            mmd_scores(kernels, pos[:4], neg[:4])  # caches outside the measurement
+            tracemalloc.start()
+            try:
+                mmd_scores(kernels, pos, neg)
+                peaks[family] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        mask = n * n  # one byte per entry of the cross block
+        assert peaks["gaussian"] <= peaks["laplacian"] + mask, peaks
+
     def test_rejects_empty_list_and_dimension_mismatch(self):
         with pytest.raises(ConfigError):
             mmd_scores([], np.zeros((3, 1)), np.ones((3, 1)))
