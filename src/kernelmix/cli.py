@@ -388,7 +388,7 @@ def build_parser() -> _Parser:
     _add_synthetic(p, n=100)
     _add_bank(p)
     p.add_argument("--draws", "--draw-sweep", type=_DRAWS, default="2048", help="D, or a comma list of D values (one table row per D)")
-    p.add_argument("--trials", type=_COUNT, default=5, help="banks per concentration estimate, at seeds --seed ... --seed+trials-1; the first is the bounds bank, so each D builds --trials Phi")
+    p.add_argument("--trials", type=_COUNT, default=5, help="banks per concentration estimate, at seeds --seed ... --seed+trials-1; the first is the bounds bank, so each D draws --trials banks")
     p.add_argument("--R", type=_POSITIVE, default=10.0)
     p.add_argument("--eps", type=_POSITIVE, default=0.1, help="accuracy for the pointwise bound")
     p.add_argument("--pairs", type=_COUNT, default=100, help="pairs for the empirical sup error")

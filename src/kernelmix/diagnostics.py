@@ -6,17 +6,17 @@ sqrt(192) * ||Phi||_F / |||Phi|||_2, while ``erfc_bound_display`` uses the
 displayed erfc(sqrt(192 D)). The sharper-than ordering against the
 Khintchine bound is asserted on the derivation-faithful variant.
 
-Every quantity of Phi is read from one Gram G, the smaller of Phi Phi^T and
-Phi^T Phi, with no SVD:
+Every quantity of Phi is read from its n x n Gram G = Phi Phi^T, with no SVD:
 
   ||Phi||_F^2          = tr G
   |||Phi|||_2^2        = lambda_max(G)
   Tr((Phi Phi^T)^2)    = ||G||_F^2
 
-Phi's m kernel blocks Phi_l (n x D each) estimate D w_l K^l, so when n <= mD
-G = sum_l Phi_l Phi_l^T is summed block by block in kernel order, the
-finite-D twin of K^w = sum_l w_l K^l. A block wider than n is summed as
-about ceil(D / n) column panels of near-equal width, none wider than n.
+Phi's m kernel blocks Phi_l (n x D each) estimate D w_l K^l, so G =
+sum_l Phi_l Phi_l^T is summed block by block in kernel order, the finite-D
+twin of K^w = sum_l w_l K^l. A block of at most n columns is one panel; a
+wider one is summed as about ceil(D / n) column panels of near-equal width,
+none wider than n.
 
 Only the top eigenvalue of any matrix is ever needed, so lambda_max comes
 from a numpy Lanczos iteration started from a fixed vector, never from the
@@ -25,9 +25,9 @@ Sturm-sequence bisection. erfc is needed only in its far tail (every
 argument is at least sqrt(192)), where Cephes' rational approximation,
 ported here, gives scipy.special.erfc's bits. :func:`probe_pass` builds each
 (D, seed) bank once and each column of its kernel blocks once, never the
-whole Phi when n <= mD, and the mixture Gram K^w once per run. So it holds
-at most three n x n arrays whatever m and D are. K^w is a dense n x n
-matrix, so the pass refuses n > 2000 before building anything.
+whole Phi, and the mixture Gram K^w once per run. So it holds at most three
+n x n arrays whatever m and D are. K^w is a dense n x n matrix, so the pass
+refuses n > 2000 before building anything.
 
 The non-asymptotic spectral bounds for radial kernels carry e^{2n log 3}
 factors and are vacuous at any usable n; they are documented here and not
@@ -46,7 +46,7 @@ import numpy as np
 from .errors import ConfigError
 from .kernels import BaseKernel, kernel_values, mixture_gram
 from .mmd import MixtureWeights
-from .rff import FeatureBank, build_feature_matrix, feature_block, sample_frequencies, weighted_block
+from .rff import FeatureBank, feature_block, sample_frequencies, weighted_block
 from .rng import stream
 
 
@@ -226,21 +226,18 @@ def complexity_bounds(Phi: np.ndarray, R: float, draws: int, m: int) -> Complexi
     khintchine_bound   (R / (n D sqrt(m))) sqrt(23/44) ||Phi||_F
     gaussian_bound     (R / (n D)) (2 sqrt(pi T4)/fro + fro/(2 spec^2) e^{-fro^4/(4 T4)})
 
-    Phi holds m kernel blocks of ``draws`` columns each. When n <= mD the
-    Gram is the sum of the Grams of the blocks' column panels (see
-    :func:`_panels`), as :func:`probe_pass` forms it one panel at a time,
-    so both give the same bits; otherwise it is Phi^T Phi.
+    Phi holds m kernel blocks of ``draws`` columns each. The n x n Gram is
+    the sum of the Grams of the blocks' column panels (see :func:`_panels`),
+    as :func:`probe_pass` forms it one panel at a time, so both give the
+    same bits.
     """
     Phi = np.asarray(Phi, dtype=float)
     if Phi.ndim != 2:
         raise ConfigError("Phi must be a matrix")
     if m < 1 or draws < 1 or Phi.shape[1] != m * draws:
         raise ConfigError(f"Phi has {Phi.shape[1]} columns, not m * draws = {m} * {draws} with m, draws >= 1")
-    if Phi.shape[0] <= Phi.shape[1]:
-        panels = _panels(draws, Phi.shape[0])
-        G = _kernel_block_gram(Phi[:, l * draws : (l + 1) * draws][:, cols] for l in range(m) for cols in panels)
-    else:
-        G = Phi.T @ Phi
+    panels = _panels(draws, Phi.shape[0])
+    G = _kernel_block_gram(Phi[:, l * draws : (l + 1) * draws][:, cols] for l in range(m) for cols in panels)
     return _report(G, Phi.shape[0], R, draws, m)
 
 
@@ -290,17 +287,14 @@ def probe_pass(
     table: the reports' deviations from tr(K^w) = n (unit diagonals, simplex
     weights) and from lambda_max(K^w).
 
-    When n <= mD, the Gram G = Phi Phi^T is summed one column panel at a
-    time: :func:`kernelmix.rff.weighted_block` builds each panel of each
-    block sqrt(w_l) Phi_l, at most n columns wide (see :func:`_panels`),
-    into one n x min(D_max, n) buffer, and its Gram, written into one n x n
-    buffer, is added to G, itself one n x n buffer. So Phi is never held,
-    and besides the banks the pass holds at most three n x n arrays, about
-    8 * 3n^2 bytes, whatever m and D are. When n > mD, Phi is smaller than
-    the n x n K^w: it is built whole, into the same buffer, and
-    :func:`complexity_bounds` reads Phi^T Phi, one mD x mD array more while
-    it is read. The reports equal :func:`complexity_bounds` on a fresh Phi
-    bit for bit.
+    The Gram G = Phi Phi^T is always the n x n sum over column panels:
+    :func:`kernelmix.rff.weighted_block` builds each panel of each block
+    sqrt(w_l) Phi_l, at most n columns wide (see :func:`_panels`), into one
+    n x min(D_max, n) buffer, and its Gram, written into one n x n buffer,
+    is added to G, itself one n x n buffer. So Phi is never held, and
+    besides the banks the pass holds at most three n x n arrays, about
+    8 * 3n^2 bytes, whatever m and D are. The reports equal
+    :func:`complexity_bounds` on a fresh Phi bit for bit.
     """
     if not seeds:
         raise ConfigError("need at least one seed (trial)")
@@ -313,27 +307,21 @@ def probe_pass(
         weights = MixtureWeights(np.asarray(weights, dtype=float))
     spectral_kw = _top_eigenvalue(mixture_gram(kernels, weights.weights, X))
     n, m = X.shape[0], len(kernels)
-    buffer = np.empty(n * max(m * D if n > m * D else min(D, n) for D in sweep))
-    # G and one panel's Gram, allocated once and reused by every bank summed
-    # panel by panel: fresh n x n arrays per bank fragment the heap and raise
-    # the peak RSS
-    grams = (np.empty((n, n)), np.empty((n, n))) if any(n <= m * D for D in sweep) else None
+    buffer = np.empty(n * min(max(sweep), n))
+    # G and one panel's Gram, allocated once and reused by every bank: fresh
+    # n x n arrays per bank fragment the heap and raise the peak RSS
+    grams = (np.empty((n, n)), np.empty((n, n)))
     out = []
     for draws in sweep:
         reports = []
         for seed in seeds:
             bank = FeatureBank.generate(kernels, weights, draws, X.shape[1], seed)
-            if n > m * draws:
-                Phi = build_feature_matrix(X, bank, out=buffer[: n * m * draws].reshape(n, m * draws))
-                reports.append(complexity_bounds(Phi, R, draws, m))
-            else:
-                panels = (
-                    weighted_block(X, bank, l, out=buffer[: n * (cols.stop - cols.start)].reshape(n, -1), cols=cols)
-                    for l in range(m)
-                    for cols in _panels(draws, n)
-                )
-                G = _kernel_block_gram(panels, *grams)
-                reports.append(_report(G, n, R, draws, m))
+            panels = (
+                weighted_block(X, bank, l, out=buffer[: n * (cols.stop - cols.start)].reshape(n, -1), cols=cols)
+                for l in range(m)
+                for cols in _panels(draws, n)
+            )
+            reports.append(_report(_kernel_block_gram(panels, *grams), n, R, draws, m))
             del bank  # dropped before the next trial's bank is drawn
         fro, spec = frobenius_concentration(reports, float(n)), spectral_concentration(reports, spectral_kw)
         out.append((reports[0], {"draws": draws, **fro, **spec}))

@@ -148,22 +148,18 @@ def weighted_block(
     return block
 
 
-def build_feature_matrix(X: np.ndarray, bank: FeatureBank, out: np.ndarray | None = None) -> np.ndarray:
+def build_feature_matrix(X: np.ndarray, bank: FeatureBank) -> np.ndarray:
     """Concatenated weighted feature matrix Phi (n x mD).
 
     Block l is :func:`weighted_block`, sqrt(w_l) * sqrt(2) * cos(X xi_l^T +
     b_l); blocks appear in kernel order, so entries are bounded by
     sqrt(2 * max_l w_l). Each weighted block is written into its column
-    slice of Phi, which is ``out`` when given (a float64 n x mD array or
-    view; it is returned) and a fresh array otherwise.
+    slice of Phi.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != bank.dim:
         raise ConfigError(f"data dim {X.shape[1]} does not match bank dim {bank.dim}")
-    shape = (X.shape[0], bank.total_features)
-    if out is not None and (out.shape != shape or out.dtype != np.float64):
-        raise ValueError(f"out must be a float64 array of shape {shape}, got {out.dtype} {out.shape}")
-    Phi = np.empty(shape) if out is None else out
+    Phi = np.empty((X.shape[0], bank.total_features))
     D = bank.draws
     for l in range(len(bank.kernels)):
         weighted_block(X, bank, l, out=Phi[:, l * D : (l + 1) * D])

@@ -343,7 +343,9 @@ def model_from_dict(payload: dict) -> SvmModel:
     coerced); then every stated size must match the arrays the document
     carries (beta holds m * draws entries, a standardization record dim
     each) and beta and the offset must be finite; only then is the bank
-    drawn and the checksum verified. Each failure is a ModelIntegrityError.
+    drawn and the checksum verified. Each failure is a ModelIntegrityError,
+    among them a bank too large to draw (a null standardization bounds no
+    ``dim`` by an array).
     """
     try:
         spec = payload["bank"]
@@ -371,7 +373,7 @@ def model_from_dict(payload: dict) -> SvmModel:
         bank = FeatureBank.generate(kernels, weights, draws, dim, seed)
         if _checksum(payload, bank) != expected:
             raise ModelIntegrityError("model checksum mismatch: the file was changed or its bank does not regenerate")
-    except (KeyError, TypeError, ValueError, ConfigError) as exc:
+    except (KeyError, TypeError, ValueError, ConfigError, MemoryError) as exc:
         raise ModelIntegrityError(f"malformed model document: {exc}") from None
     return SvmModel(beta=beta, offset=offset, R=R, lam=lam, draws=draws, bank=bank, standardization=record)
 

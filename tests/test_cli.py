@@ -512,6 +512,22 @@ class TestTrainPredict:
         assert capsys.readouterr().err == f"model integrity error: malformed model document: {message}\n"
         assert not out.exists()
 
+    def test_unstandardized_dim_too_large_to_draw_exit_4(self, tmp_path, capsys):
+        # no standardization record bounds dim, so the bank is drawn: 8 x 10^15
+        # frequencies are 56.8 PiB, beyond any address space, so the
+        # allocation fails at once under any overcommit setting
+        data, model_path = self.run_train(
+            tmp_path, **{"--gammas": "0.5,2.0", "--draws": "8", "--no-standardize": ""}
+        )
+        payload = json.loads((tmp_path / "model.json").read_text())
+        payload["bank"]["dim"] = 10**15
+        (tmp_path / "model.json").write_text(json.dumps(payload))
+        out = tmp_path / "p.csv"
+        code = cli.main(["predict", "--model", model_path, "--data", data, "--out", str(out)])
+        assert code == 4
+        assert capsys.readouterr().err.startswith("model integrity error: malformed model document: Unable to allocate")
+        assert not out.exists()
+
 
 @st.composite
 def small_csvs(draw):
@@ -694,15 +710,15 @@ class TestDiagnose:
         # forcing a violating report through the computation
         from kernelmix.diagnostics import ComplexityReport
 
-        def fake_bounds(Phi, R, draws, m):
+        def fake_report(G, n, R, draws, m):
             return ComplexityReport(
-                n=Phi.shape[0], draws=draws, m=m, R=R,
+                n=n, draws=draws, m=m, R=R,
                 frobenius_norm=1.0, spectral_norm=1.0, trace_quartic=1.0,
                 erfc_bound=2.0, erfc_bound_display=0.0,
                 khintchine_bound=1.0, gaussian_bound=1.0,
             )
 
-        monkeypatch.setattr(diagnostics, "complexity_bounds", fake_bounds)
+        monkeypatch.setattr(diagnostics, "_report", fake_report)
         data = write_dataset(tmp_path / "d.csv", n=20)
         args = [
             "diagnose", "--data", data, "--gammas", "0.5", "--draws", "16",
@@ -712,10 +728,10 @@ class TestDiagnose:
 
     @pytest.fixture
     def refuse_builds(self, monkeypatch):
-        def refuse(*_args):
+        def refuse(*_args, **_kwargs):
             raise AssertionError("built a feature matrix or Gram before the check")
 
-        for module, name in ((cli, "build_feature_matrix"), (diagnostics, "build_feature_matrix"),
+        for module, name in ((cli, "build_feature_matrix"), (diagnostics, "weighted_block"),
                              (diagnostics, "mixture_gram")):
             monkeypatch.setattr(module, name, refuse)
 
@@ -917,15 +933,15 @@ def test_benchmark_tracer_targets_resolve():
 @pytest.mark.parametrize("seed, seeds_built", [(0, 3), (1, 3), (7, 3)])
 def test_traced_diagnose_builds_each_phi_once(tmp_path, monkeypatch, seed, seeds_built):
     # the probe pass builds each (D, trial seed, kernel) block once, in that
-    # order, whatever --seed is, and never a whole Phi (n = 30 <= mD): a
-    # block of D = 32 > n columns as panels of at most n columns, covering
-    # its columns once, in order; one mixture Gram per run, built without
-    # a kernel_matrix call
+    # order, whatever --seed is, and never a whole Phi, not even at D = 8
+    # where n = 30 > mD: a block of D = 32 > n columns as panels of at most
+    # n columns, covering its columns once, in order; one mixture Gram per
+    # run, built without a kernel_matrix call
     tracing = load_tracing()
     data = write_dataset(tmp_path / "d.csv", n=30)
-    gammas, sweep = (0.5, 2.0, 8.0), (16, 32)
+    gammas, sweep = (0.5, 2.0, 8.0), (8, 16, 32)
     args = [
-        "diagnose", "--data", data, "--gammas", "0.5,2,8", "--draw-sweep", "16,32",
+        "diagnose", "--data", data, "--gammas", "0.5,2,8", "--draw-sweep", "8,16,32",
         "--trials", str(seeds_built), "--pairs", "5", "--seed", str(seed), "--out", str(tmp_path / "diag"),
     ]
     probing, blocks = [], []

@@ -285,7 +285,7 @@ class TestConcentration:
         [(12, [4, 64], [1, 0, 2]), (40, [3, 8], [9, 5, 2]), (20, [10], [4])],
     )
     def test_matches_per_seed_oracles(self, n, sweep, seeds):
-        # n = 40 with D = 3 or 8 puts n above mD, so Phi^T Phi is the Gram read
+        # n = 40 with D = 3 or 8 puts n above mD: each block is one panel
         X = stream(112, n).normal(size=(n, 3))
         kernels = [BaseKernel("gaussian", 0.7), BaseKernel("laplacian", 1.5)]
         weights = [0.3, 0.7]
@@ -311,7 +311,7 @@ class TestConcentration:
         assert calls == []
 
     def test_bit_identical_to_fresh_feature_matrices(self):
-        # three seeds, so each D builds three Phi into the shared buffer; every
+        # three seeds, so each D sums three Grams from the shared buffers; every
         # number must match a fresh Phi's, and the bounds row is the first seed's
         X = stream(113).normal(size=(30, 3))
         kernels = [BaseKernel("gaussian", 0.7), BaseKernel("laplacian", 1.5), BaseKernel("gaussian", 3.0)]
@@ -335,9 +335,10 @@ class TestConcentration:
             }
 
     def test_memory_holds_one_block_and_two_grams(self):
-        # n <= mD at every D, so the pass holds one panel of at most n
-        # columns, G and one panel's Gram, never Phi nor a whole n x D block
-        n, d, sweep = 100, 5, [64, 1024]
+        # n > mD at D = 16 and n <= mD at the others: at every D the pass
+        # holds one panel of at most n columns, G and one panel's Gram,
+        # never Phi nor a whole n x D block
+        n, d, sweep = 100, 5, [16, 64, 1024]
         X = stream(114).normal(size=(n, d))
         kernels = [BaseKernel("gaussian", 0.5), BaseKernel("laplacian", 1.0), BaseKernel("gaussian", 2.0),
                    BaseKernel("gaussian", 8.0)]

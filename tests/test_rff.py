@@ -204,37 +204,6 @@ class TestFeatureMatrix:
         X = stream(65).normal(size=(25, 2))
         assert np.array_equal(build_feature_matrix(X, bank), feature_block(X, bank.frequencies[0], bank.phases[0]))
 
-    @settings(max_examples=60, deadline=None)
-    @given(
-        families=st.lists(st.sampled_from(["gaussian", "laplacian"]), min_size=1, max_size=4),
-        data=st.data(),
-        draws=st.integers(1, 64),
-        n=st.integers(1, 50),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_in_place_bit_identical(self, families, data, draws, n, seed):
-        # Phi written into a reshaped slice of a larger NaN-filled buffer, as
-        # probe_pass does when n > mD, equals a fresh Phi and the stacked
-        # weighted blocks bit for bit, and is that slice
-        m = len(families)
-        rhos = data.draw(st.lists(st.floats(0.1, 10.0), min_size=m, max_size=m))
-        weights = data.draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m).filter(lambda w: sum(w) > 0))
-        offset = data.draw(st.integers(0, 16))
-        bank = _bank([BaseKernel(f, r) for f, r in zip(families, rhos)], weights, draws=draws, dim=3, seed=seed)
-        X = stream(seed, 1).normal(scale=3.0, size=(n, 3))
-        buffer = np.full(offset + n * m * draws + 16, np.nan)
-        view = buffer[offset : offset + n * m * draws].reshape(n, m * draws)
-        got = build_feature_matrix(X, bank, out=view)
-        assert got is view and np.shares_memory(got, buffer)
-        assert np.array_equal(got, build_feature_matrix(X, bank))
-        stacked = [math.sqrt(w) * feature_block(X, xi, b) for w, xi, b in zip(bank.weights.weights, bank.frequencies, bank.phases)]
-        assert np.array_equal(got, np.hstack(stacked))
-
-    @pytest.mark.parametrize("out", [np.empty((5, 63)), np.empty((4, 64)), np.empty((5, 64), dtype=np.float32)])
-    def test_out_of_wrong_shape_or_dtype_refused(self, out):
-        with pytest.raises(ValueError):
-            build_feature_matrix(np.zeros((5, 2)), _bank([GAUSS1], [1.0]), out=out)
-
     def test_dimension_mismatch(self):
         bank = _bank([GAUSS1], [1.0], dim=3)
         with pytest.raises(ConfigError):

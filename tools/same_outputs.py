@@ -8,14 +8,19 @@ and runs the same eighteen commands (score, train, predict, select and diagnose)
 against REF's package and against the working tree's ``src``. Each side runs
 in its own directory with relative paths, so messages compare too. Every
 output file, exit code, stdout and stderr is compared; the selector timings
-that ``select`` prints to stderr are left out. Prints each difference and
-exits 1 if there is any, else 0. Needs only git and the package's own
-dependencies.
+that ``select`` prints to stderr are left out. For a JSON or CSV file whose
+bytes differ, it also prints the largest relative difference over the numbers
+at the same place on both sides, or "structure differs" when anything else
+(a key, a length, a string) does. Prints each difference and exits 1 if there
+is any, else 0. Needs only git and the package's own dependencies.
 """
 
 from __future__ import annotations
 
+import csv
 import io
+import json
+import math
 import os
 import re
 import subprocess
@@ -52,7 +57,7 @@ COMMANDS = [
     "diagnose --synthetic two-gaussian --synthetic-n 80 --families laplacian --gammas 0.5,2 --draws 128 --trials 2 --out diag_laplacian",
     # trial banks 5 and 6: the concentration rows follow --seed
     "diagnose --data train.csv --families gaussian,laplacian,gaussian --gammas 0.5,2,8 --draws 32,128 --trials 2 --seed 5 --pairs 10 --out diag_mixed",
-    # 60 rows above mD = 16: the bounds read Phi^T Phi of the whole Phi
+    # 60 rows above mD = 16: each kernel block is a single panel narrower than n
     "diagnose --data train.csv --gammas 0.5,2 --draws 8 --trials 2 --pairs 5 --out diag_tall",
 ]
 
@@ -69,6 +74,61 @@ def write_inputs(directory: Path) -> None:
     svm = [f"{label} " + " ".join(f"{j + 1}:{v!r}" for j, v in enumerate(row.tolist())) for row, label in zip(X, y)]
     (directory / "train.csv").write_text("\n".join(csv) + "\n")
     (directory / "train.svm").write_text("\n".join(svm) + "\n")
+
+
+def _fields(path: Path):
+    """A JSON document's or CSV table's leaves in order, numbers as floats.
+
+    Keys, strings and the length of every list and row come as they are, so
+    two files of the same structure give equal non-numeric fields.
+    """
+
+    def leaves(doc):
+        if isinstance(doc, dict):
+            yield ("{", len(doc))
+            for key, value in doc.items():
+                yield key
+                yield from leaves(value)
+        elif isinstance(doc, list):
+            yield ("[", len(doc))
+            for value in doc:
+                yield from leaves(value)
+        else:
+            yield float(doc) if type(doc) in (int, float) else doc
+
+    def cell(text):
+        try:
+            return float(text)
+        except ValueError:
+            return text
+
+    text = path.read_text()
+    if path.suffix == ".json":
+        yield from leaves(json.loads(text))
+    else:
+        for row in csv.reader(io.StringIO(text)):
+            yield ("row", len(row))
+            yield from map(cell, row)
+
+
+def _relative(a: float, b: float) -> float:
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def largest_move(old: Path, new: Path) -> str:
+    """The largest relative difference between two JSON or CSV files' numbers."""
+    try:
+        pairs = list(zip(_fields(old), _fields(new), strict=True))
+    except ValueError:  # unequal field counts, or a file that does not parse
+        return "structure differs"
+    if any(type(a) is not type(b) or (type(a) is not float and a != b) for a, b in pairs):
+        return "structure differs"
+    moves = [_relative(a, b) for a, b in pairs if type(a) is float]
+    return f"largest relative difference {max(moves, default=0.0):.2e}"
 
 
 def run_side(src: Path, directory: Path) -> list[tuple[int, str, str]]:
@@ -111,8 +171,10 @@ def main(argv: list[str]) -> int:
         for name in sorted(old_files ^ new_files):
             differences.append(f"{name}: written {'only at ' + ref if name in old_files else 'only here'}")
         for name in sorted(old_files & new_files):
-            if (tmp / "ref_run" / name).read_bytes() != (tmp / "new_run" / name).read_bytes():
-                differences.append(f"{name}: bytes differ")
+            ref_file, new_file = tmp / "ref_run" / name, tmp / "new_run" / name
+            if ref_file.read_bytes() != new_file.read_bytes():
+                moved = f"; {largest_move(ref_file, new_file)}" if ref_file.suffix in (".json", ".csv") else ""
+                differences.append(f"{name}: bytes differ{moved}")
 
     for line in differences:
         print(line)
