@@ -14,19 +14,19 @@ Every quantity of Phi is read from its n x n Gram G = Phi Phi^T, with no SVD:
 
 Phi's m kernel blocks Phi_l (n x D each) estimate D w_l K^l, so G =
 sum_l Phi_l Phi_l^T is summed block by block in kernel order, the finite-D
-twin of K^w = sum_l w_l K^l. A block of at most n columns is one panel; a
-wider one is summed as about ceil(D / n) column panels of near-equal width,
-none wider than n.
+twin of K^w = sum_l w_l K^l. Each block is summed in column panels of at
+most 256 columns, and each panel's Gram is added into G's upper triangle
+128 rows at a time.
 
 Only the top eigenvalue of any matrix is ever needed, so lambda_max comes
 from a numpy Lanczos iteration started from a fixed vector, never from the
-full spectrum; the top eigenvalue of each small tridiagonal comes from
-Sturm-sequence bisection. erfc is needed only in its far tail (every
+full spectrum of G or K^w; numpy's ``eigh`` solves only the Lanczos
+tridiagonals, at most 100 x 100. erfc is needed only in its far tail (every
 argument is at least sqrt(192)), where Cephes' rational approximation,
 ported here, gives scipy.special.erfc's bits. :func:`probe_pass` builds each
 (D, seed) bank once and each column of its kernel blocks once, never the
-whole Phi, and the mixture Gram K^w once per run. So it holds at most three
-n x n arrays whatever m and D are. K^w is a dense n x n matrix, so the pass
+whole Phi, and the mixture Gram K^w once per run. So it holds one n x n
+array at a time whatever m and D are. K^w is a dense n x n matrix, so the pass
 refuses n > 2000 before building anything.
 
 The non-asymptotic spectral bounds for radial kernels carry e^{2n log 3}
@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,85 +135,60 @@ def _top_eigenvalue(G: np.ndarray) -> float:
         start = ritz @ V
 
 
-def _pivots(diag: list[float], squares: list[float]) -> list[float]:
-    """Pivots of the LDL^T factorization of the tridiagonal (diag, off-diagonal^2 = squares).
-
-    A zero pivot counts as a tiny negative one, as in LAPACK's Sturm counts.
-    """
-    pivots = [diag[0]]
-    for a, b2 in zip(diag[1:], squares):
-        pivots.append(a - b2 / (pivots[-1] or -sys.float_info.min))
-    return pivots
-
-
 def _top_ritz_pair(alpha: list[float], beta: list[float]) -> tuple[float, np.ndarray]:
-    """Largest eigenvalue and unit eigenvector of the tridiagonal (alpha, beta).
+    """Largest eigenvalue and unit eigenvector of the tridiagonal (alpha, beta), at most _LANCZOS_BASIS wide."""
+    values, vectors = np.linalg.eigh(np.diag(alpha) + np.diag(beta, -1))  # eigh reads the lower triangle
+    return float(values[-1]), vectors[:, -1]
 
-    The eigenvalue comes from bisection on Sturm counts: T - x I has as many
-    positive pivots as T has eigenvalues above x. The eigenvector comes
-    from the twisted factorization at that eigenvalue (Dhillon & Parlett):
-    it is anchored at the index where the two one-sided factorizations
-    meet best, so its small entries, among them the last one that sets the
-    Ritz residual, are products of well-determined pivot ratios.
+
+#: A kernel block is summed in column panels at most this wide.
+_PANEL_COLUMNS = 256
+
+#: Rows of G per strip of :func:`_kernel_block_gram`.
+_STRIP_ROWS = 128
+
+
+def _panels(draws: int) -> list[slice]:
+    """A kernel block's ``draws`` columns as contiguous panels at most ``_PANEL_COLUMNS`` wide.
+
+    Every edge but the block's end falls on a multiple of 16 columns, so
+    BLAS tiles a panel's projection as it tiles the whole block's, and the
+    last panel is at least 241 columns wide: BLAS rounds the ragged last
+    columns of a narrow product apart from a wide one's. So every entry of
+    Phi keeps the bits of the whole block.
     """
-    squares = [b * b for b in beta]
-    lo = max(alpha)
-    hi = max(a + left + right for a, left, right in zip(alpha, [0.0, *beta], [*beta, 0.0]))
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if any(d > 0.0 for d in _pivots([a - mid for a in alpha], squares)):
-            lo = mid
-        else:
-            hi = mid
-    diag = [a - hi for a in alpha]
-    down = _pivots(diag, squares)
-    up = _pivots(diag[::-1], squares[::-1])[::-1]
-    k = len(diag)
-    twist = min(range(k), key=lambda i: abs(down[i] + up[i] - diag[i]))
-    y = np.zeros(k)
-    y[twist] = 1.0
-    for i in range(twist - 1, -1, -1):
-        y[i] = -beta[i] * y[i + 1] / (down[i] or -sys.float_info.min)
-    for i in range(twist, k - 1):
-        y[i + 1] = -beta[i] * y[i] / (up[i + 1] or -sys.float_info.min)
-    return hi, y / np.linalg.norm(y)
-
-
-#: Panel edges fall on multiples of this many columns (of the largest power
-#: of two up to n when n is smaller), so BLAS tiles a panel's projection as
-#: it tiles the whole block's, and every entry of Phi keeps its bits.
-_PANEL_ALIGN = 16
-
-
-def _panels(draws: int, n: int) -> list[slice]:
-    """A kernel block's ``draws`` columns as contiguous panels at most n wide.
-
-    A block of at most n columns is one panel. A wider one is split at
-    aligned edges into panels whose widths differ by at most one alignment
-    unit: ceil(draws / n) of them, or a few more when the widest aligned
-    width that fits is well under n.
-    """
-    if draws <= n:
+    if draws <= _PANEL_COLUMNS:
         return [slice(0, draws)]
-    unit = min(_PANEL_ALIGN, 1 << (n.bit_length() - 1))
-    units = -(-draws // unit)
-    count = -(-units // (n // unit))
-    edges = [min(unit * (units * i // count), draws) for i in range(count + 1)]
+    last = draws - _PANEL_COLUMNS + (_PANEL_COLUMNS - draws) % 16
+    edges = [*range(0, last, _PANEL_COLUMNS), last, draws]
     return [slice(start, stop) for start, stop in zip(edges, edges[1:])]
 
 
-def _kernel_block_gram(panels, out: np.ndarray | None = None, term: np.ndarray | None = None) -> np.ndarray:
+def _kernel_block_gram(panels, out: np.ndarray | None = None) -> np.ndarray:
     """G = sum_p P_p P_p^T over the column panels P_p of Phi, in column order.
 
-    The first panel's Gram is G itself, written into ``out`` when given, and
-    each later panel's, written into ``term`` when given, is added to it. A
-    panel is used before the next is asked for, so ``panels`` may be a
-    generator that rebuilds one buffer.
+    Each panel's Gram is formed on and above the diagonal only, one strip of
+    ``_STRIP_ROWS`` rows at a time, in one strip-sized scratch, and written
+    (first panel) or added (later ones) into G's upper triangle; the lower
+    triangle is mirrored from it at the end, so G is exactly symmetric. G is
+    ``out`` when given. A panel is used before the next is asked for, so
+    ``panels`` may be a generator that rebuilds one buffer.
     """
-    panels = iter(panels)
-    first = next(panels)
-    G = np.matmul(first, first.T, out=out)
-    for panel in panels:
-        G += np.matmul(panel, panel.T, out=term)
+    for index, panel in enumerate(panels):
+        if index == 0:
+            n = panel.shape[0]
+            G = np.empty((n, n)) if out is None else out
+            scratch = np.empty(min(_STRIP_ROWS, n) * n)
+        for start in range(0, n, _STRIP_ROWS):
+            rows = slice(start, start + _STRIP_ROWS)
+            strip = scratch[: min(_STRIP_ROWS, n - start) * (n - start)].reshape(-1, n - start)
+            np.matmul(panel[rows], panel[start:].T, out=strip)
+            if index:
+                G[rows, start:] += strip
+            else:
+                G[rows, start:] = strip
+    for i in range(1, n):
+        G[i, :i] = G[:i, i]
     return G
 
 
@@ -236,8 +210,7 @@ def complexity_bounds(Phi: np.ndarray, R: float, draws: int, m: int) -> Complexi
         raise ConfigError("Phi must be a matrix")
     if m < 1 or draws < 1 or Phi.shape[1] != m * draws:
         raise ConfigError(f"Phi has {Phi.shape[1]} columns, not m * draws = {m} * {draws} with m, draws >= 1")
-    panels = _panels(draws, Phi.shape[0])
-    G = _kernel_block_gram(Phi[:, l * draws : (l + 1) * draws][:, cols] for l in range(m) for cols in panels)
+    G = _kernel_block_gram(Phi[:, l * draws : (l + 1) * draws][:, cols] for l in range(m) for cols in _panels(draws))
     return _report(G, Phi.shape[0], R, draws, m)
 
 
@@ -289,11 +262,11 @@ def probe_pass(
 
     The Gram G = Phi Phi^T is always the n x n sum over column panels:
     :func:`kernelmix.rff.weighted_block` builds each panel of each block
-    sqrt(w_l) Phi_l, at most n columns wide (see :func:`_panels`), into one
-    n x min(D_max, n) buffer, and its Gram, written into one n x n buffer,
-    is added to G, itself one n x n buffer. So Phi is never held, and
-    besides the banks the pass holds at most three n x n arrays, about
-    8 * 3n^2 bytes, whatever m and D are. The reports equal
+    sqrt(w_l) Phi_l, at most 256 columns wide (see :func:`_panels`), into
+    one n x min(D_max, 256) buffer, and :func:`_kernel_block_gram` adds its
+    Gram into G, the one n x n array, 128 rows at a time. So Phi is never
+    held, and besides the banks and the K^w phase the pass holds about
+    8 (n^2 + 128 n + 256 n) bytes whatever m and D are. The reports equal
     :func:`complexity_bounds` on a fresh Phi bit for bit.
     """
     if not seeds:
@@ -307,10 +280,10 @@ def probe_pass(
         weights = MixtureWeights(np.asarray(weights, dtype=float))
     spectral_kw = _top_eigenvalue(mixture_gram(kernels, weights.weights, X))
     n, m = X.shape[0], len(kernels)
-    buffer = np.empty(n * min(max(sweep), n))
-    # G and one panel's Gram, allocated once and reused by every bank: fresh
-    # n x n arrays per bank fragment the heap and raise the peak RSS
-    grams = (np.empty((n, n)), np.empty((n, n)))
+    buffer = np.empty(n * min(max(sweep), _PANEL_COLUMNS))
+    # G, allocated once and reused by every bank: a fresh n x n array per
+    # bank fragments the heap and raises the peak RSS
+    G = np.empty((n, n))
     out = []
     for draws in sweep:
         reports = []
@@ -319,9 +292,9 @@ def probe_pass(
             panels = (
                 weighted_block(X, bank, l, out=buffer[: n * (cols.stop - cols.start)].reshape(n, -1), cols=cols)
                 for l in range(m)
-                for cols in _panels(draws, n)
+                for cols in _panels(draws)
             )
-            reports.append(_report(_kernel_block_gram(panels, *grams), n, R, draws, m))
+            reports.append(_report(_kernel_block_gram(panels, G), n, R, draws, m))
             del bank  # dropped before the next trial's bank is drawn
         fro, spec = frobenius_concentration(reports, float(n)), spectral_concentration(reports, spectral_kw)
         out.append((reports[0], {"draws": draws, **fro, **spec}))

@@ -109,25 +109,32 @@ def kernel_matrix(kernel: BaseKernel, X: np.ndarray, Y: np.ndarray | None = None
 #: many times slower on such arguments than on ordinary ones.
 _EXP_IS_ZERO_BELOW = -745.2
 
+#: Entries of the flat argument array per chunk of :func:`_exp`'s gather.
+_GATHER_CHUNK = 1 << 16
+
 
 def _exp(arg: np.ndarray, smallest: float) -> np.ndarray:
-    """exp of ``arg``, written into ``arg``; ``smallest`` is its minimum.
+    """exp of ``arg``, a fresh C-contiguous array, written into it; ``smallest`` is its minimum.
 
-    When no argument underflows, exp runs in place. Otherwise one boolean
-    mask picks the arguments whose exp does not underflow (NaN among them);
-    they are gathered, exp runs in place on them, and they are written back
-    over a zeroed ``arg``, the rest being the 0.0 that exp would return. exp
-    is elementwise, so both paths give the bits of exp on every argument. A
-    NaN ``smallest`` takes the gather path.
+    When no argument underflows, exp runs in place. Otherwise the flat array
+    is walked in chunks of ``_GATHER_CHUNK``: the int64 indices of a chunk's
+    arguments whose exp does not underflow (NaN among them) gather them, exp
+    runs in place on them, and they are put back over the zeroed chunk, the
+    rest being the 0.0 that exp would return. exp is elementwise, so both
+    paths give the bits of exp on every argument, and the gather holds at
+    most one chunk's indices and values. A NaN ``smallest`` takes the gather
+    path.
     """
     if smallest >= _EXP_IS_ZERO_BELOW:
         return np.exp(arg, out=arg)
-    kept = np.less(arg, _EXP_IS_ZERO_BELOW)
-    np.logical_not(kept, out=kept)
-    values = arg[kept]
-    np.exp(values, out=values)
-    arg.fill(0.0)
-    arg[kept] = values
+    flat = arg.reshape(-1)
+    for start in range(0, flat.size, _GATHER_CHUNK):
+        chunk = flat[start : start + _GATHER_CHUNK]
+        kept = np.flatnonzero(~(chunk < _EXP_IS_ZERO_BELOW))
+        values = chunk.take(kept)
+        np.exp(values, out=values)
+        chunk.fill(0.0)
+        chunk.put(kept, values)
     return arg
 
 

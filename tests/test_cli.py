@@ -934,14 +934,14 @@ def test_benchmark_tracer_targets_resolve():
 def test_traced_diagnose_builds_each_phi_once(tmp_path, monkeypatch, seed, seeds_built):
     # the probe pass builds each (D, trial seed, kernel) block once, in that
     # order, whatever --seed is, and never a whole Phi, not even at D = 8
-    # where n = 30 > mD: a block of D = 32 > n columns as panels of at most
-    # n columns, covering its columns once, in order; one mixture Gram per
+    # where n = 30 > mD: a block of D = 300 columns as panels of at most 256
+    # columns, covering its columns once, in order; one mixture Gram per
     # run, built without a kernel_matrix call
     tracing = load_tracing()
     data = write_dataset(tmp_path / "d.csv", n=30)
-    gammas, sweep = (0.5, 2.0, 8.0), (8, 16, 32)
+    gammas, sweep = (0.5, 2.0, 8.0), (8, 16, 300)
     args = [
-        "diagnose", "--data", data, "--gammas", "0.5,2,8", "--draw-sweep", "8,16,32",
+        "diagnose", "--data", data, "--gammas", "0.5,2,8", "--draw-sweep", "8,16,300",
         "--trials", str(seeds_built), "--pairs", "5", "--seed", str(seed), "--out", str(tmp_path / "diag"),
     ]
     probing, blocks = [], []
@@ -978,7 +978,7 @@ def test_traced_diagnose_builds_each_phi_once(tmp_path, monkeypatch, seed, seeds
         covered = []
         while sum(width for width, _ in covered) < draws:
             covered.append(next(calls))
-        assert all(width <= 30 for width, _ in covered)
+        assert all(width <= 256 for width, _ in covered)
         assert sum(width for width, _ in covered) == draws
         assert b"".join(panel for _, panel in covered) == phases
     assert next(calls, None) is None

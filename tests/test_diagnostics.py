@@ -336,8 +336,8 @@ class TestConcentration:
 
     def test_memory_holds_one_block_and_two_grams(self):
         # n > mD at D = 16 and n <= mD at the others: at every D the pass
-        # holds one panel of at most n columns, G and one panel's Gram,
-        # never Phi nor a whole n x D block
+        # holds one panel of at most 256 columns, G and one strip of a
+        # panel's Gram, never Phi nor a whole n x D block
         n, d, sweep = 100, 5, [16, 64, 1024]
         X = stream(114).normal(size=(n, d))
         kernels = [BaseKernel("gaussian", 0.5), BaseKernel("laplacian", 1.0), BaseKernel("gaussian", 2.0),
@@ -356,8 +356,8 @@ class TestConcentration:
 
     def test_memory_does_not_grow_with_the_draw_count(self):
         # a kernel block eight times wider than at D = 2n is summed in more
-        # panels of at most n columns: the peak grows by less than the wider
-        # bank, and stays within three n x n arrays
+        # panels of at most 256 columns: the peak grows by less than the
+        # wider bank, and stays within three n x n arrays
         n, d = 200, 2
         X = stream(116).normal(size=(n, d))
         kernels = [BaseKernel("gaussian", 0.8), BaseKernel("laplacian", 2.0)]
@@ -396,32 +396,77 @@ class TestConcentration:
 
 class TestPanels:
     @settings(max_examples=300, deadline=None)
-    @given(draws=st.integers(1, 5000), n=st.integers(1, 2000))
-    def test_aligned_panels_cover_the_block_once(self, draws, n):
-        panels = diagnostics._panels(draws, n)
+    @given(draws=st.integers(1, 5000))
+    def test_aligned_panels_cover_the_block_once(self, draws):
+        panels = diagnostics._panels(draws)
         assert panels[0].start == 0 and panels[-1].stop == draws
         assert all(a.stop == b.start for a, b in zip(panels, panels[1:]))
         widths = [p.stop - p.start for p in panels]
-        assert 0 < min(widths) and max(widths) <= n
-        if draws <= n:
-            assert len(panels) == 1
-        else:
-            unit = min(diagnostics._PANEL_ALIGN, 1 << (n.bit_length() - 1))
-            assert all(p.start % unit == 0 for p in panels)
-            assert max(widths[:-1]) - min(widths[:-1]) <= unit
-            if n % diagnostics._PANEL_ALIGN == 0:
-                assert len(panels) == -(-draws // n)
+        assert 0 < min(widths) and max(widths) <= 256
+        assert all(p.start % 16 == 0 for p in panels)
+        assert len(panels) <= -(-draws // 256) + 1
 
     def test_panels_keep_the_bits_of_the_whole_block(self):
-        # aligned edges tile each panel's projection as the whole block's
-        X = stream(117).normal(size=(800, 5))
+        # aligned edges and a wide last panel tile each panel's projection as
+        # the whole block's, also when the block is no multiple of 16 wide
         kernels = [BaseKernel.from_gamma("gaussian", g) for g in (0.05, 0.5, 5.0)]
-        bank = FeatureBank.generate(kernels, MixtureWeights(np.array([0.2, 0.3, 0.5])), 2048, 5, 0)
-        panels = diagnostics._panels(2048, 800)
-        assert len(panels) == 3
-        for l in range(3):
-            whole = weighted_block(X, bank, l)
-            assert np.array_equal(np.hstack([weighted_block(X, bank, l, cols=cols) for cols in panels]), whole)
+        weights = MixtureWeights(np.array([0.2, 0.3, 0.5]))
+        for n, dim in ((800, 5), (60, 3), (7, 2)):
+            X = stream(117).normal(size=(n, dim))
+            for draws in (2048, 2047, 1000, 300, 257, 37):
+                bank = FeatureBank.generate(kernels, weights, draws, dim, 0)
+                panels = diagnostics._panels(draws)
+                for l in range(3):
+                    whole = weighted_block(X, bank, l)
+                    assert np.array_equal(np.hstack([weighted_block(X, bank, l, cols=c) for c in panels]), whole)
+
+
+@st.composite
+def panelled_matrices(draw):
+    """(Phi, panels): n in 1..300 rows, crossing strip edges, split into panels down to one column."""
+    n, columns = draw(st.integers(1, 300)), draw(st.integers(1, 40))
+    cuts = draw(st.lists(st.integers(1, columns - 1), max_size=columns - 1)) if columns > 1 else []
+    edges = [0, *sorted(set(cuts)), columns]
+    Phi = stream(draw(st.integers(0, 2**32 - 1))).normal(size=(n, columns))
+    return Phi, [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
+class TestKernelBlockGram:
+    @settings(max_examples=150, deadline=None)
+    @given(case=panelled_matrices())
+    def test_symmetric_and_equal_to_the_whole_gram(self, case):
+        Phi, panels = case
+        G = diagnostics._kernel_block_gram(Phi[:, cols] for cols in panels)
+        want = Phi @ Phi.T
+        assert np.array_equal(G, G.T)
+        assert np.abs(G - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_bit_identical_across_strips_and_panels(self):
+        # n = 300 spans three 128-row strips and D = 300 two panels
+        X = stream(118).normal(size=(300, 3))
+        kernels = [BaseKernel("gaussian", 0.7), BaseKernel("laplacian", 1.5)]
+        weights = MixtureWeights(np.array([0.4, 0.6]))
+        ((report, _row),) = probe_pass(X, kernels, weights, [300], [2], 1.0)
+        Phi = build_feature_matrix(X, FeatureBank.generate(kernels, weights, 300, 3, 2))
+        assert report == complexity_bounds(Phi, 1.0, 300, 2)
+
+    def test_memory_holds_one_gram_one_strip_and_one_panel(self):
+        # D = 700 is wider than a panel and not a multiple of 256: the pass
+        # holds G, one 128-row strip and one panel of at most 256 columns
+        n = 600
+        X = stream(119).normal(size=(n, 5))
+        kernels = [BaseKernel("gaussian", 0.5), BaseKernel("laplacian", 2.0)]
+        weights = [0.3, 0.7]
+        probe_pass(X, kernels, weights, [4], [0], 1.0)  # lazy imports and caches outside the measurement
+        tracemalloc.start()
+        try:
+            probe_pass(X, kernels, weights, [100, 700], [0, 1], 1.0)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the 512 KiB covers the banks and numpy's fixed ufunc buffers
+        bound = 8 * (n * n + 128 * n + 256 * n) + 512 * 1024
+        assert peak <= bound, (peak, bound)
 
 
 class TestPointwiseBound:

@@ -162,6 +162,14 @@ class TestExpPaths:
     def test_plain_exp_equals_masked(self, arg):
         assert _same_bits(np.exp(arg), self.masked(arg))
 
+    def test_gather_crosses_chunk_edges(self):
+        # three chunks of the flat array, the last one ragged, each with
+        # underflowing and kept arguments, NaN and +-inf among them
+        arg = stream(17).uniform(-1500.0, 10.0, size=(379, 379))
+        assert arg.size > 2 * kernels._GATHER_CHUNK
+        arg.flat[::997], arg.flat[5::1009], arg.flat[7::1013] = np.nan, -np.inf, np.inf
+        assert _same_bits(kernels._exp(arg.copy(), -np.inf), self.masked(arg))
+
     @settings(max_examples=200, deadline=None)
     @given(arg=_EXP_ARGUMENTS, rows=st.sampled_from([1, 3]))
     def test_kernel_values_equals_masked(self, arg, rows):

@@ -4,7 +4,10 @@ import ast
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from kernelmix import cli, diagnostics
 
 PACKAGE = sorted((Path(__file__).parent.parent / "src" / "kernelmix").glob("*.py"))
 SOURCE = [p for p in PACKAGE if p.name != "__init__.py"]
@@ -42,12 +45,13 @@ def test_imports_only_stdlib_numpy_and_kernelmix(path):
     assert not foreign, f"{path.name} imports outside the standard library, numpy and kernelmix: {', '.join(foreign)}"
 
 
-FULL_SPECTRUM = {"eigvalsh", "eigh", "svd", "eigvals"}
+FULL_SPECTRUM = {"eigvalsh", "svd", "eigvals"}
 
 
 @pytest.mark.parametrize("path", SOURCE, ids=lambda p: p.name)
 def test_no_full_spectrum_solves(path):
-    # the package reads only lambda_max; an O(n^3) full spectrum is waste
+    # the package reads only lambda_max; an O(n^3) full spectrum is waste.
+    # eigh solves Lanczos' small tridiagonals: test_eigh_sees_only_lanczos_tridiagonals
     tree = ast.parse(path.read_text(), filename=str(path))
     calls = sorted(
         f"{name} (line {node.lineno})"
@@ -57,6 +61,24 @@ def test_no_full_spectrum_solves(path):
         if name in FULL_SPECTRUM
     )
     assert not calls, f"{path.name} computes a full spectrum: {', '.join(calls)}"
+
+
+def test_eigh_sees_only_lanczos_tridiagonals(tmp_path, monkeypatch):
+    # a whole diagnose run, with n and D above the Lanczos basis: every eigh
+    # call gets a tridiagonal of at most _LANCZOS_BASIS rows, never G or K^w
+    sides = []
+    eigh = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        sides.append(np.shape(a)[0])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    monkeypatch.chdir(tmp_path)
+    flags = ["--synthetic", "two-gaussian", "--synthetic-n", "150", "--gammas", "0.5,2", "--draws", "300",
+             "--trials", "2", "--pairs", "5", "--out", "diag"]
+    assert cli.main(["diagnose", *flags]) == 0
+    assert sides and max(sides) <= diagnostics._LANCZOS_BASIS, max(sides)
 
 
 # flags whose value is a file path, which the command opens and checks itself

@@ -4,7 +4,7 @@
 
 Exports REF's ``src`` with ``git archive`` into a temporary directory, writes
 one fixed CSV and one fixed LIBSVM training file from a seeded NumPy draw,
-and runs the same eighteen commands (score, train, predict, select and diagnose)
+and runs the same nineteen commands (score, train, predict, select and diagnose)
 against REF's package and against the working tree's ``src``. Each side runs
 in its own directory with relative paths, so messages compare too. Every
 output file, exit code, stdout and stderr is compared; the selector timings
@@ -59,6 +59,8 @@ COMMANDS = [
     "diagnose --data train.csv --families gaussian,laplacian,gaussian --gammas 0.5,2,8 --draws 32,128 --trials 2 --seed 5 --pairs 10 --out diag_mixed",
     # 60 rows above mD = 16: each kernel block is a single panel narrower than n
     "diagnose --data train.csv --gammas 0.5,2 --draws 8 --trials 2 --pairs 5 --out diag_tall",
+    # n = 300 spans three 128-row strips of G, and D = 300 and 600 span two and three column panels
+    "diagnose --synthetic two-gaussian --synthetic-n 300 --gammas 0.5,2 --draws 300,600 --trials 2 --pairs 10 --out diag_strips",
 ]
 
 # `select` reports how long each selector took; wall time is not an output
