@@ -16,7 +16,8 @@ Phi's m kernel blocks Phi_l (n x D each) estimate D w_l K^l, so G =
 sum_l Phi_l Phi_l^T is summed block by block in kernel order, the finite-D
 twin of K^w = sum_l w_l K^l. Each block is summed in column panels of at
 most 256 columns, and each panel's Gram is added into G's upper triangle
-128 rows at a time.
+128 rows at a time. G is kept as those upper-triangle strips, about half an
+n x n array, and every quantity above is read from them.
 
 Only the top eigenvalue of any matrix is ever needed, so lambda_max comes
 from a numpy Lanczos iteration started from a fixed vector, never from the
@@ -26,8 +27,9 @@ argument is at least sqrt(192)), where Cephes' rational approximation,
 ported here, gives scipy.special.erfc's bits. :func:`probe_pass` builds each
 (D, seed) bank once and each column of its kernel blocks once, never the
 whole Phi, and the mixture Gram K^w once per run. So it holds one n x n
-array at a time whatever m and D are. K^w is a dense n x n matrix, so the pass
-refuses n > 2000 before building anything.
+array, K^w, and while the banks are summed about half of one, whatever m and
+D are. K^w is a dense n x n matrix, so the pass refuses n > 2000 before
+building anything.
 
 The non-asymptotic spectral bounds for radial kernels carry e^{2n log 3}
 factors and are vacuous at any usable n; they are documented here and not
@@ -98,8 +100,11 @@ def _erfc_tail(x: float) -> float:
 _LANCZOS_BASIS = 100
 
 
-def _top_eigenvalue(G: np.ndarray) -> float:
+def _top_eigenvalue(G: np.ndarray | _UpperStrips) -> float:
     """lambda_max of a symmetric positive semidefinite matrix by Lanczos.
+
+    G is read only through its shape and the product G @ v, so it may be a
+    dense array or :class:`_UpperStrips`.
 
     Each step reorthogonalizes against the whole basis (classical
     Gram-Schmidt, twice), so the Ritz residual beta_j |s_j| (the step's
@@ -112,7 +117,7 @@ def _top_eigenvalue(G: np.ndarray) -> float:
     """
     n = G.shape[0]
     if n == 1:
-        return float(G[0, 0])
+        return float((G @ np.ones(1))[0])
     start = stream(0).uniform(0.5, 1.5, n)
     V = np.empty((min(n, _LANCZOS_BASIS), n))
     while True:
@@ -164,31 +169,73 @@ def _panels(draws: int) -> list[slice]:
     return [slice(start, stop) for start, stop in zip(edges, edges[1:])]
 
 
-def _kernel_block_gram(panels, out: np.ndarray | None = None) -> np.ndarray:
-    """G = sum_p P_p P_p^T over the column panels P_p of Phi, in column order.
+class _UpperStrips:
+    """A symmetric n x n matrix held as the row strips of its upper triangle.
+
+    Strip i holds rows [128 i, 128 i + h) and columns [128 i, n) (h = 128
+    but for the last strip). The strips lie end to end in one flat buffer of
+    sum_i h (n - 128 i), about n (n + 128) / 2 doubles. Each strip's leading
+    h x h diagonal block is stored whole.
+    """
+
+    def __init__(self, n: int):
+        widths = range(n, 0, -_STRIP_ROWS)
+        sizes = [min(_STRIP_ROWS, width) * width for width in widths]
+        buffer = np.empty(sum(sizes))
+        ends = np.cumsum(sizes)
+        self.shape = (n, n)
+        self.strips = [buffer[end - size : end].reshape(-1, width) for width, size, end in zip(widths, sizes, ends)]
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        """G v, each strip S_i read as its rows of G and, past its diagonal block, their mirror R_i^T."""
+        y = np.zeros(self.shape[0])
+        for start, strip in zip(range(0, self.shape[0], _STRIP_ROWS), self.strips):
+            h = strip.shape[0]
+            y[start : start + h] += strip @ v[start:]
+            y[start + h :] += strip[:, h:].T @ v[start : start + h]
+        return y
+
+    def trace(self) -> float:
+        """tr G, summed as ``np.trace`` sums the whole diagonal, so with its bits."""
+        return float(np.concatenate([np.diagonal(strip) for strip in self.strips]).sum())
+
+    def frobenius_squared(self) -> float:
+        """||G||_F^2 = sum_i (2 ||S_i||_F^2 - ||D_i||_F^2), D_i the diagonal block of strip S_i."""
+        total = 0.0
+        for strip in self.strips:
+            block = strip[:, : strip.shape[0]]
+            total += 2.0 * float(np.einsum("ij,ij->", strip, strip)) - float(np.einsum("ij,ij->", block, block))
+        return total
+
+
+def _kernel_block_gram(panels, out: _UpperStrips | None = None) -> _UpperStrips:
+    """G = sum_p P_p P_p^T over the column panels P_p of Phi, in column order, as upper strips.
 
     Each panel's Gram is formed on and above the diagonal only, one strip of
-    ``_STRIP_ROWS`` rows at a time, in one strip-sized scratch, and written
-    (first panel) or added (later ones) into G's upper triangle; the lower
-    triangle is mirrored from it at the end, so G is exactly symmetric. G is
-    ``out`` when given. A panel is used before the next is asked for, so
-    ``panels`` may be a generator that rebuilds one buffer.
+    ``_STRIP_ROWS`` rows at a time: the first panel's straight into G's
+    strips, later ones into one strip-sized scratch that is added to them.
+    Each diagonal block is then mirrored inside itself, so G is exactly
+    symmetric. G is ``out`` when given. A panel is used before the next is
+    asked for, so ``panels`` may be a generator that rebuilds one buffer.
     """
     for index, panel in enumerate(panels):
         if index == 0:
             n = panel.shape[0]
-            G = np.empty((n, n)) if out is None else out
-            scratch = np.empty(min(_STRIP_ROWS, n) * n)
-        for start in range(0, n, _STRIP_ROWS):
+            G = _UpperStrips(n) if out is None else out
+        elif index == 1:
+            scratch = np.empty(G.strips[0].size)
+        for start, strip in zip(range(0, n, _STRIP_ROWS), G.strips):
             rows = slice(start, start + _STRIP_ROWS)
-            strip = scratch[: min(_STRIP_ROWS, n - start) * (n - start)].reshape(-1, n - start)
-            np.matmul(panel[rows], panel[start:].T, out=strip)
             if index:
-                G[rows, start:] += strip
+                part = scratch[: strip.size].reshape(strip.shape)
+                np.matmul(panel[rows], panel[start:].T, out=part)
+                strip += part
             else:
-                G[rows, start:] = strip
-    for i in range(1, n):
-        G[i, :i] = G[:i, i]
+                np.matmul(panel[rows], panel[start:].T, out=strip)
+    for strip in G.strips:
+        block = strip[:, : strip.shape[0]]
+        lower = np.tril_indices(block.shape[0], -1)
+        block[lower] = block.T[lower]
     return G
 
 
@@ -214,13 +261,13 @@ def complexity_bounds(Phi: np.ndarray, R: float, draws: int, m: int) -> Complexi
     return _report(G, Phi.shape[0], R, draws, m)
 
 
-def _report(G: np.ndarray, n: int, R: float, draws: int, m: int) -> ComplexityReport:
+def _report(G: _UpperStrips, n: int, R: float, draws: int, m: int) -> ComplexityReport:
     """The complexity report of the n-row feature matrix whose Gram is G."""
-    fro = math.sqrt(float(np.trace(G)))
+    fro = math.sqrt(G.trace())
     if fro == 0.0:
         raise ConfigError("complexity bounds undefined for a zero matrix")
     spec = math.sqrt(_top_eigenvalue(G))
-    trace_quartic = float(np.einsum("ij,ij->", G, G))
+    trace_quartic = G.frobenius_squared()
     pre = R / (n * draws)
     erfc_bound = pre * math.sqrt(math.pi / 192.0) * spec * _erfc_tail(math.sqrt(192.0) * fro / spec)
     erfc_display = pre * math.sqrt(math.pi / 192.0) * spec * _erfc_tail(math.sqrt(192.0 * draws))
@@ -264,10 +311,12 @@ def probe_pass(
     :func:`kernelmix.rff.weighted_block` builds each panel of each block
     sqrt(w_l) Phi_l, at most 256 columns wide (see :func:`_panels`), into
     one n x min(D_max, 256) buffer, and :func:`_kernel_block_gram` adds its
-    Gram into G, the one n x n array, 128 rows at a time. So Phi is never
-    held, and besides the banks and the K^w phase the pass holds about
-    8 (n^2 + 128 n + 256 n) bytes whatever m and D are. The reports equal
-    :func:`complexity_bounds` on a fresh Phi bit for bit.
+    Gram into G's upper-triangle strips, 128 rows at a time (see
+    :class:`_UpperStrips`). So Phi is never held, and the bank phase holds
+    the banks and about 8 (n (n + 128) / 2 + 128 n + 256 n) bytes whatever
+    m and D are: G's strips, one strip of scratch and one panel. The K^w
+    phase before it holds K^w, 8 n^2 bytes, and sets the pass's peak. The
+    reports equal :func:`complexity_bounds` on a fresh Phi bit for bit.
     """
     if not seeds:
         raise ConfigError("need at least one seed (trial)")
@@ -281,9 +330,9 @@ def probe_pass(
     spectral_kw = _top_eigenvalue(mixture_gram(kernels, weights.weights, X))
     n, m = X.shape[0], len(kernels)
     buffer = np.empty(n * min(max(sweep), _PANEL_COLUMNS))
-    # G, allocated once and reused by every bank: a fresh n x n array per
+    # G's strips, allocated once and reused by every bank: a fresh buffer per
     # bank fragments the heap and raises the peak RSS
-    G = np.empty((n, n))
+    G = _UpperStrips(n)
     out = []
     for draws in sweep:
         reports = []

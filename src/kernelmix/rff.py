@@ -1,10 +1,13 @@
 """Spectral samplers, random feature blocks, and the weighted feature matrix.
 
 The per-draw feature is sqrt(2) * cos(<x, xi> + b) (Rahimi & Recht, 2007),
-written once, in :func:`feature_block`; the kernel estimate of a pair (x, y)
-is the mean over draws of phi(x) phi(y). Kernel l's weighted block
+written here once, in :func:`feature_block`; the kernel estimate of a pair
+(x, y) is the mean over draws of phi(x) phi(y). Kernel l's weighted block
 sqrt(w_l) * phi_l is written once too, in :func:`weighted_block`, which
-:func:`build_feature_matrix` and the probe pass of ``diagnose`` both call. The
+:func:`build_feature_matrix` and the probe pass of ``diagnose`` both call.
+One copy lives elsewhere: :func:`kernelmix.select.relaxed_objective`
+builds sqrt(2 w_l) cos(theta) itself, because its gradient needs the phase
+theta = <x, xi> + b for the sin, which these functions do not return. The
 1/sqrt(D) normalization is applied at the classifier, never here, so the two
 factors are not double-counted. A bank is stored by its parameters alone;
 the model file that names them is read and written by :mod:`kernelmix.svm`.

@@ -431,15 +431,43 @@ def panelled_matrices(draw):
     return Phi, [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
+def dense(G):
+    """The n x n matrix whose upper strips G holds, each strip's rows and their mirror."""
+    n = G.shape[0]
+    full = np.empty((n, n))
+    for start, strip in zip(range(0, n, 128), G.strips):
+        full[start : start + strip.shape[0], start:] = strip
+        full[start:, start : start + strip.shape[0]] = strip.T
+    return full
+
+
 class TestKernelBlockGram:
     @settings(max_examples=150, deadline=None)
     @given(case=panelled_matrices())
     def test_symmetric_and_equal_to_the_whole_gram(self, case):
         Phi, panels = case
-        G = diagnostics._kernel_block_gram(Phi[:, cols] for cols in panels)
+        G = dense(diagnostics._kernel_block_gram(Phi[:, cols] for cols in panels))
         want = Phi @ Phi.T
         assert np.array_equal(G, G.T)
         assert np.abs(G - want).max() <= 1e-14 * np.abs(want).max()
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=panelled_matrices(), seed=st.integers(0, 2**32 - 1))
+    def test_strip_reads_equal_the_dense_reads(self, case, seed):
+        Phi, panels = case
+        G = diagnostics._kernel_block_gram(Phi[:, cols] for cols in panels)
+        full = dense(G)
+        v = stream(seed).normal(size=G.shape[0])
+        # rounding of a product is bounded by the product of the magnitudes
+        assert np.abs(G @ v - full @ v).max() <= 1e-14 * (np.abs(full) @ np.abs(v)).max()
+        assert G.trace() == np.trace(full)
+        assert math.isclose(G.frobenius_squared(), np.einsum("ij,ij->", full, full), rel_tol=1e-13)
+        assert math.isclose(_top_eigenvalue(G), _top_eigenvalue(full), rel_tol=1e-13)
+
+    def test_one_row(self):
+        G = diagnostics._kernel_block_gram(iter([np.array([[3.0, -1.0]])]))
+        assert [strip.tolist() for strip in G.strips] == [[[10.0]]]
+        assert _top_eigenvalue(G) == G.trace() == G.frobenius_squared() ** 0.5 == 10.0
 
     def test_bit_identical_across_strips_and_panels(self):
         # n = 300 spans three 128-row strips and D = 300 two panels
@@ -466,6 +494,36 @@ class TestKernelBlockGram:
             tracemalloc.stop()
         # the 512 KiB covers the banks and numpy's fixed ufunc buffers
         bound = 8 * (n * n + 128 * n + 256 * n) + 512 * 1024
+        assert peak <= bound, (peak, bound)
+
+    @pytest.mark.parametrize("n", [300, 600])
+    def test_bank_phase_holds_the_strips_one_strip_and_one_panel(self, n):
+        # the bank phase alone: three panels per kernel block go through
+        # weighted_block into the Gram's upper strips, then into a report
+        draws = 700
+        X = stream(120).normal(size=(n, 5))
+        kernels = [BaseKernel("gaussian", 0.5), BaseKernel("laplacian", 2.0)]
+        bank = FeatureBank.generate(kernels, MixtureWeights(np.array([0.3, 0.7])), draws, 5, 0)
+
+        def report():
+            buffer = np.empty(n * 256)
+            panels = (
+                weighted_block(X, bank, l, out=buffer[: n * (cols.stop - cols.start)].reshape(n, -1), cols=cols)
+                for l in range(len(kernels))
+                for cols in diagnostics._panels(draws)
+            )
+            return diagnostics._report(diagnostics._kernel_block_gram(panels), n, 1.0, draws, len(kernels))
+
+        report()  # lazy imports and caches outside the measurement
+        tracemalloc.start()
+        try:
+            report()
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        strips = sum(min(128, n - start) * (n - start) for start in range(0, n, 128))
+        # the 512 KiB covers the Lanczos basis and numpy's fixed ufunc buffers
+        bound = 8 * (strips + 128 * n + 256 * n) + 512 * 1024
         assert peak <= bound, (peak, bound)
 
 

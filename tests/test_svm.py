@@ -186,6 +186,18 @@ class TestTrain:
         with pytest.raises(DataError):
             train(Phi, np.array([1, -1, 1, -1]), TrainConfig())
 
+    @pytest.mark.parametrize("entry", [np.inf, -np.inf])
+    def test_infinite_rejected(self, entry):
+        # the last entry of the second row block that the check reads
+        Phi = np.ones((40_000, 2))
+        Phi[-1, -1] = entry
+        with pytest.raises(DataError, match="non-finite"):
+            train(Phi, np.tile([1, -1], 20_000), TrainConfig())
+
+    def test_empty_feature_matrix_needs_both_classes(self):
+        with pytest.raises(DataError, match="both classes"):
+            train(np.ones((0, 2)), np.ones(0), TrainConfig())
+
     def test_bad_config(self):
         for bad in (
             {"R": -1.0},

@@ -4,7 +4,7 @@
 
 Exports REF's ``src`` with ``git archive`` into a temporary directory, writes
 one fixed CSV and one fixed LIBSVM training file from a seeded NumPy draw,
-and runs the same nineteen commands (score, train, predict, select and diagnose)
+and runs the same twenty commands (score, train, predict, select and diagnose)
 against REF's package and against the working tree's ``src``. Each side runs
 in its own directory with relative paths, so messages compare too. Every
 output file, exit code, stdout and stderr is compared; the selector timings
@@ -61,6 +61,8 @@ COMMANDS = [
     "diagnose --data train.csv --gammas 0.5,2 --draws 8 --trials 2 --pairs 5 --out diag_tall",
     # n = 300 spans three 128-row strips of G, and D = 300 and 600 span two and three column panels
     "diagnose --synthetic two-gaussian --synthetic-n 300 --gammas 0.5,2 --draws 300,600 --trials 2 --pairs 10 --out diag_strips",
+    # n = 129 is one full 128-row strip of G and a one-row strip
+    "diagnose --synthetic two-gaussian --synthetic-n 129 --gammas 0.5,2 --draws 64,300 --trials 2 --pairs 10 --out diag_edge",
 ]
 
 # `select` reports how long each selector took; wall time is not an output
