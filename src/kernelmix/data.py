@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .kernels import squared_distances
+from .kernels import distance_blocks
 from .rng import stream
 
 
@@ -265,5 +265,8 @@ def holdout_split(ds: LabeledDataset, fraction: float, seed: int) -> tuple[np.nd
 
 
 def diameter(ds: LabeledDataset) -> float:
-    """Max pairwise Euclidean distance, exact over all pairs of rows."""
-    return math.sqrt(squared_distances(ds.features).max()) if ds.n > 1 else 0.0
+    """Max pairwise Euclidean distance, exact over all pairs of rows (0.0 below two rows).
+
+    A running max over :func:`~kernelmix.kernels.distance_blocks`.
+    """
+    return math.sqrt(max((b.max(initial=0.0) for _, b in distance_blocks(ds.features)), default=0.0))

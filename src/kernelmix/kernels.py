@@ -44,22 +44,23 @@ class BaseKernel:
         return 1.0 / (2.0 * self.rho**2)
 
 
-#: Rows of X per block of :func:`squared_distances`.
+#: Rows of X per block of :func:`distance_blocks`.
 _BLOCK_ROWS = 64
 
 
-def squared_distances(X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
-    """Squared Euclidean distances between the rows of X and Y (n x m).
+def distance_blocks(X: np.ndarray, Y: np.ndarray | None = None) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(start, block)``, squared Euclidean distances of X's rows [start, start + 64).
 
-    With Y omitted, only the pairs i < j of X's rows, condensed in row-major
-    order. Each block of rows accumulates (x_k - y_k)^2 in place, one
-    coordinate at a time in column order. That is the summation order of
-    scipy's ``cdist``/``pdist``, so the bits and the condensed layout equal
-    theirs with ``"sqeuclidean"``. A block's x_k - y_k come from one product
-    [x_k, 1] [1, -y_k]^T, whose two terms are exact, so it is rounded once,
-    as a subtraction is. Swapping two rows only flips signs before squaring,
-    so the distances of X to itself are exactly symmetric, with exact zeros
-    on the diagonal.
+    Against Y a block is rows x m. With Y omitted it holds its rows' pairs
+    j > i, condensed, so the blocks end to end are ``pdist``'s layout. A
+    block accumulates (x_k - y_k)^2 one coordinate at a time in column
+    order, scipy's ``cdist``/``pdist`` order, so the bits equal theirs with
+    ``"sqeuclidean"``. Each x_k - y_k comes from one product [x_k, 1]
+    [1, -y_k]^T, whose two terms are exact, so it is rounded once, as a
+    subtraction is. Swapping two rows only flips signs before squaring, so
+    the distances of X to itself are exactly symmetric, with exact zeros on
+    the diagonal. No scratch is kept across a yield, so a caller that drops
+    each block before the next holds one block at a time.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     within = Y is None
@@ -71,70 +72,62 @@ def squared_distances(X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
     left[:, :, 0] = X.T
     right = np.ones((d, 2, m))
     np.negative(Y.T, out=right[:, 1])
-    out = np.empty(n * (n - 1) // 2) if within else np.empty((n, m))
-    # a block's squared terms, and within X its sum too
-    scratch = np.empty((2 if within else 1) * min(_BLOCK_ROWS, n) * m)
-    filled = 0
     for start in range(0, n, _BLOCK_ROWS):
         rows = slice(start, min(start + _BLOCK_ROWS, n))
         # within X, a block's rows pair with the rows after its first
         cols = slice(start + 1 if within else 0, m)
-        shape = (rows.stop - start, m - cols.start)
-        size = shape[0] * shape[1]
-        term = scratch[:size].reshape(shape)
-        acc = scratch[size : 2 * size].reshape(shape) if within else out[rows]
-        np.matmul(left[0, rows], right[0, :, cols], out=acc)
-        acc *= acc
+        block = np.matmul(left[0, rows], right[0, :, cols])
+        block *= block
+        term = np.empty_like(block)
         for k in range(1, d):
             np.matmul(left[k, rows], right[k, :, cols], out=term)
             term *= term
-            acc += term
+            block += term
+        del term
         if within:  # keep the pairs j > i
-            pairs = acc[np.arange(shape[1]) >= np.arange(shape[0])[:, None]]
-            out[filled : filled + pairs.size] = pairs
-            filled += pairs.size
-    return out
+            block = block[np.arange(block.shape[1]) >= np.arange(block.shape[0])[:, None]]
+        yield start, block
+        del block
 
 
 def kernel_matrix(kernel: BaseKernel, X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
     """Kernel evaluations between the rows of X and Y (Y defaults to X).
 
     With Y omitted this is the Gram matrix of X, exactly symmetric with
-    exact 1.0 on the diagonal (for finite X; see :func:`squared_distances`).
+    exact 1.0 on the diagonal (for finite X; see :func:`distance_blocks`).
     """
-    return next(kernel_values([kernel], squared_distances(X, X if Y is None else Y)))
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    Y = X if Y is None else np.atleast_2d(np.asarray(Y, dtype=float))
+    out = np.empty((X.shape[0], Y.shape[0]))
+    for start, block in distance_blocks(X, Y):
+        out[start : start + block.shape[0]] = next(kernel_values([kernel], block))
+    return out
 
 
 #: exp(x) rounds to exactly 0.0 for every x below this, and numpy's exp is
 #: many times slower on such arguments than on ordinary ones.
 _EXP_IS_ZERO_BELOW = -745.2
 
-#: Entries of the flat argument array per chunk of :func:`_exp`'s gather.
-_GATHER_CHUNK = 1 << 16
-
 
 def _exp(arg: np.ndarray, smallest: float) -> np.ndarray:
     """exp of ``arg``, a fresh C-contiguous array, written into it; ``smallest`` is its minimum.
 
-    When no argument underflows, exp runs in place. Otherwise the flat array
-    is walked in chunks of ``_GATHER_CHUNK``: the int64 indices of a chunk's
-    arguments whose exp does not underflow (NaN among them) gather them, exp
-    runs in place on them, and they are put back over the zeroed chunk, the
-    rest being the 0.0 that exp would return. exp is elementwise, so both
-    paths give the bits of exp on every argument, and the gather holds at
-    most one chunk's indices and values. A NaN ``smallest`` takes the gather
-    path.
+    When no argument underflows, exp runs in place. Otherwise the int64
+    indices of the arguments whose exp does not underflow (NaN among them)
+    gather them, exp runs in place on them, and they are put back over the
+    zeroed array, the rest being the 0.0 that exp would return. exp is
+    elementwise, so both paths give the bits of exp on every argument.
+    Callers pass one distance block at most, so the gather holds at most a
+    block's indices and values. A NaN ``smallest`` takes the gather path.
     """
     if smallest >= _EXP_IS_ZERO_BELOW:
         return np.exp(arg, out=arg)
     flat = arg.reshape(-1)
-    for start in range(0, flat.size, _GATHER_CHUNK):
-        chunk = flat[start : start + _GATHER_CHUNK]
-        kept = np.flatnonzero(~(chunk < _EXP_IS_ZERO_BELOW))
-        values = chunk.take(kept)
-        np.exp(values, out=values)
-        chunk.fill(0.0)
-        chunk.put(kept, values)
+    kept = np.flatnonzero(~(flat < _EXP_IS_ZERO_BELOW))
+    values = flat.take(kept)
+    np.exp(values, out=values)
+    flat.fill(0.0)
+    flat.put(kept, values)
     return arg
 
 
@@ -164,12 +157,12 @@ def kernel_values(kernels: list[BaseKernel], squared: np.ndarray) -> Iterator[np
 def mixture_gram(kernels: list[BaseKernel], weights: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Entrywise mixture sum_l w_l K^l over the base kernels.
 
-    Filled ``_BLOCK_ROWS`` rows at a time from the block's distances to
-    every row of X. A block's sum starts from the first kernel's values
-    and adds each later kernel's in kernel order, every one scaled in
-    place, so besides the n x n sum, about 8 n^2 bytes, the pass holds one
-    row block's distances (and their square roots with a Laplacian kernel)
-    and one kernel's values on them. Every entry is computed as on the
+    Filled one block of :func:`distance_blocks` of X against X at a time,
+    whose right-hand operand is built once. A block's sum starts from the
+    first kernel's values and adds each later kernel's in kernel order,
+    every one scaled in place, so besides the n x n sum, about 8 n^2
+    bytes, the pass holds one block's distances (and their square roots
+    with a Laplacian kernel) and one kernel's values on them. Every entry is computed as on the
     whole matrix, so the bits do not depend on the blocks. With
     nonnegative weights they are those of adding each w_l K^l into zeros,
     since 0 + x == x.
@@ -180,16 +173,16 @@ def mixture_gram(kernels: list[BaseKernel], weights: np.ndarray, X: np.ndarray) 
             f"{len(kernels)} kernels but {weights.shape[0]} weights"
         )
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    n = X.shape[0]
-    out = np.empty((n, n))
-    for start in range(0, n, _BLOCK_ROWS):
-        block = out[start : start + _BLOCK_ROWS]
-        values = kernel_values(kernels, squared_distances(X[start : start + _BLOCK_ROWS], X))
-        np.multiply(next(values), weights[0], out=block)
+    out = np.empty((X.shape[0], X.shape[0]))
+    for start, block in distance_blocks(X, X):
+        rows = out[start : start + block.shape[0]]
+        values = kernel_values(kernels, block)
+        del block  # held by the generator until its last kernel
+        np.multiply(next(values), weights[0], out=rows)
         for w in weights[1:]:
             K = next(values)
             K *= w
-            block += K
+            rows += K
             del K  # dropped before the next kernel's values are made
         del values  # and the block's distances before the next block's
     return out

@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .kernels import BaseKernel, kernel_values, squared_distances
+from .kernels import BaseKernel, distance_blocks, kernel_values
 from .rng import stream
 
 ESTIMATORS = ("biased", "unbiased_balanced")
@@ -88,15 +88,14 @@ def mmd_scores(
     """Score every kernel from one shared pass of pairwise distances.
 
     ``estimator="auto"`` takes the balanced U-statistic when n+ = n- and the
-    biased form otherwise. Both estimators read the same three blocks of
-    squared distances (pairs i < j within each class, every pair across;
-    see :func:`~kernelmix.kernels.squared_distances`), computed one block
-    at a time. Every kernel's values on a block come from
-    :func:`~kernelmix.kernels.kernel_values` and cost one exp-and-sum, so
-    one distance block and one kernel's values are alive at a time. For
-    the balanced estimator row i of ``pos`` pairs with row i of ``neg``, so
-    its cross sum runs over the off-diagonal of the cross block, and
-    identical classes score exactly 0.0.
+    biased form otherwise. Both walk the pairs i < j within each class and
+    every pair across in :func:`~kernelmix.kernels.distance_blocks` of 64
+    rows, adding up each kernel's sum block by block. A kernel's values on
+    a block come from :func:`~kernelmix.kernels.kernel_values`, so one block
+    and one kernel's values are alive at a time: O(64 n) memory. For the
+    balanced estimator row i of ``pos`` pairs with row i of ``neg``, so its
+    cross sum runs off the cross pairs' diagonal, and identical classes
+    score exactly 0.0.
     """
     if not kernels:
         raise ConfigError("need at least one base kernel")
@@ -124,15 +123,17 @@ def mmd_scores(
     # within-class pairs i < j, then every cross pair; one sum per kernel each
     sums = []
     for pair in ((pos,), (neg,), (pos, neg)):
-        block = []
-        for K in kernel_values(kernels, squared_distances(*pair)):
-            if K.ndim == 2 and estimator == "unbiased_balanced":
-                # k(x_i,y_j) + k(x_j,y_i) summed over i < j is the cross block
-                # summed off its diagonal
-                np.fill_diagonal(K, 0.0)
-            block.append(K.sum())
-            del K  # one array of kernel values alive at a time
-        sums.append(block)
+        totals = [0.0] * len(kernels)
+        for start, block in distance_blocks(*pair):
+            for l, K in enumerate(kernel_values(kernels, block)):
+                if K.ndim == 2 and estimator == "unbiased_balanced":
+                    # k(x_i,y_j) + k(x_j,y_i) summed over i < j is the cross pairs summed
+                    # off their diagonal: K[:, start:]'s, every (m + 1)-th entry from start
+                    K.reshape(-1)[start :: K.shape[1] + 1] = 0.0
+                totals[l] += K.sum()
+                del K  # one array of kernel values alive at a time
+            del block  # and one block of distances
+        sums.append(totals)
 
     scores = []
     for within_pos, within_neg, cross in zip(*sums):

@@ -171,6 +171,8 @@ def train(
     y = np.asarray(y, dtype=float)
     if Phi.ndim != 2 or Phi.shape[0] != y.shape[0]:
         raise ConfigError(f"feature matrix {Phi.shape} does not match {y.shape[0]} labels")
+    if Phi.shape[1] == 0:
+        raise ConfigError("feature matrix has no columns")
     # in row blocks of about 65,536 entries: no n x mD mask, and as fast as one
     rows = max(1, 2**16 // max(1, Phi.shape[1]))
     if not all(np.isfinite(Phi[start : start + rows]).all() for start in range(0, Phi.shape[0], rows)):

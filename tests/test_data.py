@@ -286,6 +286,18 @@ class TestDiameter:
         ds = LabeledDataset(np.array([[2.0, 2.0]]), np.array([1]))
         assert diameter(ds) == 0.0
 
+    def test_no_rows(self):
+        assert diameter(LabeledDataset(np.zeros((0, 2)), np.zeros(0, dtype=int))) == 0.0
+
+    @pytest.mark.parametrize("n", [2, 64, 65, 150])
+    def test_bit_identical_to_the_whole_condensed_max(self, n):
+        # the running max over ragged blocks of 64 rows
+        from scipy.spatial.distance import pdist
+
+        X = stream(7, n).normal(size=(n, 3))
+        ds = LabeledDataset(X, np.where(np.arange(n) % 2, 1, -1))
+        assert diameter(ds) == math.sqrt(pdist(X, "sqeuclidean").max())
+
     def test_unit_square(self):
         corners = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=float)
         brute = max(

@@ -14,10 +14,10 @@ from kernelmix.kernels import (
     _EXP_IS_ZERO_BELOW,
     FAMILIES,
     BaseKernel,
+    distance_blocks,
     kernel_matrix,
     kernel_values,
     mixture_gram,
-    squared_distances,
 )
 from kernelmix.rng import stream
 from oracles import naive_gram, oracle_kernel
@@ -93,6 +93,11 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def _walked(X, Y=None):
+    """The walk's blocks laid end to end: n x m against Y, condensed without."""
+    return np.concatenate([block for _, block in distance_blocks(X, Y)])
+
+
 class TestSquaredDistances:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -107,7 +112,7 @@ class TestSquaredDistances:
     def test_bit_identical_to_scipy(self, n, m, dim, seed, scale, on_grid, layouts):
         X = _points(seed, n, dim, scale, on_grid, layouts[0])
         Y = _points(seed + 1, m, dim, scale, on_grid, layouts[1])
-        cross, within = squared_distances(X, Y), squared_distances(X)
+        cross, within = _walked(X, Y), _walked(X)
         assert _same_bits(cross, cdist(X, Y, "sqeuclidean"))
         assert _same_bits(within, pdist(X, "sqeuclidean"))
         assert _same_bits(np.sqrt(cross), cdist(X, Y, "euclidean"))
@@ -119,8 +124,8 @@ class TestSquaredDistances:
         # differently; blocks of 64 rows and a ragged last block
         X = _points(dim, 75, dim, 3.0, False, "c")
         Y = _points(dim + 1, 41, dim, 3.0, False, "c")
-        assert _same_bits(squared_distances(X, Y), cdist(X, Y, "sqeuclidean"))
-        assert _same_bits(squared_distances(X), pdist(X, "sqeuclidean"))
+        assert _same_bits(_walked(X, Y), cdist(X, Y, "sqeuclidean"))
+        assert _same_bits(_walked(X), pdist(X, "sqeuclidean"))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -135,12 +140,27 @@ class TestSquaredDistances:
         # every entry is summed the same way in any block
         X = _points(seed, n, dim, scale, on_grid, "c")
         Y = _points(seed + 1, m, dim, scale, on_grid, "c")
-        cross, within = squared_distances(X, Y), squared_distances(X)
+        cross, within = _walked(X, Y), _walked(X)
         for rows in (1, 7, 32, n + 1):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(kernels, "_BLOCK_ROWS", rows)
-                assert _same_bits(squared_distances(X, Y), cross)
-                assert _same_bits(squared_distances(X), within)
+                assert _same_bits(_walked(X, Y), cross)
+                assert _same_bits(_walked(X), within)
+
+    @pytest.mark.parametrize("n", [64, 65, 150])
+    def test_blocks_start_every_64_rows_and_the_last_is_ragged(self, n):
+        X = _points(n, n, 3, 1.0, False, "c")
+        Y = _points(n + 1, 41, 3, 1.0, False, "c")
+        cross = list(distance_blocks(X, Y))
+        within = list(distance_blocks(X))
+        starts = list(range(0, n, kernels._BLOCK_ROWS))
+        assert [start for start, _ in cross] == starts == [start for start, _ in within]
+        for (start, block), (_, pairs) in zip(cross, within):
+            rows = min(kernels._BLOCK_ROWS, n - start)
+            assert block.shape == (rows, 41)
+            # row i pairs with the n - 1 - i rows after it
+            assert pairs.shape == (sum(n - 1 - i for i in range(start, start + rows)),)
+            assert _same_bits(block, cdist(X[start : start + rows], Y, "sqeuclidean"))
 
 
 #: exp arguments that straddle the underflow threshold, with the specials
@@ -163,10 +183,9 @@ class TestExpPaths:
         assert _same_bits(np.exp(arg), self.masked(arg))
 
     def test_gather_crosses_chunk_edges(self):
-        # three chunks of the flat array, the last one ragged, each with
-        # underflowing and kept arguments, NaN and +-inf among them
+        # a large array of underflowing and kept arguments, NaN and +-inf
+        # among them, gathered in one pass
         arg = stream(17).uniform(-1500.0, 10.0, size=(379, 379))
-        assert arg.size > 2 * kernels._GATHER_CHUNK
         arg.flat[::997], arg.flat[5::1009], arg.flat[7::1013] = np.nan, -np.inf, np.inf
         assert _same_bits(kernels._exp(arg.copy(), -np.inf), self.masked(arg))
 
@@ -347,7 +366,7 @@ class TestMixture:
         X = stream(21, n).normal(scale=2.0, size=(n, 3))
         bank = [BaseKernel(family, 0.02), BaseKernel("gaussian", 0.7), BaseKernel(family, 3.0)]
         w = np.array([0.3, 0.5, 0.2])
-        values = kernel_values(bank, squared_distances(X, X))
+        values = kernel_values(bank, _walked(X, X))
         expected = next(values) * w[0]
         for wl, K in zip(w[1:], values):
             expected += wl * K

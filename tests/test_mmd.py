@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from kernelmix.data import LabeledDataset, diameter
 from kernelmix.errors import ConfigError, DataError
 from kernelmix.kernels import FAMILIES, BaseKernel
 from kernelmix.mmd import (
@@ -250,6 +251,37 @@ class TestListScorer:
         # blocks at once would be about 2x before any kernel value
         cross_block = 8 * n * n
         assert peak < 2.5 * cross_block, (peak, cross_block)
+
+    @pytest.mark.parametrize("what", ["biased", "unbiased_balanced", "diameter"])
+    def test_memory_grows_linearly_with_the_rows(self, what):
+        # one block of 64 rows of distances against every row, its square
+        # roots, one kernel's values and, at gamma = 100, the gather's int64
+        # indices and values: five arrays the size of a block, so doubling
+        # the rows about doubles the peak; a whole cross block or condensed
+        # array would quadruple it
+        kernels = [
+            BaseKernel.from_gamma(family, gamma)
+            for family, gamma in (("gaussian", 0.1), ("laplacian", 1.0), ("gaussian", 100.0))
+        ]
+        peaks = {}
+        for n in (300, 600):
+            rng = stream(51, n)
+            pos, neg = rng.normal(size=(n, 5)), rng.normal(size=(n, 5)) + 0.3
+            ds = LabeledDataset(np.vstack([pos, neg]), np.repeat([1, -1], n))
+            if what == "diameter":
+                run, columns = (lambda: diameter(ds)), 2 * n
+            else:
+                run, columns = (lambda: mmd_scores(kernels, pos, neg, what)), n
+            run()  # caches outside the measurement
+            tracemalloc.start()
+            try:
+                run()
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[600] <= 2.3 * peaks[300], peaks
+        block = 8 * 64 * columns
+        assert peaks[600] <= 6 * block + 64 * 1024, (peaks, block)
 
     def test_gathering_gaussians_hold_no_more_than_a_laplacian_grid(self):
         # large-gamma Gaussians gather the arguments whose exp does not

@@ -198,6 +198,10 @@ class TestTrain:
         with pytest.raises(DataError, match="both classes"):
             train(np.ones((0, 2)), np.ones(0), TrainConfig())
 
+    def test_feature_matrix_needs_columns(self):
+        with pytest.raises(ConfigError, match="no columns"):
+            train(np.ones((4, 0)), [1, -1, 1, -1], TrainConfig())
+
     def test_bad_config(self):
         for bad in (
             {"R": -1.0},

@@ -4,7 +4,9 @@
 
 Exports REF's ``src`` with ``git archive`` into a temporary directory, writes
 one fixed CSV and one fixed LIBSVM training file from a seeded NumPy draw,
-and runs the same twenty commands (score, train, predict, select and diagnose)
+plus a balanced and an unbalanced CSV with more than one 64-row distance
+block per class, and runs the same twenty-two commands (score, train,
+predict, select and diagnose)
 against REF's package and against the working tree's ``src``. Each side runs
 in its own directory with relative paths, so messages compare too. Every
 output file, exit code, stdout and stderr is compared; the selector timings
@@ -42,6 +44,10 @@ COMMANDS = [
     "score --data train.csv --gammas 100,1000,10000 --out score_gather",
     # several Laplacian kernels share one square root; gamma = 1e6 gathers
     "score --data train.csv --families laplacian --gammas 0.1,1,1000000 --out score_laplacian",
+    # more than 64 rows per class: each sum is added up over several distance
+    # blocks; gamma = 100 gathers
+    "score --data balanced.csv --families gaussian,laplacian,gaussian --gammas 0.5,0.5,100 --out score_balanced",
+    "score --data unbalanced.csv --families gaussian,laplacian,gaussian --gammas 0.5,0.5,100 --out score_unbalanced",
     "train --data train.csv --gammas 0.1,1 --draws 64 --epochs 30 --out full.json",
     # a wide ball and a weak penalty: the active set changes between epochs
     "train --data train.csv --gammas 0.1,1 --draws 64 --epochs 60 --R 300 --lam 0.001 --out hinge.json",
@@ -69,15 +75,23 @@ COMMANDS = [
 TIMINGS = re.compile(r" \(cv [0-9.]+s, mmd [0-9.]+s\)")
 
 
+def _csv(X: np.ndarray, y: np.ndarray) -> str:
+    header = ",".join(f"f{j + 1}" for j in range(X.shape[1])) + ",label"
+    return "\n".join([header] + [",".join(map(repr, row.tolist())) + f",{label}" for row, label in zip(X, y)]) + "\n"
+
+
 def write_inputs(directory: Path) -> None:
-    """A 60-row, 3-column two-class problem, as CSV and as LIBSVM."""
+    """A 60-row, 3-column two-class problem, as CSV and as LIBSVM; then 100/100 and 150/90 rows as CSV."""
     rng = np.random.default_rng(20190101)
     X = rng.normal(size=(60, 3)) + np.repeat([[1.0], [-1.0]], 30, axis=0)
     y = np.repeat([1, -1], 30)
-    csv = ["f1,f2,f3,label"] + [",".join(map(repr, row.tolist())) + f",{label}" for row, label in zip(X, y)]
     svm = [f"{label} " + " ".join(f"{j + 1}:{v!r}" for j, v in enumerate(row.tolist())) for row, label in zip(X, y)]
-    (directory / "train.csv").write_text("\n".join(csv) + "\n")
+    (directory / "train.csv").write_text(_csv(X, y))
     (directory / "train.svm").write_text("\n".join(svm) + "\n")
+    for name, n_pos, n_neg in (("balanced.csv", 100, 100), ("unbalanced.csv", 150, 90)):
+        y = np.repeat([1, -1], [n_pos, n_neg])
+        X = rng.normal(size=(n_pos + n_neg, 3)) + 0.5 * y[:, None]
+        (directory / name).write_text(_csv(X, y))
 
 
 def _fields(path: Path):
