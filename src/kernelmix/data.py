@@ -30,8 +30,8 @@ class LabeledDataset:
     def __post_init__(self):
         features = np.asarray(self.features, dtype=float)
         labels = np.asarray(self.labels, dtype=int)
-        if features.ndim != 2:
-            raise DataError("features must be a 2-d matrix")
+        if features.ndim != 2 or features.shape[1] == 0:
+            raise DataError("features must be a 2-d matrix with at least one column")
         if labels.shape != (features.shape[0],):
             raise DataError(
                 f"label count {labels.shape} does not match {features.shape[0]} rows"

@@ -39,12 +39,11 @@ computed.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, is_integer
 from .kernels import BaseKernel, kernel_values, mixture_gram
 from .mmd import MixtureWeights
 from .rff import FeatureBank, feature_block, sample_frequencies, weighted_block
@@ -116,8 +115,6 @@ def _top_eigenvalue(G: np.ndarray | _UpperStrips) -> float:
     which fails when G 1 = 0.
     """
     n = G.shape[0]
-    if n == 1:
-        return float((G @ np.ones(1))[0])
     start = stream(0).uniform(0.5, 1.5, n)
     V = np.empty((min(n, _LANCZOS_BASIS), n))
     while True:
@@ -162,9 +159,7 @@ def _panels(draws: int) -> list[slice]:
     columns of a narrow product apart from a wide one's. So every entry of
     Phi keeps the bits of the whole block.
     """
-    if draws <= _PANEL_COLUMNS:
-        return [slice(0, draws)]
-    last = draws - _PANEL_COLUMNS + (_PANEL_COLUMNS - draws) % 16
+    last = max(0, draws - _PANEL_COLUMNS + (_PANEL_COLUMNS - draws) % 16)  # 0: one panel
     edges = [*range(0, last, _PANEL_COLUMNS), last, draws]
     return [slice(start, stop) for start, stop in zip(edges, edges[1:])]
 
@@ -208,30 +203,25 @@ class _UpperStrips:
         return total
 
 
-def _kernel_block_gram(panels, out: _UpperStrips | None = None) -> _UpperStrips:
-    """G = sum_p P_p P_p^T over the column panels P_p of Phi, in column order, as upper strips.
+def _kernel_block_gram(panels, G: _UpperStrips) -> _UpperStrips:
+    """G = sum_p P_p P_p^T over the column panels P_p of Phi, in column order, into ``G``.
 
-    Each panel's Gram is formed on and above the diagonal only, one strip of
-    ``_STRIP_ROWS`` rows at a time: the first panel's straight into G's
-    strips, later ones into one strip-sized scratch that is added to them.
-    Each diagonal block is then mirrored inside itself, so G is exactly
-    symmetric. G is ``out`` when given. A panel is used before the next is
-    asked for, so ``panels`` may be a generator that rebuilds one buffer.
+    G is zero-filled, and each panel's Gram is formed on and above the
+    diagonal only, one strip of ``_STRIP_ROWS`` rows at a time, into one
+    strip-sized scratch that is added to G's strip. Each diagonal block is
+    then mirrored inside itself, so G is exactly symmetric. A panel is used
+    before the next is asked for, so ``panels`` may be a generator that
+    rebuilds one buffer.
     """
-    for index, panel in enumerate(panels):
-        if index == 0:
-            n = panel.shape[0]
-            G = _UpperStrips(n) if out is None else out
-        elif index == 1:
-            scratch = np.empty(G.strips[0].size)
+    n = G.shape[0]
+    scratch = np.empty(min(n, _STRIP_ROWS) * n)
+    for strip in G.strips:
+        strip.fill(0.0)
+    for panel in panels:
         for start, strip in zip(range(0, n, _STRIP_ROWS), G.strips):
-            rows = slice(start, start + _STRIP_ROWS)
-            if index:
-                part = scratch[: strip.size].reshape(strip.shape)
-                np.matmul(panel[rows], panel[start:].T, out=part)
-                strip += part
-            else:
-                np.matmul(panel[rows], panel[start:].T, out=strip)
+            part = scratch[: strip.size].reshape(strip.shape)
+            np.matmul(panel[start : start + _STRIP_ROWS], panel[start:].T, out=part)
+            strip += part
     for strip in G.strips:
         block = strip[:, : strip.shape[0]]
         lower = np.tril_indices(block.shape[0], -1)
@@ -257,8 +247,8 @@ def complexity_bounds(Phi: np.ndarray, R: float, draws: int, m: int) -> Complexi
         raise ConfigError("Phi must be a matrix")
     if m < 1 or draws < 1 or Phi.shape[1] != m * draws:
         raise ConfigError(f"Phi has {Phi.shape[1]} columns, not m * draws = {m} * {draws} with m, draws >= 1")
-    G = _kernel_block_gram(Phi[:, l * draws : (l + 1) * draws][:, cols] for l in range(m) for cols in _panels(draws))
-    return _report(G, Phi.shape[0], R, draws, m)
+    panels = (Phi[:, l * draws : (l + 1) * draws][:, cols] for l in range(m) for cols in _panels(draws))
+    return _report(_kernel_block_gram(panels, _UpperStrips(Phi.shape[0])), Phi.shape[0], R, draws, m)
 
 
 def _report(G: _UpperStrips, n: int, R: float, draws: int, m: int) -> ComplexityReport:
@@ -320,7 +310,7 @@ def probe_pass(
     """
     if not seeds:
         raise ConfigError("need at least one seed (trial)")
-    if not sweep or not all(isinstance(D, numbers.Integral) and D >= 1 for D in sweep):
+    if not sweep or not all(is_integer(D, 1) for D in sweep):
         raise ConfigError(f"the draw sweep must be a nonempty list of positive integers, got {list(sweep)}")
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[0] > 2000:

@@ -95,13 +95,10 @@ def kernel_matrix(kernel: BaseKernel, X: np.ndarray, Y: np.ndarray | None = None
 
     With Y omitted this is the Gram matrix of X, exactly symmetric with
     exact 1.0 on the diagonal (for finite X; see :func:`distance_blocks`).
+    It is :func:`_gram` with one kernel of weight 1.0: x * 1.0 == x and
+    0 + x == x, so every entry is the kernel's value itself.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Y = X if Y is None else np.atleast_2d(np.asarray(Y, dtype=float))
-    out = np.empty((X.shape[0], Y.shape[0]))
-    for start, block in distance_blocks(X, Y):
-        out[start : start + block.shape[0]] = next(kernel_values([kernel], block))
-    return out
+    return _gram([kernel], [1.0], X, Y)
 
 
 #: exp(x) rounds to exactly 0.0 for every x below this, and numpy's exp is
@@ -155,31 +152,34 @@ def kernel_values(kernels: list[BaseKernel], squared: np.ndarray) -> Iterator[np
 
 
 def mixture_gram(kernels: list[BaseKernel], weights: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Entrywise mixture sum_l w_l K^l over the base kernels.
-
-    Filled one block of :func:`distance_blocks` of X against X at a time,
-    whose right-hand operand is built once. A block's sum starts from the
-    first kernel's values and adds each later kernel's in kernel order,
-    every one scaled in place, so besides the n x n sum, about 8 n^2
-    bytes, the pass holds one block's distances (and their square roots
-    with a Laplacian kernel) and one kernel's values on them. Every entry is computed as on the
-    whole matrix, so the bits do not depend on the blocks. With
-    nonnegative weights they are those of adding each w_l K^l into zeros,
-    since 0 + x == x.
-    """
+    """Entrywise mixture sum_l w_l K^l over the base kernels; see :func:`_gram`."""
     weights = np.asarray(weights, dtype=float)
     if len(kernels) != weights.shape[0] or len(kernels) == 0:
         raise ConfigError(
             f"{len(kernels)} kernels but {weights.shape[0]} weights"
         )
+    return _gram(kernels, weights, X, X)
+
+
+def _gram(kernels: list[BaseKernel], weights, X: np.ndarray, Y: np.ndarray | None) -> np.ndarray:
+    """sum_l w_l K^l between the rows of X and Y (Y defaults to X), summed into zeros.
+
+    Filled one block of :func:`distance_blocks` of X against Y at a time,
+    whose right-hand operand is built once. Each kernel's values on the
+    block are scaled in place and added, in kernel order, so besides the
+    sum, about 8 n m bytes, the pass holds one block's distances (and
+    their square roots with a Laplacian kernel) and one kernel's values on
+    them. Every entry is computed as on the whole matrix, so the bits do
+    not depend on the blocks.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    out = np.empty((X.shape[0], X.shape[0]))
-    for start, block in distance_blocks(X, X):
+    Y = X if Y is None else np.atleast_2d(np.asarray(Y, dtype=float))
+    out = np.zeros((X.shape[0], Y.shape[0]))
+    for start, block in distance_blocks(X, Y):
         rows = out[start : start + block.shape[0]]
         values = kernel_values(kernels, block)
         del block  # held by the generator until its last kernel
-        np.multiply(next(values), weights[0], out=rows)
-        for w in weights[1:]:
+        for w in weights:
             K = next(values)
             K *= w
             rows += K

@@ -48,21 +48,27 @@ class MmdScore:
 class MixtureWeights:
     """Simplex weights over the base kernels, plus a degeneracy flag.
 
-    ``degenerate`` is set when every kernel scored exactly zero and the
-    uniform fallback was used.
+    Weights are normalized here alone, and only when their sum is more than
+    m eps from 1: dividing by the sum rounds each weight, so dividing a
+    normalized vector again can move it. m eps bounds the rounding of m
+    divisions and one sum, so normalized weights, a model file's among
+    them, are kept bit for bit. ``degenerate`` is set when every kernel
+    scored exactly zero and the uniform fallback was used.
     """
 
     weights: np.ndarray
     degenerate: bool = False
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
+        w = np.array(self.weights, dtype=float)  # a copy: the caller's array may change
         if w.ndim != 1 or w.shape[0] == 0:
             raise ConfigError("weights must be a nonempty vector")
         total = w.sum()
         if (w < 0).any() or not (math.isfinite(total) and total > 0.0):
             raise ConfigError("weights must be finite, nonnegative and not all zero")
-        object.__setattr__(self, "weights", w / total)
+        if abs(total - 1.0) > w.shape[0] * np.finfo(float).eps:
+            w = w / total
+        object.__setattr__(self, "weights", w)
 
     @classmethod
     def from_scores(cls, values) -> "MixtureWeights":
@@ -72,11 +78,10 @@ class MixtureWeights:
         weights with the ``degenerate`` flag set.
         """
         values = np.asarray(values, dtype=float)
-        total = values.sum()
-        if total == 0.0:
+        if values.sum() == 0.0:
             m = values.shape[0]
             return cls(weights=np.full(m, 1.0 / m), degenerate=True)
-        return cls(weights=values / total, degenerate=False)
+        return cls(weights=values)
 
 
 def mmd_scores(

@@ -25,17 +25,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import LabeledDataset, apply_standardization
-from .errors import ConfigError, DataError, ModelIntegrityError
+from .errors import ConfigError, DataError, ModelIntegrityError, is_integer
 from .kernels import BaseKernel
 from .mmd import MixtureWeights
 from .rff import FeatureBank, build_feature_matrix
 from .rng import stream
 
 MODEL_SCHEMA_VERSION = 1
-
-
-def _is_int(value, least: int) -> bool:
-    return isinstance(value, (int, np.integer)) and value >= least
 
 
 @dataclass(frozen=True)
@@ -52,13 +48,13 @@ class TrainConfig:
             raise ConfigError(f"R must be finite and positive, got {self.R}")
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise ConfigError(f"lambda must be finite and nonnegative, got {self.lam}")
-        if not _is_int(self.epochs, 1):
+        if not is_integer(self.epochs, 1):
             raise ConfigError(f"epochs must be a positive integer, got {self.epochs!r}")
         if not (math.isfinite(self.step_size) and self.step_size > 0):
             raise ConfigError(f"step size must be finite and positive, got {self.step_size}")
-        if self.batch_size is not None and not _is_int(self.batch_size, 1):
+        if self.batch_size is not None and not is_integer(self.batch_size, 1):
             raise ConfigError(f"batch size must be a positive integer, got {self.batch_size!r}")
-        if not _is_int(self.seed, 0):
+        if not is_integer(self.seed, 0):
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 
@@ -334,12 +330,6 @@ def _numbers(values, what: str) -> np.ndarray:
     return np.array([_number(value, what) for value in values], dtype=float)
 
 
-def _integer(value, what: str) -> int:
-    if type(value) is not int:  # never a bool, a float or a string
-        raise ValueError(f"{what} must be a JSON integer, got {value!r}")
-    return value
-
-
 def model_from_dict(payload: dict) -> SvmModel:
     """The model a parsed :func:`model_to_dict` document names.
 
@@ -358,7 +348,10 @@ def model_from_dict(payload: dict) -> SvmModel:
         if type(degenerate) is not bool:
             raise ValueError(f"degenerate must be true or false, got {degenerate!r}")
         weights = MixtureWeights(_numbers(spec["weights"], "weights"), degenerate=degenerate)
-        draws, dim, seed = (_integer(spec[key], key) for key in ("draws", "dim", "seed"))
+        draws, dim, seed = (spec[key] for key in ("draws", "dim", "seed"))
+        for key, value, least in (("draws", draws, 1), ("dim", dim, 1), ("seed", seed, 0)):
+            if not is_integer(value, least):  # never a bool, a float or a string
+                raise ValueError(f"{key} must be a JSON integer >= {least}, got {value!r}")
         beta = _numbers(payload["beta"], "beta")
         offset, R, lam = (_number(payload[key], key) for key in ("offset", "R", "lambda"))
         expected = payload["frequency_checksum"]

@@ -134,6 +134,19 @@ def test_family_count_mismatch_refused_before_load(tmp_path, capsys, no_work, co
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]
 
 
+@pytest.mark.parametrize("command", ["score", "train", "diagnose"])
+@pytest.mark.parametrize("name, text", [("labels.csv", "label\n1\n-1\n1\n-1\n1\n"), ("labels.svm", "1\n-1\n1\n-1\n1\n")])
+def test_label_only_file_exit_2(tmp_path, capsys, command, name, text):
+    # labels but no feature column: refused as data before any distance,
+    # score or model is computed, with unbalanced classes as with balanced
+    data = tmp_path / name
+    data.write_text(text)
+    fmt = "libsvm" if name.endswith(".svm") else "csv"
+    assert cli.main([command, "--data", str(data), "--format", fmt, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "data error: features must be a 2-d matrix with at least one column\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+
+
 class TestScore:
     def test_single_kernel_weight_one(self, tmp_path):
         data = write_dataset(tmp_path / "d.csv")

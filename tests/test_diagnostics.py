@@ -12,6 +12,7 @@ from kernelmix import diagnostics
 from kernelmix.diagnostics import (
     _erfc_tail,
     _top_eigenvalue,
+    _UpperStrips,
     complexity_bounds,
     empirical_sup_error,
     frobenius_concentration,
@@ -99,6 +100,12 @@ class TestTopEigenvalue:
     )
     def test_named_cases(self, G):
         assert math.isclose(_top_eigenvalue(G), np.linalg.eigvalsh(G)[-1], rel_tol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(value=st.floats(0.0, 1e300))
+    def test_one_by_one_is_its_entry(self, value):
+        # the start vector normalizes to exactly [1.0], so the first step returns the entry
+        assert _top_eigenvalue(np.array([[value]])) == value
 
     def test_reruns_bit_identical(self):
         A = stream(114).normal(size=(80, 30))
@@ -302,7 +309,7 @@ class TestConcentration:
             Phi = build_feature_matrix(X, bank)
             assert asdict(report) == pytest.approx(svd_complexity_bounds(Phi, 2.0, draws, 2), rel=1e-10)
 
-    @pytest.mark.parametrize("sweep", [[], [0], [-3], [64, 0]])
+    @pytest.mark.parametrize("sweep", [[], [0], [-3], [64, 0], [True], [64, 2.0]])
     def test_sweep_checked_before_any_work(self, monkeypatch, sweep):
         calls = []
         monkeypatch.setattr(diagnostics, "mixture_gram", lambda *a: calls.append(a))
@@ -446,7 +453,7 @@ class TestKernelBlockGram:
     @given(case=panelled_matrices())
     def test_symmetric_and_equal_to_the_whole_gram(self, case):
         Phi, panels = case
-        G = dense(diagnostics._kernel_block_gram(Phi[:, cols] for cols in panels))
+        G = dense(diagnostics._kernel_block_gram((Phi[:, cols] for cols in panels), _UpperStrips(Phi.shape[0])))
         want = Phi @ Phi.T
         assert np.array_equal(G, G.T)
         assert np.abs(G - want).max() <= 1e-14 * np.abs(want).max()
@@ -455,7 +462,7 @@ class TestKernelBlockGram:
     @given(case=panelled_matrices(), seed=st.integers(0, 2**32 - 1))
     def test_strip_reads_equal_the_dense_reads(self, case, seed):
         Phi, panels = case
-        G = diagnostics._kernel_block_gram(Phi[:, cols] for cols in panels)
+        G = diagnostics._kernel_block_gram((Phi[:, cols] for cols in panels), _UpperStrips(Phi.shape[0]))
         full = dense(G)
         v = stream(seed).normal(size=G.shape[0])
         # rounding of a product is bounded by the product of the magnitudes
@@ -465,18 +472,26 @@ class TestKernelBlockGram:
         assert math.isclose(_top_eigenvalue(G), _top_eigenvalue(full), rel_tol=1e-13)
 
     def test_one_row(self):
-        G = diagnostics._kernel_block_gram(iter([np.array([[3.0, -1.0]])]))
+        G = diagnostics._kernel_block_gram(iter([np.array([[3.0, -1.0]])]), _UpperStrips(1))
         assert [strip.tolist() for strip in G.strips] == [[[10.0]]]
         assert _top_eigenvalue(G) == G.trace() == G.frobenius_squared() ** 0.5 == 10.0
 
     def test_bit_identical_across_strips_and_panels(self):
-        # n = 300 spans three 128-row strips and D = 300 two panels
+        # n = 300 spans three 128-row strips, D = 300 two panels and D = 64
+        # one; G is reused by all four banks, so each must refill it whole
         X = stream(118).normal(size=(300, 3))
         kernels = [BaseKernel("gaussian", 0.7), BaseKernel("laplacian", 1.5)]
         weights = MixtureWeights(np.array([0.4, 0.6]))
-        ((report, _row),) = probe_pass(X, kernels, weights, [300], [2], 1.0)
-        Phi = build_feature_matrix(X, FeatureBank.generate(kernels, weights, 300, 3, 2))
-        assert report == complexity_bounds(Phi, 1.0, 300, 2)
+        sweep, seeds = [300, 64], [2, 3]
+        rows = probe_pass(X, kernels, weights, sweep, seeds, 1.0)
+        spectral_kw = _top_eigenvalue(mixture_gram(kernels, weights.weights, X))
+        for draws, (report, row) in zip(sweep, rows):
+            fresh = [
+                complexity_bounds(build_feature_matrix(X, FeatureBank.generate(kernels, weights, draws, 3, seed)), 1.0, draws, 2)
+                for seed in seeds
+            ]
+            assert report == fresh[0]
+            assert row == {"draws": draws, **frobenius_concentration(fresh, 300.0), **spectral_concentration(fresh, spectral_kw)}
 
     def test_memory_holds_one_gram_one_strip_and_one_panel(self):
         # D = 700 is wider than a panel and not a multiple of 256: the pass
@@ -512,7 +527,7 @@ class TestKernelBlockGram:
                 for l in range(len(kernels))
                 for cols in diagnostics._panels(draws)
             )
-            return diagnostics._report(diagnostics._kernel_block_gram(panels), n, 1.0, draws, len(kernels))
+            return diagnostics._report(diagnostics._kernel_block_gram(panels, _UpperStrips(n)), n, 1.0, draws, len(kernels))
 
         report()  # lazy imports and caches outside the measurement
         tracemalloc.start()

@@ -298,7 +298,7 @@ class TestMixture:
     def test_single_kernel(self):
         X = stream(15).normal(size=(5, 2))
         k = BaseKernel("gaussian", 1.0)
-        assert np.allclose(mixture_gram([k], [1.0], X), kernel_matrix(k, X))
+        assert _same_bits(mixture_gram([k], [1.0], X), kernel_matrix(k, X))
 
     def test_identical_components(self):
         X = stream(16).normal(size=(4, 2))
@@ -330,8 +330,8 @@ class TestMixture:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_bit_identical_to_weighted_sum_into_zeros(self, families, data, n, seed):
-        # the sum starts from the first kernel's scaled values, not from
-        # zeros; any nonnegative weights, zero among them, keep the bits
+        # both sums start from zeros and add each scaled kernel in order;
+        # any nonnegative weights, zero among them, keep the bits
         m = len(families)
         rhos = data.draw(st.lists(st.floats(0.05, 10.0), min_size=m, max_size=m))
         w = np.array(data.draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=m, max_size=m)))
@@ -343,8 +343,8 @@ class TestMixture:
         assert _same_bits(mixture_gram(bank, w, X), expected)
 
     def test_memory_holds_one_kernel_beside_the_sum(self):
-        # the distances, the sum and one kernel's values: no zeros to start
-        # from and no scaled copy of each kernel's values
+        # the distances, the sum and one kernel's values: no scaled copy of
+        # each kernel's values
         n = 300
         X = stream(20).normal(size=(n, 3))
         bank = [BaseKernel("gaussian", rho) for rho in (0.5, 1.0, 2.0)]

@@ -411,6 +411,8 @@ class TestMixtureWeightsType:
         w = MixtureWeights.from_scores(values)
         assert (w.weights >= 0.0).all()
         assert abs(w.weights.sum() - 1.0) <= 1e-12
+        # normalized once: weights on the simplex are kept bit for bit
+        assert MixtureWeights(w.weights).weights.tobytes() == w.weights.tobytes()
         all_zero = all(v == 0.0 for v in values)
         assert w.degenerate == all_zero
         if all_zero:

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -211,6 +212,10 @@ class TestTrain:
             {"batch_size": 2.5},
             {"seed": -1},
             {"seed": 1.5},
+            # a bool is not an integer
+            {"epochs": True},
+            {"batch_size": True},
+            {"seed": False},
         ):
             with pytest.raises(ConfigError):
                 TrainConfig(**bad)
@@ -392,6 +397,18 @@ class TestPersistence:
         save_model(model, path)
         loaded = load_model(path)
         assert np.abs(decision_values(loaded, X) - decision_values(model, X)).max() <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(scores=st.lists(st.floats(1e-6, 1e3), min_size=2, max_size=5), seed=st.integers(0, 2**32 - 1))
+    def test_reload_keeps_the_weights_and_decision_values_bit_for_bit(self, scores, seed):
+        # the scores are normalized once, and the file's normalized weights are kept as they are
+        kernels = [BaseKernel("gaussian", 0.5 * (l + 1)) for l in range(len(scores))]
+        bank = FeatureBank.generate(kernels, MixtureWeights.from_scores(scores), 16, 2, seed)
+        X = stream(81, seed).normal(size=(30, 2))
+        model = train(build_feature_matrix(X, bank), np.tile([1.0, -1.0], 15), TrainConfig(epochs=3), bank=bank)
+        loaded = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
+        assert _same_bits(loaded.bank.weights.weights, bank.weights.weights)
+        assert _same_bits(decision_values(loaded, X), decision_values(model, X))
 
     def test_checksum_guards_bank_params(self, tmp_path):
         model, _X, _y, _Phi = fitted_model()

@@ -5,7 +5,7 @@
 Exports REF's ``src`` with ``git archive`` into a temporary directory, writes
 one fixed CSV and one fixed LIBSVM training file from a seeded NumPy draw,
 plus a balanced and an unbalanced CSV with more than one 64-row distance
-block per class, and runs the same twenty-two commands (score, train,
+block per class, and runs the same twenty-three commands (score, train,
 predict, select and diagnose)
 against REF's package and against the working tree's ``src``. Each side runs
 in its own directory with relative paths, so messages compare too. Every
@@ -69,6 +69,8 @@ COMMANDS = [
     "diagnose --synthetic two-gaussian --synthetic-n 300 --gammas 0.5,2 --draws 300,600 --trials 2 --pairs 10 --out diag_strips",
     # n = 129 is one full 128-row strip of G and a one-row strip
     "diagnose --synthetic two-gaussian --synthetic-n 129 --gammas 0.5,2 --draws 64,300 --trials 2 --pairs 10 --out diag_edge",
+    # one kernel whose blocks are each a single panel: G is one panel's Gram added into zeros
+    "diagnose --data train.csv --gammas 0.5 --draws 64,256 --trials 2 --pairs 10 --out diag_one_panel",
 ]
 
 # `select` reports how long each selector took; wall time is not an output
