@@ -30,7 +30,7 @@ from .diagnostics import (
     pointwise_error_bound,
     probe_pass,
 )
-from .errors import ConfigError, DataError, ModelIntegrityError
+from .errors import ConfigError, DataError, ModelIntegrityError, is_positive
 from .kernels import FAMILIES, BaseKernel
 from .mmd import MixtureWeights, mixing_weights, mmd_scores
 from .rff import FeatureBank, build_feature_matrix, spectral_second_moment
@@ -276,10 +276,6 @@ def _flag(convert, ok, what: str):
     return parse
 
 
-def _positive(v: float) -> bool:
-    return math.isfinite(v) and v > 0
-
-
 def _list(convert):
     return lambda text: [convert(tok) for tok in text.split(",") if tok.strip()]
 
@@ -287,11 +283,11 @@ def _list(convert):
 _SEED = _flag(int, lambda v: v >= 0, "a nonnegative integer")
 _COUNT = _flag(int, lambda v: v >= 1, "a positive integer")
 _FOLDS = _flag(int, lambda v: v >= 2, "an integer >= 2")
-_POSITIVE = _flag(float, _positive, "finite and positive")
+_POSITIVE = _flag(float, is_positive, "finite and positive")
 _NONNEGATIVE = _flag(float, lambda v: math.isfinite(v) and v >= 0, "finite and nonnegative")
 _FRACTION = _flag(float, lambda v: 0 < v < 1, "in (0, 1)")
 _GAMMAS = _flag(
-    _list(float), lambda vs: vs and all(map(_positive, vs)), "a comma list of positive finite numbers"
+    _list(float), lambda vs: vs and all(map(is_positive, vs)), "a comma list of positive finite numbers"
 )
 _GRID = _flag(_GAMMAS, lambda vs: vs == sorted(set(vs)), "a strictly increasing comma list")
 _FAMILIES = _flag(
@@ -363,7 +359,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="score a data file with a saved model; writes CSV (columns: index,decision_value,soft_output,label)")
-    _add_common(p)
+    p.add_argument("--config", default=None, help="JSON file of defaults; flags override it")  # no --seed: predict draws nothing
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--format", choices=("csv", "libsvm"), default="csv")

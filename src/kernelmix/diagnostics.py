@@ -14,10 +14,10 @@ Every quantity of Phi is read from its n x n Gram G = Phi Phi^T, with no SVD:
 
 Phi's m kernel blocks Phi_l (n x D each) estimate D w_l K^l, so G =
 sum_l Phi_l Phi_l^T is summed block by block in kernel order, the finite-D
-twin of K^w = sum_l w_l K^l. Each block is summed in column panels of at
-most 256 columns, and each panel's Gram is added into G's upper triangle
-128 rows at a time. G is kept as those upper-triangle strips, about half an
-n x n array, and every quantity above is read from them.
+twin of K^w = sum_l w_l K^l. Each block is summed in the panels that
+:mod:`kernelmix.rff` projects it in, and each panel's Gram is added into G's
+upper triangle 128 rows at a time. G is kept as those upper-triangle strips,
+about half an n x n array, and every quantity above is read from them.
 
 Only the top eigenvalue of any matrix is ever needed, so lambda_max comes
 from a numpy Lanczos iteration started from a fixed vector, never from the
@@ -26,10 +26,7 @@ tridiagonals, at most 100 x 100. erfc is needed only in its far tail (every
 argument is at least sqrt(192)), where Cephes' rational approximation,
 ported here, gives scipy.special.erfc's bits. :func:`probe_pass` builds each
 (D, seed) bank once and each column of its kernel blocks once, never the
-whole Phi, and the mixture Gram K^w once per run. So it holds one n x n
-array, K^w, and while the banks are summed about half of one, whatever m and
-D are. K^w is a dense n x n matrix, so the pass refuses n > 2000 before
-building anything.
+whole Phi, and the mixture Gram K^w once per run.
 
 The non-asymptotic spectral bounds for radial kernels carry e^{2n log 3}
 factors and are vacuous at any usable n; they are documented here and not
@@ -43,10 +40,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, is_integer
+from .errors import ConfigError, is_integer, is_positive
 from .kernels import BaseKernel, kernel_values, mixture_gram
 from .mmd import MixtureWeights
-from .rff import FeatureBank, feature_block, sample_frequencies, weighted_block
+from .rff import _PANEL_COLUMNS, FeatureBank, _panels, feature_block, sample_frequencies, weighted_block
 from .rng import stream
 
 
@@ -143,25 +140,8 @@ def _top_ritz_pair(alpha: list[float], beta: list[float]) -> tuple[float, np.nda
     return float(values[-1]), vectors[:, -1]
 
 
-#: A kernel block is summed in column panels at most this wide.
-_PANEL_COLUMNS = 256
-
 #: Rows of G per strip of :func:`_kernel_block_gram`.
 _STRIP_ROWS = 128
-
-
-def _panels(draws: int) -> list[slice]:
-    """A kernel block's ``draws`` columns as contiguous panels at most ``_PANEL_COLUMNS`` wide.
-
-    Every edge but the block's end falls on a multiple of 16 columns, so
-    BLAS tiles a panel's projection as it tiles the whole block's, and the
-    last panel is at least 241 columns wide: BLAS rounds the ragged last
-    columns of a narrow product apart from a wide one's. So every entry of
-    Phi keeps the bits of the whole block.
-    """
-    last = max(0, draws - _PANEL_COLUMNS + (_PANEL_COLUMNS - draws) % 16)  # 0: one panel
-    edges = [*range(0, last, _PANEL_COLUMNS), last, draws]
-    return [slice(start, stop) for start, stop in zip(edges, edges[1:])]
 
 
 class _UpperStrips:
@@ -237,16 +217,15 @@ def complexity_bounds(Phi: np.ndarray, R: float, draws: int, m: int) -> Complexi
     khintchine_bound   (R / (n D sqrt(m))) sqrt(23/44) ||Phi||_F
     gaussian_bound     (R / (n D)) (2 sqrt(pi T4)/fro + fro/(2 spec^2) e^{-fro^4/(4 T4)})
 
-    Phi holds m kernel blocks of ``draws`` columns each. The n x n Gram is
-    the sum of the Grams of the blocks' column panels (see :func:`_panels`),
-    as :func:`probe_pass` forms it one panel at a time, so both give the
-    same bits.
+    Phi has a row and m kernel blocks of ``draws`` columns; R is finite and
+    positive. Its Gram is summed over the panels of :func:`kernelmix.rff._panels`
+    of each block, as :func:`probe_pass` sums it, so both give the same bits.
     """
     Phi = np.asarray(Phi, dtype=float)
-    if Phi.ndim != 2:
-        raise ConfigError("Phi must be a matrix")
-    if m < 1 or draws < 1 or Phi.shape[1] != m * draws:
-        raise ConfigError(f"Phi has {Phi.shape[1]} columns, not m * draws = {m} * {draws} with m, draws >= 1")
+    if not (is_integer(m, 1) and is_integer(draws, 1) and Phi.shape[1:] == (m * draws,) and Phi.shape[0] > 0):
+        raise ConfigError(f"Phi {Phi.shape} needs a row and m * draws = {m!r} * {draws!r} columns, integers >= 1")
+    if not is_positive(R):
+        raise ConfigError(f"R must be finite and positive, got {R!r}")
     panels = (Phi[:, l * draws : (l + 1) * draws][:, cols] for l in range(m) for cols in _panels(draws))
     return _report(_kernel_block_gram(panels, _UpperStrips(Phi.shape[0])), Phi.shape[0], R, draws, m)
 
@@ -297,22 +276,26 @@ def probe_pass(
     table: the reports' deviations from tr(K^w) = n (unit diagonals, simplex
     weights) and from lambda_max(K^w).
 
-    The Gram G = Phi Phi^T is always the n x n sum over column panels:
-    :func:`kernelmix.rff.weighted_block` builds each panel of each block
-    sqrt(w_l) Phi_l, at most 256 columns wide (see :func:`_panels`), into
-    one n x min(D_max, 256) buffer, and :func:`_kernel_block_gram` adds its
-    Gram into G's upper-triangle strips, 128 rows at a time (see
-    :class:`_UpperStrips`). So Phi is never held, and the bank phase holds
-    the banks and about 8 (n (n + 128) / 2 + 128 n + 256 n) bytes whatever
-    m and D are: G's strips, one strip of scratch and one panel. The K^w
-    phase before it holds K^w, 8 n^2 bytes, and sets the pass's peak. The
-    reports equal :func:`complexity_bounds` on a fresh Phi bit for bit.
+    :func:`kernelmix.rff.weighted_block` builds each block sqrt(w_l) Phi_l
+    one panel of :func:`kernelmix.rff._panels` at a time, with Phi's bits,
+    into one n x min(D_max, 256) buffer, and :func:`_kernel_block_gram` adds
+    the panel's Gram into G = Phi Phi^T (see :class:`_UpperStrips`). So Phi
+    is never held: whatever m and D are, the bank phase holds the banks and
+    about 8 (n (n + 128) / 2 + 128 n + 256 n) bytes, G's strips, one strip
+    of scratch and one panel. The K^w phase before it holds K^w, 8 n^2
+    bytes, sets the pass's peak and refuses n > 2000. The reports equal
+    :func:`complexity_bounds` on a fresh Phi bit for bit. X needs a row and
+    a column, and R must be finite and positive.
     """
     if not seeds:
         raise ConfigError("need at least one seed (trial)")
     if not sweep or not all(is_integer(D, 1) for D in sweep):
         raise ConfigError(f"the draw sweep must be a nonempty list of positive integers, got {list(sweep)}")
+    if not is_positive(R):
+        raise ConfigError(f"R must be finite and positive, got {R!r}")
     X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.ndim != 2 or 0 in X.shape:
+        raise ConfigError(f"X must be a matrix with at least one row and one column, got shape {X.shape}")
     if X.shape[0] > 2000:
         raise ConfigError("the mixture Gram K^w is a dense n x n matrix; diagnose is limited to n <= 2000")
     if not isinstance(weights, MixtureWeights):
@@ -400,9 +383,11 @@ def empirical_sup_error(
 ) -> float:
     """Max |RFF estimate - k| over sampled row pairs, one shared bank, all
     pairs at once in O(pairs * D) memory."""
-    if pairs < 1:
-        raise ConfigError("need at least one pair")
+    if not (is_integer(draws, 1) and is_integer(pairs, 1)):
+        raise ConfigError(f"draws and pairs must be positive integers, got {draws!r} and {pairs!r}")
     X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.ndim != 2 or 0 in X.shape:
+        raise ConfigError(f"X must be a matrix with at least one row and one column, got shape {X.shape}")
     rng = stream(seed, 41)
     xi, b = sample_frequencies(kernel, draws, X.shape[1], seed)
     i, j = rng.integers(0, X.shape[0], size=(pairs, 2)).T

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the one integer rule.
+"""Exception types shared across the package, and the integer and positive-number rules.
 
 The CLI maps these onto its stable exit codes: DataError -> 2,
 ConfigError -> 3, ModelIntegrityError -> 4.
@@ -26,3 +26,8 @@ class ModelIntegrityError(KernelmixError):
 def is_integer(value, least: int) -> bool:
     """Whether ``value`` is an int or NumPy integer of at least ``least``; a bool is not."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least
+
+
+def is_positive(value) -> bool:
+    """Whether the number ``value`` is finite and above 0."""
+    return 0 < value < float("inf")  # NaN compares false

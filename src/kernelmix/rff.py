@@ -5,6 +5,8 @@ written here once, in :func:`feature_block`; the kernel estimate of a pair
 (x, y) is the mean over draws of phi(x) phi(y). Kernel l's weighted block
 sqrt(w_l) * phi_l is written once too, in :func:`weighted_block`, which
 :func:`build_feature_matrix` and the probe pass of ``diagnose`` both call.
+X xi^T is formed in the 256-column panels of :func:`_panels`, which
+``diagnose`` builds one at a time, so its panels carry Phi's bits.
 One copy lives elsewhere: :func:`kernelmix.select.relaxed_objective`
 builds sqrt(2 w_l) cos(theta) itself, because its gradient needs the phase
 theta = <x, xi> + b for the sin, which these functions do not return. The
@@ -68,19 +70,30 @@ def sample_frequencies(
     return xi, b
 
 
+#: The projection X xi^T is formed in column panels this wide.
+_PANEL_COLUMNS = 256
+
+
+def _panels(draws: int) -> list[slice]:
+    """``draws`` columns as panels of ``_PANEL_COLUMNS``, counted from column 0; the last may be narrower."""
+    return [slice(start, min(start + _PANEL_COLUMNS, draws)) for start in range(0, draws, _PANEL_COLUMNS)]
+
+
 def feature_block(X: np.ndarray, xi: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """All D features of one kernel for every row of X (n x D), in one buffer.
 
     The buffer is ``out`` when given (a float64 n x D array or view,
-    returned) and a fresh array otherwise: the projection X xi^T is written
-    into it and sqrt(2) cos(. + b) runs over it in place, so a caller reuses
-    one n x D buffer for every kernel and bank, or writes each block into
-    its column slice of Phi.
+    returned) and a fresh array otherwise: X xi^T is written into it one
+    panel of :func:`_panels` at a time and sqrt(2) cos(. + b) runs over it
+    in place, so a caller reuses one n x D buffer for every kernel and bank,
+    or writes each block into its column slice of Phi.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != xi.shape[1]:
         raise ConfigError(f"dimension mismatch {X.shape[1]} vs {xi.shape[1]}")
-    theta = np.matmul(X, xi.T, out=out)
+    theta = np.empty((X.shape[0], xi.shape[0])) if out is None else out
+    for cols in _panels(xi.shape[0]):
+        np.matmul(X, xi[cols].T, out=theta[:, cols])
     theta += b
     np.cos(theta, out=theta)
     theta *= math.sqrt(2.0)
@@ -140,9 +153,9 @@ def weighted_block(
 ) -> np.ndarray:
     """Kernel l's block of Phi, sqrt(w_l) * sqrt(2) cos(X xi_l^T + b_l) (n x D).
 
-    Only the draws in ``cols`` when given, a panel of the block's columns.
-    Written into ``out`` as :func:`feature_block` does. The weight pass is
-    skipped when w_l = 1, as for a single kernel: x * 1.0 == x.
+    Only the draws in ``cols`` when given: a panel of :func:`_panels` gives
+    those columns bit for bit. Written into ``out`` as :func:`feature_block`
+    does. The weight pass is skipped when w_l = 1: x * 1.0 == x.
     """
     block = feature_block(X, bank.frequencies[l][cols], bank.phases[l][cols], out=out)
     scale = math.sqrt(bank.weights.weights[l])

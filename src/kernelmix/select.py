@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledDataset, holdout_split, kfold_split, split_by_label
-from .errors import ConfigError
+from .errors import ConfigError, is_integer
 from .kernels import BaseKernel
 from .mmd import MixtureWeights, mmd_scores
 from .rff import FeatureBank, build_feature_matrix
@@ -271,8 +271,8 @@ def kernel_feature_select(
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, d = X.shape
-    if not 1 <= m_sel <= d:
-        raise ConfigError(f"m_sel must lie in [1, {d}]")
+    if not (is_integer(m_sel, 1) and m_sel <= d):
+        raise ConfigError(f"m_sel must be an integer in [1, {d}], got {m_sel!r}")
     eps = 0.001 / n
     cap = float(m_sel)
     omega = np.full(d, m_sel / d)

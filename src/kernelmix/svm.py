@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import LabeledDataset, apply_standardization
-from .errors import ConfigError, DataError, ModelIntegrityError, is_integer
+from .errors import ConfigError, DataError, ModelIntegrityError, is_integer, is_positive
 from .kernels import BaseKernel
 from .mmd import MixtureWeights
 from .rff import FeatureBank, build_feature_matrix
@@ -44,13 +44,13 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.R) and self.R > 0):
+        if not is_positive(self.R):
             raise ConfigError(f"R must be finite and positive, got {self.R}")
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise ConfigError(f"lambda must be finite and nonnegative, got {self.lam}")
         if not is_integer(self.epochs, 1):
             raise ConfigError(f"epochs must be a positive integer, got {self.epochs!r}")
-        if not (math.isfinite(self.step_size) and self.step_size > 0):
+        if not is_positive(self.step_size):
             raise ConfigError(f"step size must be finite and positive, got {self.step_size}")
         if self.batch_size is not None and not is_integer(self.batch_size, 1):
             raise ConfigError(f"batch size must be a positive integer, got {self.batch_size!r}")

@@ -87,7 +87,7 @@ BAD_FLAGS = {
               "--families": FAMILIES},
     "train": {"--seed": SEED, "--gammas": ("0", "nan"), "--families": FAMILIES, **TRAINING,
               "--batch-size": COUNT},
-    "predict": {"--seed": SEED},
+    "predict": {"--seed": SEED},  # predict has no --seed: refused as unrecognized
     "select": {"--seed": SEED, **SYNTHETIC, "--gammas": ("0", "inf", "x", "1,0.1", "0.5,0.5"),
                "--folds": ("1", "0", "x"), **TRAINING, "--test-fraction": ("nan", "inf", "x")},
     "diagnose": {"--seed": SEED, **SYNTHETIC, "--gammas": ("-1", "inf"), "--families": FAMILIES,
@@ -121,6 +121,19 @@ def test_removed_training_flags_exit_3(tmp_path, capsys, no_work, key, value):
             "--out", str(tmp_path / "m.json")]
     assert cli.main(args) == 3
     assert flag in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "d.csv"]
+
+
+def test_predict_takes_no_seed(tmp_path, capsys, no_work):
+    """predict draws nothing (the model file names its bank's seed), so
+    neither --seed nor a --config seed is accepted."""
+    assert_refused_at_parse(tmp_path, capsys, "predict", "--seed", "0")
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"seed": 0}))
+    args = ["predict", "--model", str(tmp_path / "m.json"), "--data", str(tmp_path / "d.csv"),
+            "--config", str(config), "--out", str(tmp_path / "p.csv")]
+    assert cli.main(args) == 3
+    assert "--seed" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "d.csv"]
 
 

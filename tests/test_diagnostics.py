@@ -23,7 +23,14 @@ from kernelmix.diagnostics import (
 from kernelmix.errors import ConfigError
 from kernelmix.kernels import FAMILIES, BaseKernel, mixture_gram
 from kernelmix.mmd import MixtureWeights, mixing_weights
-from kernelmix.rff import FeatureBank, build_feature_matrix, sample_frequencies, spectral_second_moment, weighted_block
+from kernelmix.rff import (
+    FeatureBank,
+    _panels,
+    build_feature_matrix,
+    sample_frequencies,
+    spectral_second_moment,
+    weighted_block,
+)
 from kernelmix.rng import stream
 from kernelmix.synthetic import two_gaussian_dataset
 from oracles import (
@@ -219,10 +226,20 @@ class TestComplexityBounds:
         gram_spec = np.linalg.eigvalsh(Phi @ Phi.T)[-1]
         assert report.spectral_norm**2 == pytest.approx(gram_spec, rel=1e-10)
 
-    @pytest.mark.parametrize("columns, draws, m", [(8, 3, 2), (8, 7, 1), (8, 2, 3), (0, 5, 0), (3, -3, -1)])
+    @pytest.mark.parametrize(
+        "columns, draws, m", [(8, 3, 2), (8, 7, 1), (8, 2, 3), (0, 5, 0), (3, -3, -1), (4, 2.0, 2), (3, 3, True)]
+    )
     def test_columns_other_than_m_blocks_rejected(self, columns, draws, m):
         with pytest.raises(ConfigError, match="m \\* draws"):
             complexity_bounds(stream(105).normal(size=(4, columns)), R=1.0, draws=draws, m=m)
+
+    @pytest.mark.parametrize("rows, R", [(0, 1.0), (4, -2.0), (4, 0.0), (4, math.inf), (4, math.nan)])
+    def test_rows_and_R_checked_before_the_gram(self, monkeypatch, rows, R):
+        calls = []
+        monkeypatch.setattr(diagnostics, "_kernel_block_gram", lambda *a: calls.append(a))
+        with pytest.raises(ConfigError):
+            complexity_bounds(stream(105).normal(size=(rows, 6)), R=R, draws=3, m=2)
+        assert calls == []
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(ConfigError):
@@ -317,6 +334,17 @@ class TestConcentration:
             probe_pass(np.zeros((5, 2)), [GAUSS1], [1.0], sweep, [0], 1.0)
         assert calls == []
 
+    @pytest.mark.parametrize(
+        "shape, R", [((0, 2), 1.0), ((5, 0), 1.0), ((5, 2), -2.0), ((5, 2), 0.0), ((5, 2), math.inf), ((5, 2), math.nan)]
+    )
+    def test_rows_columns_and_R_checked_before_any_work(self, monkeypatch, shape, R):
+        calls = []
+        monkeypatch.setattr(diagnostics, "mixture_gram", lambda *a: calls.append(a))
+        monkeypatch.setattr(diagnostics.FeatureBank, "generate", lambda *a: calls.append(a))
+        with pytest.raises(ConfigError):
+            probe_pass(np.zeros(shape), [GAUSS1], [1.0], [64], [0], R)
+        assert calls == []
+
     def test_bit_identical_to_fresh_feature_matrices(self):
         # three seeds, so each D sums three Grams from the shared buffers; every
         # number must match a fresh Phi's, and the bounds row is the first seed's
@@ -405,24 +433,23 @@ class TestPanels:
     @settings(max_examples=300, deadline=None)
     @given(draws=st.integers(1, 5000))
     def test_aligned_panels_cover_the_block_once(self, draws):
-        panels = diagnostics._panels(draws)
-        assert panels[0].start == 0 and panels[-1].stop == draws
-        assert all(a.stop == b.start for a, b in zip(panels, panels[1:]))
-        widths = [p.stop - p.start for p in panels]
-        assert 0 < min(widths) and max(widths) <= 256
-        assert all(p.start % 16 == 0 for p in panels)
-        assert len(panels) <= -(-draws // 256) + 1
+        # every edge on a multiple of 256 counted from column 0; only the last panel may be narrower
+        panels = _panels(draws)
+        assert [p.start for p in panels] == list(range(0, draws, 256))
+        assert [p.stop for p in panels] == [min(p.start + 256, draws) for p in panels]
+        assert panels[-1].stop == draws and 0 < panels[-1].stop - panels[-1].start <= 256
 
     def test_panels_keep_the_bits_of_the_whole_block(self):
-        # aligned edges and a wide last panel tile each panel's projection as
-        # the whole block's, also when the block is no multiple of 16 wide
+        # the whole block is projected panel by panel too, so a block built
+        # from one panel's draws is that panel's columns on any BLAS and at
+        # any dimension, also a small n with d >= 33
         kernels = [BaseKernel.from_gamma("gaussian", g) for g in (0.05, 0.5, 5.0)]
         weights = MixtureWeights(np.array([0.2, 0.3, 0.5]))
-        for n, dim in ((800, 5), (60, 3), (7, 2)):
+        for n, dim in ((800, 5), (60, 3), (7, 2), (3, 33), (17, 50)):
             X = stream(117).normal(size=(n, dim))
             for draws in (2048, 2047, 1000, 300, 257, 37):
                 bank = FeatureBank.generate(kernels, weights, draws, dim, 0)
-                panels = diagnostics._panels(draws)
+                panels = _panels(draws)
                 for l in range(3):
                     whole = weighted_block(X, bank, l)
                     assert np.array_equal(np.hstack([weighted_block(X, bank, l, cols=c) for c in panels]), whole)
@@ -493,6 +520,16 @@ class TestKernelBlockGram:
             assert report == fresh[0]
             assert row == {"draws": draws, **frobenius_concentration(fresh, 300.0), **spectral_concentration(fresh, spectral_kw)}
 
+    def test_bit_identical_to_a_fresh_phi_at_high_dimension(self):
+        # n = 3 rows of d = 33 columns, D = 511: two panels whose bits, under
+        # panel edges fitted to one BLAS at d <= 20, differed from Phi's
+        X = stream(121, 2).normal(size=(3, 33))
+        kernels = [BaseKernel("gaussian", 0.7), BaseKernel("gaussian", 3.0)]
+        weights = MixtureWeights(np.array([0.4, 0.6]))
+        report, _row = probe_pass(X, kernels, weights, [511], [0], 2.0)[0]
+        Phi = build_feature_matrix(X, FeatureBank.generate(kernels, weights, 511, 33, 0))
+        assert report == complexity_bounds(Phi, 2.0, 511, 2)
+
     def test_memory_holds_one_gram_one_strip_and_one_panel(self):
         # D = 700 is wider than a panel and not a multiple of 256: the pass
         # holds G, one 128-row strip and one panel of at most 256 columns
@@ -525,7 +562,7 @@ class TestKernelBlockGram:
             panels = (
                 weighted_block(X, bank, l, out=buffer[: n * (cols.stop - cols.start)].reshape(n, -1), cols=cols)
                 for l in range(len(kernels))
-                for cols in diagnostics._panels(draws)
+                for cols in _panels(draws)
             )
             return diagnostics._report(diagnostics._kernel_block_gram(panels, _UpperStrips(n)), n, 1.0, draws, len(kernels))
 
@@ -594,6 +631,14 @@ class TestEmpiricalSupError:
         X = stream(110).uniform(0.0, 1.0, size=(50, 1))
         err = empirical_sup_error(GAUSS1, 2048, X, pairs=100, seed=0)
         assert 0.0 < err <= 0.2
+
+    @pytest.mark.parametrize("shape, draws, pairs", [((0, 2), 64, 5), ((5, 0), 64, 5), ((5, 2), 64, 2.0), ((5, 2), 2.0, 5)])
+    def test_refused_before_any_bank(self, monkeypatch, shape, draws, pairs):
+        calls = []
+        monkeypatch.setattr(diagnostics, "sample_frequencies", lambda *a: calls.append(a))
+        with pytest.raises(ConfigError):
+            empirical_sup_error(GAUSS1, draws, np.zeros(shape), pairs, seed=0)
+        assert calls == []
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_matches_per_pair_loop(self, family):

@@ -11,6 +11,7 @@ from kernelmix.kernels import BaseKernel, mixture_gram
 from kernelmix.mmd import MixtureWeights
 from kernelmix.rff import (
     FeatureBank,
+    _panels,
     build_feature_matrix,
     feature_block,
     sample_frequencies,
@@ -220,13 +221,15 @@ class TestFeatureMatrix:
     @settings(max_examples=60, deadline=None)
     @given(
         n=st.integers(1, 40),
-        dim=st.integers(1, 6),
-        draws=st.integers(1, 50),
+        dim=st.integers(1, 60),
+        draws=st.integers(1, 600),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_feature_block_bit_identical_to_expression(self, n, dim, draws, seed):
+        # the column stack of sqrt(2) cos(X xi_p^T + b_p) over the 256-column panels p
         rng = stream(seed)
         X = rng.normal(scale=3.0, size=(n, dim))
         xi = rng.standard_cauchy(size=(draws, dim))
         b = rng.uniform(0.0, 2.0 * math.pi, size=draws)
-        assert np.array_equal(feature_block(X, xi, b), math.sqrt(2.0) * np.cos(X @ xi.T + b))
+        want = np.hstack([math.sqrt(2.0) * np.cos(X @ xi[p].T + b[p]) for p in _panels(draws)])
+        assert np.array_equal(feature_block(X, xi, b), want)

@@ -264,5 +264,6 @@ class TestFeatureSelect:
 
     def test_bad_budget(self):
         ds, _planted = planted_feature_dataset(n=20, dim=3, seed=6)
-        with pytest.raises(ConfigError):
-            kernel_feature_select(ds.features, ds.labels.astype(float), self._bank(3), m_sel=0)
+        for m_sel in (0, 4, True, 2.0):
+            with pytest.raises(ConfigError):
+                kernel_feature_select(ds.features, ds.labels.astype(float), self._bank(3), m_sel=m_sel)

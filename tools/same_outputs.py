@@ -5,7 +5,7 @@
 Exports REF's ``src`` with ``git archive`` into a temporary directory, writes
 one fixed CSV and one fixed LIBSVM training file from a seeded NumPy draw,
 plus a balanced and an unbalanced CSV with more than one 64-row distance
-block per class, and runs the same twenty-three commands (score, train,
+block per class, and runs the same twenty-five commands (score, train,
 predict, select and diagnose)
 against REF's package and against the working tree's ``src``. Each side runs
 in its own directory with relative paths, so messages compare too. Every
@@ -54,9 +54,12 @@ COMMANDS = [
     "train --data train.csv --gammas 0.01,0.1,1,10 --draws 32 --epochs 10 --batch-size 16 --out mini.json",
     # a model without a standardization record: predict scores the rows as they are
     "train --data train.csv --gammas 0.1,1 --draws 64 --epochs 30 --no-standardize --out raw.json",
+    # D = 300 is one 256-column panel of the projection X xi^T and a ragged one
+    "train --data train.csv --gammas 0.1,1 --draws 300 --epochs 10 --out wide.json",
     "predict --model full.json --data train.svm --format libsvm --out full_pred.csv",
     "predict --model mini.json --data train.csv --out mini_pred.csv",
     "predict --model raw.json --data train.csv --out raw_pred.csv",
+    "predict --model wide.json --data train.csv --out wide_pred.csv",
     "select --data train.csv --gammas 0.01,0.1,1,10 --folds 3 --draws 32 --epochs 10 --out select_data",
     "select --synthetic two-gaussian --synthetic-n 120 --gammas 0.1,1,10 --folds 3 --draws 32 --epochs 10 --out select_syn",
     "diagnose --data train.csv --gammas 0.5,2 --draws 64,256 --trials 2 --pairs 20 --out diag_sweep",
