@@ -16,14 +16,7 @@ from dataclasses import asdict, fields, replace
 
 import numpy as np
 
-from .data import (
-    LabeledDataset,
-    diameter,
-    load_dataset,
-    load_features,
-    split_by_label,
-    standardize,
-)
+from .data import diameter, load_dataset, load_features, split_by_label, standardize
 from .diagnostics import (
     ComplexityReport,
     empirical_sup_error,
@@ -32,7 +25,7 @@ from .diagnostics import (
 )
 from .errors import ConfigError, DataError, ModelIntegrityError, is_positive
 from .kernels import FAMILIES, BaseKernel
-from .mmd import MixtureWeights, mixing_weights, mmd_scores
+from .mmd import ESTIMATORS, MixtureWeights, mixing_weights, mmd_scores
 from .rff import FeatureBank, build_feature_matrix, spectral_second_moment
 from .select import compare_selection
 from .svm import TrainConfig, _outputs, load_model, outputs, save_model, train
@@ -66,8 +59,6 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def _cell(value) -> str:
-    if isinstance(value, bool):
-        return str(value).lower()
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -100,25 +91,25 @@ def _train_config(args) -> TrainConfig:
 
 
 def _load_input(args):
-    """The --data file, standardized unless --no-standardize, and the model
-    file's standardization record (None when skipped)."""
-    ds = load_dataset(args.data, format=args.format)
+    """The command's rows and the model file's standardization record.
+
+    The rows are the --data file or, on the commands that offer it, the
+    built-in --synthetic benchmark, never both. Either is standardized
+    unless --no-standardize, and the record is then None.
+    """
+    synthetic = getattr(args, "synthetic", None)
+    if synthetic and args.data is not None:
+        raise ConfigError(f"{args.command} takes --data or --synthetic, not both")
+    if synthetic:
+        ds = two_gaussian_dataset(n=args.synthetic_n, dim=args.synthetic_dim, seed=args.seed)
+    elif args.data is None:
+        raise ConfigError(f"{args.command} needs --data or --synthetic")
+    else:
+        ds = load_dataset(args.data, format=args.format)
     if args.no_standardize:
         return ds, None
     ds, mean, std = standardize(ds)
     return ds, {"mean": mean.tolist(), "std": std.tolist()}
-
-
-def _synthetic_or_data(args) -> LabeledDataset:
-    """The built-in --synthetic benchmark (always standardized) or the --data file, never both."""
-    if args.synthetic and args.data is not None:
-        raise ConfigError(f"{args.command} takes --data or --synthetic, not both")
-    if args.synthetic:
-        ds = two_gaussian_dataset(n=args.synthetic_n, dim=args.synthetic_dim, seed=args.seed)
-        return standardize(ds)[0]
-    if args.data is None:
-        raise ConfigError(f"{args.command} needs --data or --synthetic")
-    return _load_input(args)[0]
 
 
 # -- commands ----------------------------------------------------------------
@@ -202,7 +193,7 @@ def cmd_predict(args) -> int:
 
 def cmd_select(args) -> int:
     cfg = _train_config(args)
-    ds = _synthetic_or_data(args)
+    ds = _load_input(args)[0]
     gammas = args.gammas or (BENCHMARK_GAMMAS if args.synthetic else DATA_GAMMAS)
     report = compare_selection(
         ds, gammas, args.folds, cfg, args.draws, args.seed, test_fraction=args.test_fraction
@@ -220,7 +211,7 @@ def cmd_select(args) -> int:
 
 def cmd_diagnose(args) -> int:
     kernels = _bank_kernels(args)
-    ds = _synthetic_or_data(args)
+    ds = _load_input(args)[0]
     sweep = args.draws
     weights = mixing_weights(kernels, *split_by_label(ds), estimator=args.estimator)
     rows = probe_pass(ds.features, kernels, weights, sweep, list(range(args.seed, args.seed + args.trials)), args.R)
@@ -319,7 +310,7 @@ def _add_bank(p: _Parser) -> None:
         help=f"kernel family, or comma list matching --gammas ({'|'.join(FAMILIES)})",
     )
     p.add_argument("--gammas", type=_GAMMAS, default="1.0", help="comma list of gamma = 1/(2 rho^2) values")
-    p.add_argument("--estimator", choices=("auto", "biased", "unbiased_balanced"), default="auto",
+    p.add_argument("--estimator", choices=("auto", *ESTIMATORS), default="auto",
                    help="biased: the unbiased two-sample U-statistic MMD^2_u; unbiased_balanced: the paired statistic, which depends on row order; auto: unbiased_balanced exactly when n+ = n-")
 
 

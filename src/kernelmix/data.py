@@ -210,12 +210,16 @@ def standardize(ds: LabeledDataset) -> tuple[LabeledDataset, np.ndarray, np.ndar
 
     Returns the new dataset and the column mean and std. Constant columns
     are left at 0 and their std recorded as 0 so that the same transform can
-    be replayed on prediction inputs.
+    be replayed on prediction inputs. A mean or std that overflows (squared
+    deviations past the float limit) is refused: no model could replay it.
     """
     if ds.n < 2:
         raise DataError("standardize needs n >= 2")
-    mean = ds.features.mean(axis=0)
-    std = ds.features.std(axis=0)  # ddof=0
+    with np.errstate(over="ignore"):
+        mean = ds.features.mean(axis=0)
+        std = ds.features.std(axis=0)  # ddof=0
+    if not (np.isfinite(mean).all() and np.isfinite(std).all()):
+        raise DataError("a column's mean or std overflows; rescale the data or pass --no-standardize")
     out = apply_standardization(ds.features, mean, std)
     return LabeledDataset(out, ds.labels), mean, std
 

@@ -354,8 +354,8 @@ def pointwise_error_bound(
     that would push the raw bound below 0.05. The Laplacian (Cauchy)
     sampler has an infinite sigma_p and no bound: it gets ``{"skipped": ...}``.
     """
-    if eps <= 0:
-        raise ConfigError("eps must be positive")
+    if not is_positive(eps):
+        raise ConfigError(f"eps must be finite and positive, got {eps!r}")
     if not math.isfinite(sigma_p):
         return {"skipped": "infinite spectral second moment (Laplacian sampler)"}
     prefactor = 2.0**8 * (sigma_p * diam / eps) ** 2

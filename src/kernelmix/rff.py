@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, is_integer
 from .kernels import BaseKernel
 from .mmd import MixtureWeights
 from .rng import stream
@@ -58,8 +58,8 @@ def sample_frequencies(
     The stream is keyed by (seed, kernel_index), so each base kernel's bank
     regenerates identically no matter the order of generation.
     """
-    if draws < 1:
-        raise ConfigError("need at least one draw")
+    if not is_integer(draws, 1):
+        raise ConfigError(f"draws must be a positive integer, got {draws!r}")
     rng = stream(seed, kernel_index)
     if kernel.family == "laplacian":
         z = rng.normal(size=(draws, dim))

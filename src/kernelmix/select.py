@@ -103,12 +103,10 @@ def mmd_bandwidth_select(
     """
     gammas = _check_grid(gammas)
     kernels = [BaseKernel.from_gamma("gaussian", g) for g in gammas]
-    scores = mmd_scores(kernels, *split_by_label(ds))
-    rows = [{"gamma": float(g), "mmd_score": s.value} for g, s in zip(gammas, scores)]
-    values = np.array([r["mmd_score"] for r in rows])
-    degenerate = bool(values.max() == 0.0)
+    values = [s.value for s in mmd_scores(kernels, *split_by_label(ds))]
+    rows = [{"gamma": float(g), "mmd_score": v} for g, v in zip(gammas, values)]
     best = int(np.argmax(values))  # first maximum = smallest gamma on ties
-    return float(gammas[best]), rows, degenerate
+    return float(gammas[best]), rows, MixtureWeights.from_scores(values).degenerate
 
 
 @dataclass(frozen=True)

@@ -161,7 +161,9 @@ def train(
     D, the number of random features per base kernel, is ``bank.draws``
     when a bank is given, else the full feature count (single-kernel
     convention). The bank, when supplied, is kept on the model so it can
-    score raw inputs later.
+    score raw inputs later. Whatever the batch mode, every epoch ends in
+    (beta_avg, b_avg, Phi @ beta_avg), and the epoch's entry of the
+    objective history is read from it.
     """
     Phi = np.asarray(Phi, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -184,8 +186,9 @@ def train(
     offset = 0.0
     beta_avg = np.zeros(total)
     offset_avg = 0.0
-    # Full batch: Phi @ beta of the current iterate and, since the scores are
-    # linear in beta, their running average, which equals Phi @ beta_avg.
+    # Phi @ beta and Phi @ beta_avg. Full batch keeps both across steps (the
+    # scores are linear in beta, so their running average is Phi @ beta_avg);
+    # a mini-batch epoch forms Phi @ beta_avg at its end.
     scores = np.zeros(n)
     scores_avg = np.zeros(n)
     # Full batch: the last active set and its hinge part (see hinge_subgradient)
@@ -215,11 +218,9 @@ def train(
             if full_batch:
                 scores = Phi @ beta
                 scores_avg += (scores - scores_avg) / steps
-        if full_batch:
-            objective = _objective(scores_avg, y, beta_avg, offset_avg, cfg.lam, draws)
-        else:
-            objective = hinge_objective(Phi, y, beta_avg, offset_avg, cfg.lam, draws)
-        objective_history.append(objective)
+        if not full_batch:
+            scores_avg = Phi @ beta_avg
+        objective_history.append(_objective(scores_avg, y, beta_avg, offset_avg, cfg.lam, draws))
 
     meta = {"objective_history": objective_history, "max_post_step_norm": max_norm}
     return SvmModel(

@@ -20,6 +20,7 @@ from kernelmix.mmd import mixing_weights
 from kernelmix.rff import FeatureBank, build_feature_matrix, sample_frequencies
 from kernelmix.rng import stream
 from kernelmix.svm import _checksum, load_model
+from kernelmix.synthetic import two_gaussian_dataset
 
 
 def write_dataset(path, n=40, seed=0, gap=3.0):
@@ -336,6 +337,9 @@ class TestTrainPredict:
             ("narrow.csv", "f1\n0.5\n"),
             ("zero.svm", "1 0:5.0\n"),
             ("wide.svm", "1 1:0.5 3:1.0\n"),
+            ("word_label.svm", "abc 1:0.5 2:1.0\n"),
+            ("inf_label.svm", "inf 1:0.5 2:1.0\n"),
+            ("inf_entry.svm", "1 1:inf 2:1.0\n"),
         ],
     )
     def test_invalid_rows_exit_2(self, tmp_path, name, text):
@@ -364,6 +368,31 @@ class TestTrainPredict:
         args = ["train", "--data", str(bad), "--format", fmt, "--out", str(out)]
         assert cli.main(args) == 2
         assert capsys.readouterr().err == f"data error: {bad}: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("1.0,2.0,1\n", "standardize needs n >= 2"),
+            # the squared deviations overflow: a std of inf would be written to the model
+            ("1e300,2e300,1\n-1e300,0.5,-1\n3e300,-2e300,1\n-2e300,1e300,-1\n",
+             "a column's mean or std overflows; rescale the data or pass --no-standardize"),
+        ],
+        ids=["one-row", "times-1e300"],
+    )
+    def test_unstandardizable_data_exit_2(self, tmp_path, capsys, rows, message):
+        data = tmp_path / "d.csv"
+        data.write_text("f1,f2,label\n" + rows)
+        out = tmp_path / "model.json"
+        assert cli.main(["train", "--data", str(data), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"data error: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]
+
+    def test_missing_model_exit_2(self, tmp_path, capsys):
+        data = write_dataset(tmp_path / "d.csv")
+        out = tmp_path / "p.csv"
+        assert cli.main(["predict", "--model", str(tmp_path / "nope.json"), "--data", data, "--out", str(out)]) == 2
+        assert "nope.json" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unlabeled_rows_match_labeled(self, tmp_path):
@@ -598,6 +627,50 @@ def test_library_outputs_on_raw_rows_equal_cli_predict(text, standardized):
         assert svm.predict(model, raw).tobytes() == labels.tobytes()
 
 
+@st.composite
+def scaled_csvs(draw):
+    """(CSV text, labels in {-1, +1}) of 2-60 rows and 1-4 columns at magnitudes
+    from 1e-300 to 1e300, some columns constant or a copy of the one before,
+    with labels written -1/+1 or 0/1."""
+    n, dim = draw(st.integers(2, 60)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for _ in range(dim):
+        kind = draw(st.sampled_from(["normal", "constant", "copy"]))
+        scale = 10.0 ** draw(st.sampled_from([-300, -150, 0, 150, 300]) | st.integers(-300, 300))
+        if kind == "copy" and columns:
+            columns.append(columns[-1])
+        else:
+            columns.append(scale * (np.full(n, rng.normal()) if kind == "constant" else rng.normal(size=n)))
+    labels = np.array(draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n)))
+    written = np.where(labels == 1, 1, 0) if draw(st.booleans()) else labels
+    lines = [",".join(f"f{j}" for j in range(dim)) + ",label"]
+    lines += [",".join(map(repr, row)) + f",{label}" for row, label in zip(np.column_stack(columns).tolist(), written)]
+    return "\n".join(lines) + "\n", labels
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=scaled_csvs())
+def test_train_writes_only_models_predict_accepts(case):
+    # whatever the scale of the data, train refuses it (exit 2 or 3) or
+    # writes a model with which predict reproduces train's accuracy
+    text, labels = case
+    with tempfile.TemporaryDirectory() as tmp:
+        data, model_path, pred = (os.path.join(tmp, name) for name in ("d.csv", "m.json", "p.csv"))
+        with open(data, "w") as fh:
+            fh.write(text)
+        args = ["train", "--data", data, "--gammas", "0.5,2", "--draws", "8", "--epochs", "3", "--out", model_path]
+        code = cli.main(args)
+        assert code in (0, 2, 3)
+        if code != 0:
+            return
+        assert cli.main(["predict", "--model", model_path, "--data", data, "--out", pred]) == 0
+        with open(pred) as fh:
+            predicted = np.array([int(line.split(",")[3]) for line in fh.read().splitlines()[1:]])
+        with open(model_path + ".log.json") as fh:
+            assert (predicted == labels).mean() == json.load(fh)["train_accuracy"]
+
+
 @pytest.mark.parametrize("command", ["train", "select"])
 @pytest.mark.parametrize("flag", ["--R", "--lam", "--step-size"])
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -810,6 +883,34 @@ def test_synthetic_size_flags_exit_3(tmp_path, capsys, no_work, command, flag, v
     assert_refused_at_parse(tmp_path, capsys, command, flag, value)
 
 
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("select", ["--gammas", "0.1,1", "--folds", "3", "--draws", "16", "--epochs", "5"]),
+        ("diagnose", ["--gammas", "0.5,2", "--draws", "32", "--trials", "2", "--pairs", "5"]),
+    ],
+    ids=["select", "diagnose"],
+)
+def test_synthetic_rows_take_the_data_path(tmp_path, command, flags):
+    # --synthetic and a --data file of the same rows pass one loader: the same
+    # bytes either way, and --no-standardize reaches both
+    ds = two_gaussian_dataset(n=60, dim=3, seed=0)
+    lines = ["f1,f2,f3,label"] + [",".join(map(repr, row)) + f",{label}" for row, label in zip(ds.features.tolist(), ds.labels)]
+    (tmp_path / "d.csv").write_text("\n".join(lines) + "\n")
+    sources = {"synthetic": ["--synthetic", "two-gaussian", "--synthetic-n", "60", "--synthetic-dim", "3"],
+               "data": ["--data", str(tmp_path / "d.csv")]}
+    written = {}
+    for name, source in sources.items():
+        for scaling in ([], ["--no-standardize"]):
+            out = tmp_path / name / ("raw" if scaling else "standardized")
+            out.parent.mkdir(exist_ok=True)
+            assert cli.main([command, *source, *flags, *scaling, "--out", str(out)]) == 0
+            written[name, bool(scaling)] = {p.name: p.read_bytes() for p in sorted(out.parent.glob(out.name + ".*"))}
+    for raw in (False, True):
+        assert written["synthetic", raw] == written["data", raw]
+    assert written["synthetic", False] != written["synthetic", True]
+
+
 @pytest.mark.parametrize("command", ["select", "diagnose"])
 def test_data_and_synthetic_together_exit_3(tmp_path, capsys, no_work, command):
     # one input or the other: neither is silently dropped
@@ -873,9 +974,12 @@ class TestConfigFile:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "d.csv"]
 
     def test_invalid_config_exit_3(self, tmp_path):
+        # not an object, not JSON at all, and no file
         bad = tmp_path / "cfg.json"
-        bad.write_text("[1,2]")
-        assert cli.main(["score", "--config", str(bad), "--out", "x"]) == 3
+        for text in ("[1,2]", "{\"seed\": "):
+            bad.write_text(text)
+            assert cli.main(["score", "--config", str(bad), "--out", "x"]) == 3
+        assert cli.main(["score", "--config", str(tmp_path / "missing.json"), "--out", "x"]) == 3
 
     def test_config_values_checked_like_flags(self, tmp_path, capsys, no_work):
         config = tmp_path / "cfg.json"

@@ -599,6 +599,11 @@ class TestPointwiseBound:
         better = pointwise_error_bound(0.1, report["required_draws"], 2, 1.0, 2.0)
         assert better["raw_bound"] <= 0.05 * (1 + 1e-9)
 
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf])
+    def test_eps_must_be_finite_and_positive(self, eps):
+        with pytest.raises(ConfigError, match="eps must be finite and positive"):
+            pointwise_error_bound(eps, 100, 2, 1.0, 2.0)
+
     def test_refuses_cauchy_sampler(self):
         bound = pointwise_error_bound(0.1, 100, 2, sigma_p(BaseKernel("laplacian", 1.0), 2), 2.0)
         assert bound == {"skipped": "infinite spectral second moment (Laplacian sampler)"}

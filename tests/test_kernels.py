@@ -39,6 +39,8 @@ class TestBaseKernel:
             BaseKernel("gaussian", 0.0)
         with pytest.raises(ConfigError):
             BaseKernel("sigmoid", 1.0)
+        with pytest.raises(ConfigError, match="gamma must be positive"):
+            BaseKernel.from_gamma("gaussian", 0)
 
 
 class TestEvalKernel:

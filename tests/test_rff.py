@@ -154,6 +154,12 @@ class TestFeatureBank:
         assert np.array_equal(bank.weights.weights, clone.weights.weights)
         assert (clone.kernels, clone.draws, clone.dim, clone.seed) == (bank.kernels, bank.draws, bank.dim, bank.seed)
 
+    @pytest.mark.parametrize("draws", [0, -1, 2.0, True])
+    def test_draws_must_be_a_positive_integer(self, draws):
+        # a float or a bool is refused as a config value, not by numpy's TypeError
+        with pytest.raises(ConfigError, match="draws must be a positive integer"):
+            _bank([GAUSS1], [1.0], draws=draws)
+
     def test_weight_count_mismatch(self):
         with pytest.raises(ConfigError):
             _bank([GAUSS1], [0.5, 0.5])

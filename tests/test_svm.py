@@ -199,6 +199,10 @@ class TestTrain:
         with pytest.raises(DataError, match="both classes"):
             train(np.ones((0, 2)), np.ones(0), TrainConfig())
 
+    def test_feature_matrix_must_match_the_labels(self):
+        with pytest.raises(ConfigError, match="does not match 3 labels"):
+            train(np.ones((4, 2)), [1, -1, 1], TrainConfig())
+
     def test_feature_matrix_needs_columns(self):
         with pytest.raises(ConfigError, match="no columns"):
             train(np.ones((4, 0)), [1, -1, 1, -1], TrainConfig())
@@ -206,6 +210,8 @@ class TestTrain:
     def test_bad_config(self):
         for bad in (
             {"R": -1.0},
+            {"lam": float("nan")},
+            {"step_size": float("nan")},
             {"epochs": 0},
             {"epochs": 2.5},
             {"epochs": float("nan")},
