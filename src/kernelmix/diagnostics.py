@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, is_integer, is_positive
+from .errors import ConfigError, DataError, is_integer, is_positive
 from .kernels import BaseKernel, kernel_values, mixture_gram
 from .mmd import MixtureWeights
 from .rff import _PANEL_COLUMNS, FeatureBank, _panels, feature_block, sample_frequencies, weighted_block
@@ -353,18 +353,26 @@ def pointwise_error_bound(
     Clamped at 1; when vacuous, ``required_draws`` reports the smallest D
     that would push the raw bound below 0.05. The Laplacian (Cauchy)
     sampler has an infinite sigma_p and no bound: it gets ``{"skipped": ...}``.
+    A bound whose ``required_draws`` overflows on the way (an infinite
+    diameter among them) is refused as a DataError.
     """
     if not is_positive(eps):
         raise ConfigError(f"eps must be finite and positive, got {eps!r}")
     if not math.isfinite(sigma_p):
         return {"skipped": "infinite spectral second moment (Laplacian sampler)"}
-    prefactor = 2.0**8 * (sigma_p * diam / eps) ** 2
-    raw = prefactor * math.exp(-draws * eps**2 / (4.0 * (dim + 2)))
     target = 0.05
-    if prefactor <= target:
-        required = 1
-    else:
-        required = math.ceil(4.0 * (dim + 2) / eps**2 * math.log(prefactor / target))
+    try:  # a square past the float limit raises, and so does the ceil of inf
+        prefactor = 2.0**8 * (sigma_p * diam / eps) ** 2
+        raw = prefactor * math.exp(-draws * eps**2 / (4.0 * (dim + 2)))
+        if prefactor <= target:
+            required = 1
+        else:
+            required = math.ceil(4.0 * (dim + 2) / eps**2 * math.log(prefactor / target))
+    except (OverflowError, ZeroDivisionError):  # eps**2 may underflow to 0
+        raise DataError(
+            f"the pointwise bound overflows at diameter {diam:g} and eps {eps:g}; "
+            "rescale the data (or drop --no-standardize) or raise --eps"
+        ) from None
     return {
         "bound": min(1.0, raw),
         "raw_bound": raw,

@@ -10,6 +10,7 @@ is accepted as an alternative parameterization.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -59,8 +60,9 @@ def distance_blocks(X: np.ndarray, Y: np.ndarray | None = None) -> Iterator[tupl
     [1, -y_k]^T, whose two terms are exact, so it is rounded once, as a
     subtraction is. Swapping two rows only flips signs before squaring, so
     the distances of X to itself are exactly symmetric, with exact zeros on
-    the diagonal. No scratch is kept across a yield, so a caller that drops
-    each block before the next holds one block at a time.
+    the diagonal. A square past the float limit is inf, without a warning.
+    No scratch is kept across a yield, so a caller that drops each block
+    before the next holds one block at a time.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     within = Y is None
@@ -76,14 +78,15 @@ def distance_blocks(X: np.ndarray, Y: np.ndarray | None = None) -> Iterator[tupl
         rows = slice(start, min(start + _BLOCK_ROWS, n))
         # within X, a block's rows pair with the rows after its first
         cols = slice(start + 1 if within else 0, m)
-        block = np.matmul(left[0, rows], right[0, :, cols])
-        block *= block
-        term = np.empty_like(block)
-        for k in range(1, d):
-            np.matmul(left[k, rows], right[k, :, cols], out=term)
-            term *= term
-            block += term
-        del term
+        with np.errstate(over="ignore"):  # not held across the yield
+            block = np.matmul(left[0, rows], right[0, :, cols])
+            block *= block
+            term = np.empty_like(block)
+            for k in range(1, d):
+                np.matmul(left[k, rows], right[k, :, cols], out=term)
+                term *= term
+                block += term
+            del term
         if within:  # keep the pairs j > i
             block = block[np.arange(block.shape[1]) >= np.arange(block.shape[0])[:, None]]
         yield start, block
@@ -101,21 +104,24 @@ def kernel_matrix(kernel: BaseKernel, X: np.ndarray, Y: np.ndarray | None = None
     return _gram([kernel], [1.0], X, Y)
 
 
-#: exp(x) rounds to exactly 0.0 for every x below this, and numpy's exp is
-#: many times slower on such arguments than on ordinary ones.
-_EXP_IS_ZERO_BELOW = -745.2
+#: ln(DBL_MIN): exp(x) is a normal double exactly for x at or above this
+#: (for x one ulp below, it is subnormal), and numpy's exp is many times
+#: slower on arguments whose result is subnormal or zero than on ordinary ones.
+_EXP_IS_ZERO_BELOW = math.log(sys.float_info.min)
 
 
 def _exp(arg: np.ndarray, smallest: float) -> np.ndarray:
-    """exp of ``arg``, a fresh C-contiguous array, written into it; ``smallest`` is its minimum.
+    """exp of ``arg``, flushed to 0.0 where subnormal, written into ``arg``, a
+    fresh C-contiguous array; ``smallest`` is its minimum.
 
-    When no argument underflows, exp runs in place. Otherwise the int64
-    indices of the arguments whose exp does not underflow (NaN among them)
-    gather them, exp runs in place on them, and they are put back over the
-    zeroed array, the rest being the 0.0 that exp would return. exp is
-    elementwise, so both paths give the bits of exp on every argument.
-    Callers pass one distance block at most, so the gather holds at most a
-    block's indices and values. A NaN ``smallest`` takes the gather path.
+    Every value is exp's bits for an argument at or above ln(DBL_MIN) (NaN
+    included) and 0.0 below it, so no kernel value is subnormal. When no
+    argument is below, exp runs in place. Otherwise the int64 indices of
+    the arguments not below it gather them, exp runs in place on them, and
+    they are put back over the zeroed array. exp is elementwise, so both
+    paths give the same bits. Callers pass one distance block at most, so
+    the gather holds at most a block's indices and values. A NaN
+    ``smallest`` takes the gather path.
     """
     if smallest >= _EXP_IS_ZERO_BELOW:
         return np.exp(arg, out=arg)

@@ -10,6 +10,15 @@ step_size / sqrt(t). The offset b0 is trained unregularized and
 unconstrained. The returned model carries the averaged iterate, which is
 feasible by convexity of the ball.
 
+Full-batch training reads Phi only when the set of rows with a positive
+hinge argument changes. The hinge part h of the subgradient is fixed while
+the set is, so a step is beta' = c (beta - eta (lam beta - h)), with c the
+projection's factor, and the scores Phi beta' = c (Phi beta - eta (lam Phi
+beta - Phi h)) follow from the last ones and Phi h, formed next to h. A
+step costs O(n + mD). The carried scores differ from Phi beta by rounding
+alone, so beta and the offset are those of steps that form Phi beta
+unless a margin lies within that rounding of the hinge kink.
+
 A model scores raw rows: :func:`outputs`, which every prediction goes
 through, replays the model's column standardization before it builds Phi.
 The model file's format, bank included, is read and written here alone.
@@ -118,8 +127,9 @@ def hinge_subgradient(
 
     The hinge part depends on the active set alone. ``hinge`` is a dict the
     caller keeps across calls on the same Phi and y: it holds the last
-    active set with its hinge part, which is formed again only when the set
-    changes. The result has the same bits either way.
+    active set with its hinge part h, which is formed again only when the
+    set changes, and h's image ``Phi @ h`` under "image" (zeros with no
+    active row), formed next to it. The result has the same bits either way.
     """
     n = Phi.shape[0]
     if scores is None:
@@ -134,20 +144,23 @@ def hinge_subgradient(
             ya = np.where(active, y, 0.0)
             term = (ya @ Phi) / (n * math.sqrt(draws)), -float(ya.sum()) / n
         if hinge is not None:
-            hinge.update(active=active, term=term)
+            hinge.update(active=active, term=term, image=np.zeros(n) if term is None else Phi @ term[0])
     if term is None:
         return lam * beta, 0.0
     return lam * beta - term[0], term[1]
 
 
-def _project(beta: np.ndarray, radius: float) -> tuple[np.ndarray, float]:
-    """beta projected onto the ball of ``radius``, and the measured norm of
-    the result (taken again only when the ball fired)."""
+def _project(beta: np.ndarray, radius: float) -> tuple[np.ndarray, float, float]:
+    """beta projected onto the ball of ``radius``, the factor it was scaled
+    by (1.0 when the ball did not fire), and the measured norm of the result
+    (taken again only when the ball fired)."""
     norm = float(np.linalg.norm(beta))
+    scale = 1.0
     if norm > radius:
-        beta = beta * (radius / norm)
+        scale = radius / norm
+        beta = beta * scale
         norm = float(np.linalg.norm(beta))
-    return beta, norm
+    return beta, scale, norm
 
 
 def train(
@@ -186,12 +199,13 @@ def train(
     offset = 0.0
     beta_avg = np.zeros(total)
     offset_avg = 0.0
-    # Phi @ beta and Phi @ beta_avg. Full batch keeps both across steps (the
-    # scores are linear in beta, so their running average is Phi @ beta_avg);
-    # a mini-batch epoch forms Phi @ beta_avg at its end.
+    # Phi @ beta and Phi @ beta_avg. Full batch carries both across steps:
+    # the scores are linear in beta, so each step moves them as it moves
+    # beta, and their running average is Phi @ beta_avg. A mini-batch epoch
+    # forms Phi @ beta_avg at its end.
     scores = np.zeros(n)
     scores_avg = np.zeros(n)
-    # Full batch: the last active set and its hinge part (see hinge_subgradient)
+    # Full batch: the last active set, its hinge part h and Phi @ h (see hinge_subgradient)
     hinge = {} if full_batch else None
     steps = 0
     max_norm = 0.0  # largest ||beta|| of a projected iterate
@@ -210,13 +224,14 @@ def train(
             )
             steps += 1
             eta = cfg.step_size / math.sqrt(steps)
-            beta, norm = _project(beta - eta * g_beta, radius)
+            beta, scale, norm = _project(beta - eta * g_beta, radius)
             offset -= eta * g_offset
             max_norm = max(max_norm, norm)
             beta_avg += (beta - beta_avg) / steps
             offset_avg += (offset - offset_avg) / steps
             if full_batch:
-                scores = Phi @ beta
+                # g_beta = lam beta - h, so Phi g_beta = lam scores - Phi h
+                scores = (scores - eta * (cfg.lam * scores - hinge["image"])) * scale
                 scores_avg += (scores - scores_avg) / steps
         if not full_batch:
             scores_avg = Phi @ beta_avg

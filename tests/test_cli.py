@@ -671,6 +671,30 @@ def test_train_writes_only_models_predict_accepts(case):
             assert (predicted == labels).mean() == json.load(fh)["train_accuracy"]
 
 
+#: score, select and diagnose, small enough that one example takes tens of milliseconds
+_SCALED_COMMANDS = [
+    ["score", "--gammas", "0.5,2"],
+    ["select", "--gammas", "0.5,2", "--folds", "2", "--draws", "8", "--epochs", "3"],
+    ["diagnose", "--gammas", "0.5,2", "--draws", "8", "--trials", "1", "--pairs", "5"],
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=scaled_csvs())
+def test_every_command_refuses_or_runs_at_any_scale(case):
+    # on the files above, with and without standardization, each command
+    # runs (exit 0) or refuses the data or the configuration (exit 2 or 3);
+    # any other exception escapes cli.main and fails the test
+    text, _labels = case
+    with tempfile.TemporaryDirectory() as tmp:
+        data, out = os.path.join(tmp, "d.csv"), os.path.join(tmp, "out")
+        with open(data, "w") as fh:
+            fh.write(text)
+        for command in _SCALED_COMMANDS:
+            for extra in ([], ["--no-standardize"]):
+                assert cli.main([*command, "--data", data, "--out", out, *extra]) in (0, 2, 3)
+
+
 @pytest.mark.parametrize("command", ["train", "select"])
 @pytest.mark.parametrize("flag", ["--R", "--lam", "--step-size"])
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -824,6 +848,22 @@ class TestDiagnose:
             "--trials", "1", "--pairs", "2", "--out", str(tmp_path / "diag"),
         ]
         assert cli.main(args) == 1
+
+    @pytest.mark.parametrize("scale", [1e153, 1e160])  # a finite and an infinite diameter
+    def test_overflowing_pointwise_bound_exits_2(self, tmp_path, capsys, scale):
+        # unstandardized rows this far apart make the bound's prefactor
+        # overflow; diagnose refuses the data instead of raising OverflowError
+        data = tmp_path / "d.csv"
+        rows = [(1.26, 1), (-1.32, 1), (6.40, -1), (1.05, -1)]
+        data.write_text("f0,label\n" + "".join(f"{x * scale!r},{label}\n" for x, label in rows))
+        args = [
+            "diagnose", "--data", str(data), "--no-standardize", "--gammas", "0.5", "--draws", "8",
+            "--trials", "1", "--pairs", "2", "--out", str(tmp_path / "diag"),
+        ]
+        assert cli.main(args) == 2
+        err = capsys.readouterr().err
+        assert "data error: the pointwise bound overflows" in err and "Traceback" not in err
+        assert not (tmp_path / "diag.json").exists()
 
     @pytest.fixture
     def refuse_builds(self, monkeypatch):

@@ -20,7 +20,7 @@ from kernelmix.diagnostics import (
     probe_pass,
     spectral_concentration,
 )
-from kernelmix.errors import ConfigError
+from kernelmix.errors import ConfigError, DataError
 from kernelmix.kernels import FAMILIES, BaseKernel, mixture_gram
 from kernelmix.mmd import MixtureWeights, mixing_weights
 from kernelmix.rff import (
@@ -603,6 +603,11 @@ class TestPointwiseBound:
     def test_eps_must_be_finite_and_positive(self, eps):
         with pytest.raises(ConfigError, match="eps must be finite and positive"):
             pointwise_error_bound(eps, 100, 2, 1.0, 2.0)
+
+    @pytest.mark.parametrize("diam", [1e154, math.inf])  # a finite diameter whose square overflows, an infinite one
+    def test_overflowing_prefactor_is_a_data_error(self, diam):
+        with pytest.raises(DataError, match="the pointwise bound overflows"):
+            pointwise_error_bound(0.1, 100, 2, 1.0, diam)
 
     def test_refuses_cauchy_sampler(self):
         bound = pointwise_error_bound(0.1, 100, 2, sigma_p(BaseKernel("laplacian", 1.0), 2), 2.0)

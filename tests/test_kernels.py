@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -165,11 +166,19 @@ class TestSquaredDistances:
             assert _same_bits(block, cdist(X[start : start + rows], Y, "sqeuclidean"))
 
 
-#: exp arguments that straddle the underflow threshold, with the specials
+#: The smallest positive normal double; no kernel value lies in (0, DBL_MIN).
+DBL_MIN = sys.float_info.min
+
+#: exp arguments that straddle ln(DBL_MIN), below which exp is subnormal, and
+#: the point where it underflows to zero, with the specials
 _EXP_ELEMENTS = st.one_of(
     st.floats(-800.0, 50.0),
+    st.floats(-709.0, -708.0),
     st.floats(-746.0, -744.0),
-    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, _EXP_IS_ZERO_BELOW, -708.4]),
+    st.sampled_from([
+        0.0, -0.0, math.inf, -math.inf, math.nan, -745.2, -708.4,
+        _EXP_IS_ZERO_BELOW, math.nextafter(_EXP_IS_ZERO_BELOW, -math.inf),
+    ]),
 )
 _EXP_ARGUMENTS = arrays(np.float64, st.integers(1, 300), elements=_EXP_ELEMENTS)
 _GAMMAS = [1e-4, 0.37, 1.0, 100.0, 1e4]
@@ -182,7 +191,10 @@ class TestExpPaths:
     @settings(max_examples=200, deadline=None)
     @given(arg=_EXP_ARGUMENTS)
     def test_plain_exp_equals_masked(self, arg):
-        assert _same_bits(np.exp(arg), self.masked(arg))
+        # the contract: exp's bits wherever exp is a normal double or NaN, which
+        # is at or above ln(DBL_MIN), and 0.0 where it is subnormal or zero
+        exp = np.exp(arg)
+        assert _same_bits(np.where(np.abs(exp) < DBL_MIN, 0.0, exp), self.masked(arg))
 
     def test_gather_crosses_chunk_edges(self):
         # a large array of underflowing and kept arguments, NaN and +-inf
@@ -208,7 +220,7 @@ class TestExpPaths:
         gamma=st.sampled_from(_GAMMAS),
     )
     def test_block_max_decides_like_the_smallest_argument(self, arg, rows, family, gamma):
-        # distances that straddle -745.2 * scale, with NaN, +-inf, zeros and
+        # distances that straddle ln(DBL_MIN) * scale, with NaN, +-inf, zeros and
         # empty blocks; the largest distance over -scale is the smallest
         # argument, so one max per block serves every kernel
         kernel = BaseKernel.from_gamma(family, gamma)
@@ -222,6 +234,20 @@ class TestExpPaths:
         smallest = (dist / -scale).min(initial=0.0)
         assert (math.isnan(largest / -scale) and math.isnan(smallest)) or largest / -scale == smallest
         assert _same_bits(next(kernel_values([kernel], squared)), self.masked(dist / -scale))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        arg=arrays(np.float64, st.integers(0, 120), elements=_EXP_ELEMENTS),
+        family=st.sampled_from(FAMILIES),
+        gamma=st.sampled_from(_GAMMAS),
+    )
+    def test_kernel_values_are_never_subnormal(self, arg, family, gamma):
+        # squared distances whose exp arguments are ``arg``, by the kernel's own scale
+        kernel = BaseKernel.from_gamma(family, gamma)
+        scale = kernel.rho if family == "laplacian" else 2.0 * kernel.rho**2
+        dist = np.abs(arg) * scale
+        values = next(kernel_values([kernel], dist * dist if family == "laplacian" else dist))
+        assert not ((values != 0.0) & (np.abs(values) < DBL_MIN)).any()
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -269,16 +295,17 @@ class TestGram:
         assert np.all(np.diag(K) == 1.0)
 
     @pytest.mark.parametrize("family", FAMILIES)
-    @pytest.mark.parametrize("rho", [0.7, 0.02])  # 0.02: most values underflow to 0.0
+    @pytest.mark.parametrize("rho", [0.7, 0.02])  # 0.02: most values are subnormal or 0.0
     def test_bit_identical_to_mirrored_upper_triangle(self, family, rho):
         # the Gram matrix used to be exp of the scaled cdist, rebuilt as
-        # triu(K) + triu(K, 1).T with a unit diagonal
+        # triu(K) + triu(K, 1).T with a unit diagonal; a subnormal exp is 0.0
         kernel = BaseKernel(family, rho)
         scale = rho if family == "laplacian" else 2.0 * rho**2
         metric = {"gaussian": "sqeuclidean", "laplacian": "euclidean"}[family]
         for seed in range(6):
             X = 3.0 * stream(15, seed).normal(size=(20 + 7 * seed, 1 + seed))
             K = np.exp(-cdist(X, X, metric) / scale)
+            K[K < DBL_MIN] = 0.0
             mirrored = np.triu(K) + np.triu(K, 1).T
             np.fill_diagonal(mirrored, 1.0)
             assert np.array_equal(kernel_matrix(kernel, X), mirrored)

@@ -149,8 +149,10 @@ class TestTrain:
         np.testing.assert_allclose(model.meta["objective_history"], history, rtol=1e-12, atol=0)
 
     def test_hinge_part_reuse_is_bit_identical(self, monkeypatch):
-        # full batch forms ya @ Phi once per active set; on two well-separated
-        # Gaussians with a wide ball the set shrinks as margins reach 1
+        # full batch forms ya @ Phi and its image under Phi once per active
+        # set; on two well-separated Gaussians with a wide ball the set
+        # shrinks as margins reach 1. The comparison clears the cache before
+        # every step, so every step forms both anew.
         rng = stream(90)
         X = np.vstack([rng.normal(size=(40, 2)) + 3.0, rng.normal(size=(40, 2)) - 3.0])
         y = np.concatenate([np.ones(40), -np.ones(40)])
@@ -167,15 +169,20 @@ class TestTrain:
 
         monkeypatch.setattr(svm, "hinge_subgradient", recording)
         cached = train(Phi, y, cfg, bank=bank)
-        monkeypatch.setattr(svm, "hinge_subgradient", lambda *a, hinge=None, **k: real(*a, **k))
-        bypassed = train(Phi, y, cfg, bank=bank)
+
+        def clearing(*args, hinge=None, **kwargs):
+            hinge.clear()
+            return real(*args, hinge=hinge, **kwargs)
+
+        monkeypatch.setattr(svm, "hinge_subgradient", clearing)
+        fresh = train(Phi, y, cfg, bank=bank)
 
         changes = sum(not np.array_equal(a, b) for a, b in zip(masks, masks[1:]))
         assert len(masks) == 200 and 10 <= changes < 199
-        assert _same_bits(cached.beta, bypassed.beta)
-        assert _same_bits(np.float64(cached.offset), np.float64(bypassed.offset))
+        assert _same_bits(cached.beta, fresh.beta)
+        assert _same_bits(np.float64(cached.offset), np.float64(fresh.offset))
         for key in ("objective_history", "max_post_step_norm"):
-            assert _same_bits(np.array(cached.meta[key]), np.array(bypassed.meta[key]))
+            assert _same_bits(np.array(cached.meta[key]), np.array(fresh.meta[key]))
 
     def test_single_class_rejected(self):
         with pytest.raises(DataError):
@@ -267,6 +274,27 @@ class TestTrain:
         np.testing.assert_allclose(
             mini.meta["objective_history"], full.meta["objective_history"], rtol=1e-12, atol=0
         )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(4, 40),
+        total=st.integers(1, 12),
+        epochs=st.integers(1, 30),
+        R=st.sampled_from([1e-3, 0.1, 1e3]) | st.floats(1e-2, 50.0),
+        lam=st.sampled_from([0.0, 0.01, 0.5]),
+    )
+    def test_carried_scores_give_the_objective_of_the_model(self, seed, n, total, epochs, R, lam):
+        # full batch never forms Phi @ beta after the first active set: the
+        # last epoch's objective, read from the carried scores, is the
+        # model's own, whether or not the ball fires
+        rng = stream(seed)
+        Phi = rng.normal(scale=2.0, size=(n, total))
+        y = np.where(rng.uniform(size=n) < 0.5, 1.0, -1.0)
+        y[:2] = [1.0, -1.0]
+        model = train(Phi, y, TrainConfig(R=R, lam=lam, epochs=epochs, step_size=0.5))
+        want = hinge_objective(Phi, y, model.beta, model.offset, lam, model.draws)
+        assert model.meta["objective_history"][-1] == pytest.approx(want, rel=1e-12, abs=0)
 
 
 class TestSubgradient:

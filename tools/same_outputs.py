@@ -5,7 +5,7 @@
 Exports REF's ``src`` with ``git archive`` into a temporary directory, writes
 one fixed CSV and one fixed LIBSVM training file from a seeded NumPy draw,
 plus a balanced and an unbalanced CSV with more than one 64-row distance
-block per class, and runs the same twenty-five commands (score, train,
+block per class, and runs the same twenty-six commands (score, train,
 predict, select and diagnose)
 against REF's package and against the working tree's ``src``. Each side runs
 in its own directory with relative paths, so messages compare too. Every
@@ -64,6 +64,8 @@ COMMANDS = [
     "predict --model wide.json --data train.csv --out wide_pred.csv",
     "select --data train.csv --gammas 0.01,0.1,1,10 --folds 3 --draws 32 --epochs 10 --out select_data",
     "select --synthetic two-gaussian --synthetic-n 120 --gammas 0.1,1,10 --folds 3 --draws 32 --epochs 10 --out select_syn",
+    # gamma = 100 and 10000 put many kernel values in exp's subnormal range, flushed to 0.0
+    "select --data balanced.csv --gammas 1,100,10000 --folds 3 --draws 32 --epochs 10 --out select_flush",
     "diagnose --data train.csv --gammas 0.5,2 --draws 64,256 --trials 2 --pairs 20 --out diag_sweep",
     "diagnose --synthetic two-gaussian --synthetic-n 80 --families laplacian --gammas 0.5,2 --draws 128 --trials 2 --out diag_laplacian",
     # trial banks 5 and 6: the concentration rows follow --seed
