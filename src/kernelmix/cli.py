@@ -19,6 +19,7 @@ import numpy as np
 from .data import diameter, load_dataset, load_features, split_by_label, standardize
 from .diagnostics import (
     ComplexityReport,
+    check_rows,
     empirical_sup_error,
     pointwise_error_bound,
     probe_pass,
@@ -212,18 +213,16 @@ def cmd_select(args) -> int:
 def cmd_diagnose(args) -> int:
     kernels = _bank_kernels(args)
     ds = _load_input(args)[0]
-    sweep = args.draws
+    check_rows(ds.n)  # before the O(n^2) diameter and MMD walks
+    sigma_p = math.sqrt(spectral_second_moment(kernels[0], ds.dim))
+    pointwise = pointwise_error_bound(args.eps, args.draws[-1], ds.dim, sigma_p, diameter(ds))
     weights = mixing_weights(kernels, *split_by_label(ds), estimator=args.estimator)
-    rows = probe_pass(ds.features, kernels, weights, sweep, list(range(args.seed, args.seed + args.trials)), args.R)
+    rows = probe_pass(ds.features, kernels, weights, args.draws, list(range(args.seed, args.seed + args.trials)), args.R)
 
     complexity_rows = [asdict(report) for report, _row in rows]
     violation = any(r["erfc_bound"] > r["khintchine_bound"] for r in complexity_rows)
     concentration_rows = [row for _report, row in rows]
-
-    first = kernels[0]
-    sigma_p = math.sqrt(spectral_second_moment(first, ds.dim))
-    pointwise = pointwise_error_bound(args.eps, sweep[-1], ds.dim, sigma_p, diameter(ds))
-    sup_err = empirical_sup_error(first, sweep[-1], ds.features, args.pairs, args.seed)
+    sup_err = empirical_sup_error(kernels[0], args.draws[-1], ds.features, args.pairs, args.seed)
 
     payload = {
         "command": "diagnose",
@@ -369,7 +368,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output path prefix")
     p.set_defaults(func=cmd_select)
 
-    p = sub.add_parser("diagnose", help="complexity bounds (both erfc variants, labeled) and concentration tables; writes OUT.json, OUT.complexity.csv, OUT.concentration.csv")
+    p = sub.add_parser("diagnose", help="complexity bounds and concentration tables; writes OUT.json, OUT.complexity.csv, OUT.concentration.csv")
     _add_common(p)
     _add_data(p, required=False)
     _add_synthetic(p, n=100)

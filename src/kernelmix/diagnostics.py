@@ -1,10 +1,8 @@
 """Computable complexity bounds and feature-matrix concentration checks.
 
-The Rademacher bound is reported in both argument conventions found in the
-source material: ``erfc_bound`` follows the derivation, with argument
-sqrt(192) * ||Phi||_F / |||Phi|||_2, while ``erfc_bound_display`` uses the
-displayed erfc(sqrt(192 D)). The sharper-than ordering against the
-Khintchine bound is asserted on the derivation-faithful variant.
+The Rademacher bound ``erfc_bound`` takes the derivation's argument
+sqrt(192) ||Phi||_F / |||Phi|||_2 (erfc of the displayed sqrt(192 D) is 0.0
+at every D >= 4) and must not exceed the Khintchine bound.
 
 Every quantity of Phi is read from its n x n Gram G = Phi Phi^T, with no SVD:
 
@@ -57,7 +55,6 @@ class ComplexityReport:
     spectral_norm: float
     trace_quartic: float  # Tr((Phi Phi^T)^2)
     erfc_bound: float
-    erfc_bound_display: float
     khintchine_bound: float
     gaussian_bound: float
 
@@ -212,10 +209,9 @@ def _kernel_block_gram(panels, G: _UpperStrips) -> _UpperStrips:
 def complexity_bounds(Phi: np.ndarray, R: float, draws: int, m: int) -> ComplexityReport:
     """Rademacher/Gaussian complexity upper bounds for one feature matrix.
 
-    erfc_bound         (R / (n D)) sqrt(pi/192) |||Phi|||_2 erfc(sqrt(192) fro/spec)
-    erfc_bound_display same prefactor with erfc(sqrt(192 D))
-    khintchine_bound   (R / (n D sqrt(m))) sqrt(23/44) ||Phi||_F
-    gaussian_bound     (R / (n D)) (2 sqrt(pi T4)/fro + fro/(2 spec^2) e^{-fro^4/(4 T4)})
+    erfc_bound       (R / (n D)) sqrt(pi/192) |||Phi|||_2 erfc(sqrt(192) fro/spec)
+    khintchine_bound (R / (n D sqrt(m))) sqrt(23/44) ||Phi||_F
+    gaussian_bound   (R / (n D)) (2 sqrt(pi T4)/fro + fro/(2 spec^2) e^{-fro^4/(4 T4)})
 
     Phi has a row and m kernel blocks of ``draws`` columns; R is finite and
     positive. Its Gram is summed over the panels of :func:`kernelmix.rff._panels`
@@ -239,7 +235,6 @@ def _report(G: _UpperStrips, n: int, R: float, draws: int, m: int) -> Complexity
     trace_quartic = G.frobenius_squared()
     pre = R / (n * draws)
     erfc_bound = pre * math.sqrt(math.pi / 192.0) * spec * _erfc_tail(math.sqrt(192.0) * fro / spec)
-    erfc_display = pre * math.sqrt(math.pi / 192.0) * spec * _erfc_tail(math.sqrt(192.0 * draws))
     khintchine = (R / (n * draws * math.sqrt(m))) * math.sqrt(23.0 / 44.0) * fro
     gaussian = pre * (
         2.0 * math.sqrt(math.pi * trace_quartic) / fro
@@ -254,10 +249,18 @@ def _report(G: _UpperStrips, n: int, R: float, draws: int, m: int) -> Complexity
         spectral_norm=spec,
         trace_quartic=trace_quartic,
         erfc_bound=erfc_bound,
-        erfc_bound_display=erfc_display,
         khintchine_bound=khintchine,
         gaussian_bound=gaussian,
     )
+
+
+MAX_ROWS = 2000
+
+
+def check_rows(n: int) -> None:
+    """Refuse more than :data:`MAX_ROWS` rows: K^w is a dense n x n Gram, and the walks before it are O(n^2)."""
+    if n > MAX_ROWS:
+        raise ConfigError(f"the mixture Gram K^w is a dense n x n matrix; diagnose is limited to n <= {MAX_ROWS}")
 
 
 def probe_pass(
@@ -283,9 +286,9 @@ def probe_pass(
     is never held: whatever m and D are, the bank phase holds the banks and
     about 8 (n (n + 128) / 2 + 128 n + 256 n) bytes, G's strips, one strip
     of scratch and one panel. The K^w phase before it holds K^w, 8 n^2
-    bytes, sets the pass's peak and refuses n > 2000. The reports equal
-    :func:`complexity_bounds` on a fresh Phi bit for bit. X needs a row and
-    a column, and R must be finite and positive.
+    bytes, sets the pass's peak and refuses n > :data:`MAX_ROWS`. The
+    reports equal :func:`complexity_bounds` on a fresh Phi bit for bit. X
+    needs a row and a column, and R must be finite and positive.
     """
     if not seeds:
         raise ConfigError("need at least one seed (trial)")
@@ -296,8 +299,7 @@ def probe_pass(
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.ndim != 2 or 0 in X.shape:
         raise ConfigError(f"X must be a matrix with at least one row and one column, got shape {X.shape}")
-    if X.shape[0] > 2000:
-        raise ConfigError("the mixture Gram K^w is a dense n x n matrix; diagnose is limited to n <= 2000")
+    check_rows(X.shape[0])
     if not isinstance(weights, MixtureWeights):
         weights = MixtureWeights(np.asarray(weights, dtype=float))
     spectral_kw = _top_eigenvalue(mixture_gram(kernels, weights.weights, X))
@@ -353,26 +355,25 @@ def pointwise_error_bound(
     Clamped at 1; when vacuous, ``required_draws`` reports the smallest D
     that would push the raw bound below 0.05. The Laplacian (Cauchy)
     sampler has an infinite sigma_p and no bound: it gets ``{"skipped": ...}``.
-    A bound whose ``required_draws`` overflows on the way (an infinite
-    diameter among them) is refused as a DataError.
+    An overflow on the way is a ConfigError naming --eps when it happens at
+    sigma_p diam = 1 too (an eps^2 of 0 among them), else a DataError.
     """
     if not is_positive(eps):
         raise ConfigError(f"eps must be finite and positive, got {eps!r}")
     if not math.isfinite(sigma_p):
         return {"skipped": "infinite spectral second moment (Laplacian sampler)"}
     target = 0.05
-    try:  # a square past the float limit raises, and so does the ceil of inf
-        prefactor = 2.0**8 * (sigma_p * diam / eps) ** 2
-        raw = prefactor * math.exp(-draws * eps**2 / (4.0 * (dim + 2)))
-        if prefactor <= target:
-            required = 1
-        else:
-            required = math.ceil(4.0 * (dim + 2) / eps**2 * math.log(prefactor / target))
-    except (OverflowError, ZeroDivisionError):  # eps**2 may underflow to 0
-        raise DataError(
-            f"the pointwise bound overflows at diameter {diam:g} and eps {eps:g}; "
-            "rescale the data (or drop --no-standardize) or raise --eps"
-        ) from None
+    # at a unit sigma_p diam first: an overflow there is --eps's alone
+    for scale, refusal in (
+        (1.0, ConfigError(f"the pointwise bound overflows at --eps {eps:g} whatever the data; raise --eps")),
+        (sigma_p * diam, DataError(f"the pointwise bound overflows at diameter {diam:g}; rescale the data (or drop --no-standardize)")),
+    ):
+        try:  # a square past the float limit raises, and so do the ceil of inf and a division by an eps**2 of 0
+            prefactor = 2.0**8 * (scale / eps) ** 2
+            raw = prefactor * math.exp(-draws * eps**2 / (4.0 * (dim + 2)))
+            required = 1 if prefactor <= target else math.ceil(4.0 * (dim + 2) / eps**2 * math.log(prefactor / target))
+        except (OverflowError, ZeroDivisionError):
+            raise refusal from None
     return {
         "bound": min(1.0, raw),
         "raw_bound": raw,

@@ -181,14 +181,15 @@ def _gram(kernels: list[BaseKernel], weights, X: np.ndarray, Y: np.ndarray | Non
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = X if Y is None else np.atleast_2d(np.asarray(Y, dtype=float))
     out = np.zeros((X.shape[0], Y.shape[0]))
-    for start, block in distance_blocks(X, Y):
-        rows = out[start : start + block.shape[0]]
-        values = kernel_values(kernels, block)
-        del block  # held by the generator until its last kernel
-        for w in weights:
-            K = next(values)
-            K *= w
-            rows += K
-            del K  # dropped before the next kernel's values are made
-        del values  # and the block's distances before the next block's
+    with np.errstate(over="ignore"):  # an exp argument past the float limit is -inf, whose exp is 0.0
+        for start, block in distance_blocks(X, Y):
+            rows = out[start : start + block.shape[0]]
+            values = kernel_values(kernels, block)
+            del block  # held by the generator until its last kernel
+            for w in weights:
+                K = next(values)
+                K *= w
+                rows += K
+                del K  # dropped before the next kernel's values are made
+            del values  # and the block's distances before the next block's
     return out

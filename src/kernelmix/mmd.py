@@ -127,18 +127,19 @@ def mmd_scores(
 
     # within-class pairs i < j, then every cross pair; one sum per kernel each
     sums = []
-    for pair in ((pos,), (neg,), (pos, neg)):
-        totals = [0.0] * len(kernels)
-        for start, block in distance_blocks(*pair):
-            for l, K in enumerate(kernel_values(kernels, block)):
-                if K.ndim == 2 and estimator == "unbiased_balanced":
-                    # k(x_i,y_j) + k(x_j,y_i) summed over i < j is the cross pairs summed
-                    # off their diagonal: K[:, start:]'s, every (m + 1)-th entry from start
-                    K.reshape(-1)[start :: K.shape[1] + 1] = 0.0
-                totals[l] += K.sum()
-                del K  # one array of kernel values alive at a time
-            del block  # and one block of distances
-        sums.append(totals)
+    with np.errstate(over="ignore"):  # an exp argument past the float limit is -inf, whose exp is 0.0
+        for pair in ((pos,), (neg,), (pos, neg)):
+            totals = [0.0] * len(kernels)
+            for start, block in distance_blocks(*pair):
+                for l, K in enumerate(kernel_values(kernels, block)):
+                    if K.ndim == 2 and estimator == "unbiased_balanced":
+                        # k(x_i,y_j) + k(x_j,y_i) summed over i < j is the cross pairs summed
+                        # off their diagonal: K[:, start:]'s, every (m + 1)-th entry from start
+                        K.reshape(-1)[start :: K.shape[1] + 1] = 0.0
+                    totals[l] += K.sum()
+                    del K  # one array of kernel values alive at a time
+                del block  # and one block of distances
+            sums.append(totals)
 
     scores = []
     for within_pos, within_neg, cross in zip(*sums):

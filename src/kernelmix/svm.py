@@ -128,8 +128,9 @@ def hinge_subgradient(
     The hinge part depends on the active set alone. ``hinge`` is a dict the
     caller keeps across calls on the same Phi and y: it holds the last
     active set with its hinge part h, which is formed again only when the
-    set changes, and h's image ``Phi @ h`` under "image" (zeros with no
-    active row), formed next to it. The result has the same bits either way.
+    set changes, and h's image ``Phi @ h`` under "image", formed next to it.
+    The result has the same bits either way. h is the sum over the active
+    rows, so zeros when no row is active.
     """
     n = Phi.shape[0]
     if scores is None:
@@ -138,15 +139,11 @@ def hinge_subgradient(
     if hinge is not None and np.array_equal(active, hinge.get("active")):
         term = hinge["term"]
     else:
-        term = None
-        if active.any():
-            # zeros in place of the inactive rows: no copy of the active part of Phi
-            ya = np.where(active, y, 0.0)
-            term = (ya @ Phi) / (n * math.sqrt(draws)), -float(ya.sum()) / n
+        # zeros in place of the inactive rows: no copy of the active part of Phi
+        ya = np.where(active, y, 0.0)
+        term = (ya @ Phi) / (n * math.sqrt(draws)), -float(ya.sum()) / n
         if hinge is not None:
-            hinge.update(active=active, term=term, image=np.zeros(n) if term is None else Phi @ term[0])
-    if term is None:
-        return lam * beta, 0.0
+            hinge.update(active=active, term=term, image=Phi @ term[0])
     return lam * beta - term[0], term[1]
 
 

@@ -233,7 +233,6 @@ def svd_complexity_bounds(Phi, R, draws, m) -> dict:
         "spectral_norm": spec,
         "trace_quartic": trace_quartic,
         "erfc_bound": pre * math.sqrt(math.pi / 192.0) * spec * float(erfc(math.sqrt(192.0) * fro / spec)),
-        "erfc_bound_display": pre * math.sqrt(math.pi / 192.0) * spec * float(erfc(math.sqrt(192.0 * draws))),
         "khintchine_bound": (R / (n * draws * math.sqrt(m))) * math.sqrt(23.0 / 44.0) * fro,
         "gaussian_bound": pre * (
             2.0 * math.sqrt(math.pi * trace_quartic) / fro

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -221,6 +222,28 @@ class TestScore:
         data = write_dataset(tmp_path / "d.csv")
         code = cli.main(["score", "--data", data, "--gammas", "-1.0", "--out", str(tmp_path / "s")])
         assert code == 3
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["score"],
+        # a Laplacian first kernel has no pointwise bound to refuse the data, so K^w is built
+        ["diagnose", "--families", "laplacian,gaussian", "--draws", "8", "--trials", "1", "--pairs", "2"],
+    ],
+    ids=["score", "diagnose"],
+)
+def test_kernel_arguments_past_the_float_limit(tmp_path, command):
+    # unstandardized rows some 1e154 apart: a squared distance over 2 rho^2
+    # overflows to -inf, whose kernel value is 0.0, without a RuntimeWarning
+    data = tmp_path / "d.csv"
+    rows = [(1.26, 1), (-1.32, 1), (9.0, 1), (1.05, -1), (-5.36, -1)]
+    data.write_text("f0,label\n" + "".join(f"{x * 1e153!r},{label}\n" for x, label in rows))
+    out = tmp_path / "out"
+    args = [*command, "--data", str(data), "--no-standardize", "--gammas", "0.5,5", "--out", str(out)]
+    assert cli.main(args) == 0
+    text = out.with_suffix(".json").read_text()
+    assert "NaN" not in text and "Infinity" not in text
 
 
 class TestTrainPredict:
@@ -628,10 +651,11 @@ def test_library_outputs_on_raw_rows_equal_cli_predict(text, standardized):
 
 
 @st.composite
-def scaled_csvs(draw):
-    """(CSV text, labels in {-1, +1}) of 2-60 rows and 1-4 columns at magnitudes
-    from 1e-300 to 1e300, some columns constant or a copy of the one before,
-    with labels written -1/+1 or 0/1."""
+def scaled_files(draw):
+    """({format: text}, labels in {-1, +1}): one table as CSV and as LIBSVM, of
+    2-60 rows and 1-4 columns at magnitudes from 1e-300 to 1e300, some
+    columns constant or a copy of the one before, with labels written -1/+1
+    or 0/1."""
     n, dim = draw(st.integers(2, 60)), draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     columns = []
@@ -644,31 +668,35 @@ def scaled_csvs(draw):
             columns.append(scale * (np.full(n, rng.normal()) if kind == "constant" else rng.normal(size=n)))
     labels = np.array(draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n)))
     written = np.where(labels == 1, 1, 0) if draw(st.booleans()) else labels
-    lines = [",".join(f"f{j}" for j in range(dim)) + ",label"]
-    lines += [",".join(map(repr, row)) + f",{label}" for row, label in zip(np.column_stack(columns).tolist(), written)]
-    return "\n".join(lines) + "\n", labels
+    rows = list(zip(np.column_stack(columns).tolist(), written))
+    csv = [",".join(f"f{j}" for j in range(dim)) + ",label"] + [",".join(map(repr, row)) + f",{label}" for row, label in rows]
+    libsvm = [f"{label} " + " ".join(f"{j + 1}:{v!r}" for j, v in enumerate(row)) for row, label in rows]
+    return {"csv": "\n".join(csv) + "\n", "libsvm": "\n".join(libsvm) + "\n"}, labels
 
 
 @settings(max_examples=40, deadline=None)
-@given(case=scaled_csvs())
+@given(case=scaled_files())
 def test_train_writes_only_models_predict_accepts(case):
-    # whatever the scale of the data, train refuses it (exit 2 or 3) or
-    # writes a model with which predict reproduces train's accuracy
-    text, labels = case
-    with tempfile.TemporaryDirectory() as tmp:
-        data, model_path, pred = (os.path.join(tmp, name) for name in ("d.csv", "m.json", "p.csv"))
-        with open(data, "w") as fh:
-            fh.write(text)
-        args = ["train", "--data", data, "--gammas", "0.5,2", "--draws", "8", "--epochs", "3", "--out", model_path]
-        code = cli.main(args)
-        assert code in (0, 2, 3)
-        if code != 0:
-            return
-        assert cli.main(["predict", "--model", model_path, "--data", data, "--out", pred]) == 0
-        with open(pred) as fh:
-            predicted = np.array([int(line.split(",")[3]) for line in fh.read().splitlines()[1:]])
-        with open(model_path + ".log.json") as fh:
-            assert (predicted == labels).mean() == json.load(fh)["train_accuracy"]
+    # whatever the scale of the data and its format, train refuses it (exit 2
+    # or 3) or writes a model with which predict reproduces train's accuracy
+    files, labels = case
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fmt, text in files.items():
+            data, model_path, pred = (os.path.join(tmp, name) for name in ("d." + fmt, "m.json", "p.csv"))
+            with open(data, "w") as fh:
+                fh.write(text)
+            args = ["train", "--data", data, "--format", fmt, "--gammas", "0.5,2", "--draws", "8", "--epochs", "3",
+                    "--out", model_path]
+            code = cli.main(args)
+            assert code in (0, 2, 3)
+            if code != 0:
+                continue
+            assert cli.main(["predict", "--model", model_path, "--data", data, "--format", fmt, "--out", pred]) == 0
+            with open(pred) as fh:
+                predicted = np.array([int(line.split(",")[3]) for line in fh.read().splitlines()[1:]])
+            with open(model_path + ".log.json") as fh:
+                assert (predicted == labels).mean() == json.load(fh)["train_accuracy"]
 
 
 #: score, select and diagnose, small enough that one example takes tens of milliseconds
@@ -680,19 +708,22 @@ _SCALED_COMMANDS = [
 
 
 @settings(max_examples=40, deadline=None)
-@given(case=scaled_csvs())
+@given(case=scaled_files())
 def test_every_command_refuses_or_runs_at_any_scale(case):
-    # on the files above, with and without standardization, each command
-    # runs (exit 0) or refuses the data or the configuration (exit 2 or 3);
-    # any other exception escapes cli.main and fails the test
-    text, _labels = case
-    with tempfile.TemporaryDirectory() as tmp:
-        data, out = os.path.join(tmp, "d.csv"), os.path.join(tmp, "out")
-        with open(data, "w") as fh:
-            fh.write(text)
-        for command in _SCALED_COMMANDS:
-            for extra in ([], ["--no-standardize"]):
-                assert cli.main([*command, "--data", data, "--out", out, *extra]) in (0, 2, 3)
+    # on the files above, in either format, with and without standardization,
+    # each command runs (exit 0) or refuses the data or the configuration
+    # (exit 2 or 3); any other exception or any warning fails the test
+    files, _labels = case
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = os.path.join(tmp, "out")
+        for fmt, text in files.items():
+            data = os.path.join(tmp, "d." + fmt)
+            with open(data, "w") as fh:
+                fh.write(text)
+            for command in _SCALED_COMMANDS:
+                for extra in ([], ["--no-standardize"]):
+                    assert cli.main([*command, "--data", data, "--format", fmt, "--out", out, *extra]) in (0, 2, 3)
 
 
 @pytest.mark.parametrize("command", ["train", "select"])
@@ -772,7 +803,9 @@ class TestDiagnose:
         assert len(payload["complexity"]) == 2
         assert payload["ordering_violation"] is False
         header = (tmp_path / "diag.complexity.csv").read_text().splitlines()[0]
-        assert "erfc_bound" in header and "erfc_bound_display" in header
+        assert header == (
+            "n,draws,m,R,frobenius_norm,spectral_norm,trace_quartic,erfc_bound,khintchine_bound,gaussian_bound"
+        )
         conc = (tmp_path / "diag.concentration.csv").read_text().splitlines()
         assert len(conc) == 3  # header + one row per D
 
@@ -837,7 +870,7 @@ class TestDiagnose:
             return ComplexityReport(
                 n=n, draws=draws, m=m, R=R,
                 frobenius_norm=1.0, spectral_norm=1.0, trace_quartic=1.0,
-                erfc_bound=2.0, erfc_bound_display=0.0,
+                erfc_bound=2.0,
                 khintchine_bound=1.0, gaussian_bound=1.0,
             )
 
@@ -850,9 +883,10 @@ class TestDiagnose:
         assert cli.main(args) == 1
 
     @pytest.mark.parametrize("scale", [1e153, 1e160])  # a finite and an infinite diameter
-    def test_overflowing_pointwise_bound_exits_2(self, tmp_path, capsys, scale):
+    def test_overflowing_pointwise_bound_exits_2(self, tmp_path, capsys, refuse_builds, scale):
         # unstandardized rows this far apart make the bound's prefactor
-        # overflow; diagnose refuses the data instead of raising OverflowError
+        # overflow; diagnose refuses the data instead of raising OverflowError,
+        # before the MMD pass, K^w or any bank
         data = tmp_path / "d.csv"
         rows = [(1.26, 1), (-1.32, 1), (6.40, -1), (1.05, -1)]
         data.write_text("f0,label\n" + "".join(f"{x * scale!r},{label}\n" for x, label in rows))
@@ -865,14 +899,26 @@ class TestDiagnose:
         assert "data error: the pointwise bound overflows" in err and "Traceback" not in err
         assert not (tmp_path / "diag.json").exists()
 
+    def test_eps_whose_bound_overflows_exits_3(self, tmp_path, capsys, refuse_builds):
+        # eps^2 underflows to 0: the flag is refused, not the data, and before any build
+        data = write_dataset(tmp_path / "d.csv", n=20)
+        args = ["diagnose", "--data", data, "--eps", "1e-200", "--draws", "8", "--out", str(tmp_path / "diag")]
+        assert cli.main(args) == 3
+        err = capsys.readouterr().err
+        assert "config error: the pointwise bound overflows at --eps 1e-200" in err and "Traceback" not in err
+        assert not (tmp_path / "diag.json").exists()
+
     @pytest.fixture
     def refuse_builds(self, monkeypatch):
-        def refuse(*_args, **_kwargs):
-            raise AssertionError("built a feature matrix or Gram before the check")
+        """The spy that fails the test once diagnose reaches the MMD pass, K^w, a bank or a feature matrix."""
 
-        for module, name in ((cli, "build_feature_matrix"), (diagnostics, "weighted_block"),
-                             (diagnostics, "mixture_gram")):
-            monkeypatch.setattr(module, name, refuse)
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("went past a refusal into the MMD pass, K^w, a bank or a feature matrix")
+
+        for owner, name in ((cli, "mixing_weights"), (cli, "build_feature_matrix"), (diagnostics, "weighted_block"),
+                            (diagnostics, "mixture_gram"), (diagnostics.FeatureBank, "generate")):
+            monkeypatch.setattr(owner, name, refuse)
+        return refuse
 
     def test_size_check_runs_before_any_feature_matrix(self, tmp_path, capsys, refuse_builds):
         args = [
@@ -881,6 +927,14 @@ class TestDiagnose:
         ]
         assert cli.main(args) == 3
         assert "n <= 2000" in capsys.readouterr().err
+
+    def test_row_limit_is_checked_before_the_diameter(self, tmp_path, capsys, monkeypatch, refuse_builds):
+        # a row past diagnostics.MAX_ROWS is refused before the O(n^2) diameter and MMD walks
+        monkeypatch.setattr(cli, "diameter", refuse_builds)
+        data = write_dataset(tmp_path / "d.csv", n=diagnostics.MAX_ROWS + 1)
+        assert cli.main(["diagnose", "--data", data, "--out", str(tmp_path / "diag")]) == 3
+        assert "n <= 2000" in capsys.readouterr().err
+        diagnostics.check_rows(diagnostics.MAX_ROWS)
 
     @pytest.mark.parametrize(
         "flags",

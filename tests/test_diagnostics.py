@@ -165,7 +165,8 @@ class TestErfcTail:
         assert _erfc_tail(x) == erfc(x)
 
     def test_bit_identical_at_every_display_argument(self):
-        # erfc_bound_display's argument sqrt(192 D) for D = 1 ... 10^4
+        # the paper's displayed argument sqrt(192 D) for D = 1 ... 10^4, which is
+        # also erfc_bound's argument at an integer stable rank ||Phi||_F^2 / |||Phi|||_2^2
         arguments = [math.sqrt(192.0 * draws) for draws in range(1, 10_001)]
         assert [_erfc_tail(x) for x in arguments] == erfc(arguments).tolist()
 
@@ -606,8 +607,15 @@ class TestPointwiseBound:
 
     @pytest.mark.parametrize("diam", [1e154, math.inf])  # a finite diameter whose square overflows, an infinite one
     def test_overflowing_prefactor_is_a_data_error(self, diam):
-        with pytest.raises(DataError, match="the pointwise bound overflows"):
+        with pytest.raises(DataError, match="the pointwise bound overflows at diameter"):
             pointwise_error_bound(0.1, 100, 2, 1.0, diam)
+
+    @pytest.mark.parametrize("eps", [1e-200, 1e-160])  # eps^2 underflows to 0; (1/eps)^2 overflows
+    @pytest.mark.parametrize("diam", [0.0, 1.0, 1e154])
+    def test_overflow_at_a_unit_scale_is_the_eps_flags(self, eps, diam):
+        # the bound overflows at sigma_p diam = 1 too, so the flag is to blame, not the data
+        with pytest.raises(ConfigError, match="overflows at --eps .* raise --eps"):
+            pointwise_error_bound(eps, 100, 2, 1.0, diam)
 
     def test_refuses_cauchy_sampler(self):
         bound = pointwise_error_bound(0.1, 100, 2, sigma_p(BaseKernel("laplacian", 1.0), 2), 2.0)

@@ -298,6 +298,15 @@ class TestTrain:
 
 
 class TestSubgradient:
+    def test_no_active_row_leaves_the_penalty_alone(self):
+        # every margin is past 1, so the hinge part is the sum over no rows: zeros
+        Phi, y = separable_feature_matrix()
+        beta, lam, cache = np.array([4.0]), 0.3, {}
+        for hinge in (None, cache, cache):  # without the cache, then formed into it and read back
+            g_beta, g_offset = hinge_subgradient(Phi, y, beta, 0.0, lam, 1, hinge=hinge)
+            assert g_beta.tolist() == (lam * beta).tolist() and g_offset == 0.0
+        assert not cache["active"].any() and cache["image"].tolist() == [0.0] * len(y)
+
     def test_matches_finite_differences_off_kink(self):
         rng = stream(71)
         Phi = rng.normal(size=(40, 6))

@@ -5,8 +5,8 @@
 Exports REF's ``src`` with ``git archive`` into a temporary directory, writes
 one fixed CSV and one fixed LIBSVM training file from a seeded NumPy draw,
 plus a balanced and an unbalanced CSV with more than one 64-row distance
-block per class, and runs the same twenty-six commands (score, train,
-predict, select and diagnose)
+block per class and a CSV of two well-separated classes, and runs the same
+twenty-seven commands (score, train, predict, select and diagnose)
 against REF's package and against the working tree's ``src``. Each side runs
 in its own directory with relative paths, so messages compare too. Every
 output file, exit code, stdout and stderr is compared; the selector timings
@@ -54,6 +54,8 @@ COMMANDS = [
     # a wide ball and a weak penalty: the active set changes between epochs
     "train --data train.csv --gammas 0.1,1 --draws 64 --epochs 60 --R 300 --lam 0.001 --out hinge.json",
     "train --data train.csv --gammas 0.01,0.1,1,10 --draws 32 --epochs 10 --batch-size 16 --out mini.json",
+    # long steps on separated classes: no row is active at step 2, then rows come back
+    "train --data separated.csv --gammas 0.1 --draws 32 --epochs 60 --R 300 --lam 0.03 --step-size 4 --out empty.json",
     # a model without a standardization record: predict scores the rows as they are
     "train --data train.csv --gammas 0.1,1 --draws 64 --epochs 30 --no-standardize --out raw.json",
     # D = 300 is one 256-column panel of the projection X xi^T and a ragged one
@@ -90,7 +92,8 @@ def _csv(X: np.ndarray, y: np.ndarray) -> str:
 
 
 def write_inputs(directory: Path) -> None:
-    """A 60-row, 3-column two-class problem, as CSV and as LIBSVM; then 100/100 and 150/90 rows as CSV."""
+    """A 60-row, 3-column two-class problem, as CSV and as LIBSVM; then 100/100 and 150/90 rows, and 20/20
+    rows with class means 6 apart in each column, as CSV."""
     rng = np.random.default_rng(20190101)
     X = rng.normal(size=(60, 3)) + np.repeat([[1.0], [-1.0]], 30, axis=0)
     y = np.repeat([1, -1], 30)
@@ -101,6 +104,8 @@ def write_inputs(directory: Path) -> None:
         y = np.repeat([1, -1], [n_pos, n_neg])
         X = rng.normal(size=(n_pos + n_neg, 3)) + 0.5 * y[:, None]
         (directory / name).write_text(_csv(X, y))
+    y = np.repeat([1, -1], 20)
+    (directory / "separated.csv").write_text(_csv(rng.normal(size=(40, 3)) + 3.0 * y[:, None], y))
 
 
 class _Checksum(str):
